@@ -64,7 +64,7 @@ def _canonical_rows(g: Graph) -> tuple[int, ...]:
     adj = g.adjacency_masks
     best: list[int] | None = None
 
-    def finish(order: list[int], rows: list[int], better: bool) -> None:
+    def finish(rows: list[int], better: bool) -> None:
         nonlocal best
         if better or best is None:
             best = list(rows)
@@ -89,7 +89,7 @@ def _canonical_rows(g: Graph) -> tuple[int, ...]:
             rows.append(row)
             added += 1
         if not pruned:
-            finish(order, rows, better)
+            finish(rows, better)
         if added:
             del order[-added:]
             del rows[-added:]
@@ -98,7 +98,7 @@ def _canonical_rows(g: Graph) -> tuple[int, ...]:
                remaining: set[int], colors: list[int]) -> None:
         nonlocal best
         if not remaining:
-            finish(order, rows, better)
+            finish(rows, better)
             return
         color_count = len({colors[v] for v in remaining})
         if color_count == len(remaining):

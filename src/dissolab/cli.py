@@ -72,7 +72,7 @@ def _default_cutoff() -> int:
     try:
         return int(value)
     except ValueError:
-        raise SystemExit(f"invalid {_ENV_CUTOFF} value {value!r}")
+        raise ValueError(f"invalid {_ENV_CUTOFF} value {value!r}") from None
 
 
 def _read_graph(path: str) -> Graph:
@@ -244,7 +244,15 @@ def cmd_gadget(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _expand_target(target: str, seed: int, cutoff: int) -> list[tuple[str, str, object]]:
+def _spec_ints(target: str, fields: list[str], count: int) -> list[int]:
+    """The ``count`` integer fields after a spec's kind."""
+    try:
+        return [int(fields[i]) for i in range(1, count + 1)]
+    except (IndexError, ValueError):
+        raise ValueError(f"check target {target!r} needs {count} integer field(s)") from None
+
+
+def _expand_target(target: str, seed: int) -> list[tuple[str, str, object]]:
     """Turn a generator spec or directory into (instance id, kind, payload)."""
     if os.path.isdir(target):
         out = []
@@ -258,39 +266,39 @@ def _expand_target(target: str, seed: int, cutoff: int) -> list[tuple[str, str, 
     fields = target.split(":")
     kind = fields[0]
     if kind == "chain-catalog":
-        max_n = int(fields[1])
+        (max_n,) = _spec_ints(target, fields, 1)
         graphs = [g for n in range(1, max_n + 1) for g in connected_graphs(n)]
         return [(f"{target}#{i}", "chain", g) for i, g in enumerate(graphs)]
     if kind == "chain-random":
-        count, max_n = int(fields[1]), int(fields[2])
+        count, max_n = _spec_ints(target, fields, 2)
         graphs = random_graph_corpus(count, max_n, seed)
         return [(f"{target}#{i}", "chain", g) for i, g in enumerate(graphs)]
     if kind == "matching-catalog":
-        max_n = int(fields[1])
+        (max_n,) = _spec_ints(target, fields, 1)
         graphs = [
             g for n in range(1, max_n + 1) for g in connected_bipartite_graphs(n)
         ]
         return [(f"{target}#{i}", "matching", g) for i, g in enumerate(graphs)]
     if kind == "recognizer-catalog":
-        max_n = int(fields[1])
+        (max_n,) = _spec_ints(target, fields, 1)
         graphs = [
             g for n in range(1, max_n + 1) for g in connected_bipartite_graphs(n)
         ]
         return [(f"{target}#{i}", "recognizer", g) for i, g in enumerate(graphs)]
     if kind == "recognizer-random":
-        count, max_n = int(fields[1]), int(fields[2])
+        count, max_n = _spec_ints(target, fields, 2)
         graphs = random_bipartite_corpus(count, max_n, seed)
         return [(f"{target}#{i}", "recognizer", g) for i, g in enumerate(graphs)]
     if kind == "approx-random":
-        count, max_n = int(fields[1]), int(fields[2])
+        count, max_n = _spec_ints(target, fields, 2)
         graphs = random_bipartite_corpus(count, max_n, seed)
         return [(f"{target}#{i}", "approx", g) for i, g in enumerate(graphs)]
     if kind == "gadget-random":
-        count = int(fields[1])
+        (count,) = _spec_ints(target, fields, 1)
         formulas = random_cnf_corpus(count, 5, 4, seed)
         return [(f"{target}#{i}", "cnf-gadget", f) for i, f in enumerate(formulas)]
     if kind == "isgadget":
-        max_n, max_k = int(fields[1]), int(fields[2])
+        max_n, max_k = _spec_ints(target, fields, 2)
         payloads = [
             (g, k)
             for n in range(0, max_n + 1)
@@ -299,7 +307,7 @@ def _expand_target(target: str, seed: int, cutoff: int) -> list[tuple[str, str, 
         ]
         return [(f"{target}#{i}", "is-gadget", p) for i, p in enumerate(payloads)]
     if kind == "join-random":
-        count, max_n = int(fields[1]), int(fields[2])
+        count, max_n = _spec_ints(target, fields, 2)
         graphs = join_input_corpus(count, max_n, seed)
         return [(f"{target}#{i}", "join-gadget", g) for i, g in enumerate(graphs)]
     raise ValueError(f"unknown check target {target!r}")
@@ -336,9 +344,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     for target in args.targets:
         tasks = [
             (instance_id, kind, payload, args.cutoff)
-            for instance_id, kind, payload in _expand_target(
-                target, args.seed, args.cutoff
-            )
+            for instance_id, kind, payload in _expand_target(target, args.seed)
         ]
         if args.jobs > 1 and len(tasks) > 1:
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -379,12 +385,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--invariants", default="diss,alpha,nus",
                          help="comma list from diss,alpha,nus")
     p_solve.add_argument("--cutoff", type=int, default=cutoff)
-    p_solve.add_argument("--format", choices=["dimacs"], default="dimacs")
     p_solve.set_defaults(func=cmd_solve)
 
     p_approx = sub.add_parser("approx", help="4/3-approximation on a bipartite graph")
     p_approx.add_argument("path")
-    p_approx.add_argument("--format", choices=["dimacs"], default="dimacs")
     p_approx.set_defaults(func=cmd_approx)
 
     p_rec = sub.add_parser("recognize", help="extremal-pair recognition")
@@ -392,7 +396,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--matching", default="auto",
                        help="matching file (lines 'm u v', 1-based) or 'auto'")
     p_rec.add_argument("--dot", default=None, help="write a DOT dump here")
-    p_rec.add_argument("--format", choices=["dimacs"], default="dimacs")
     p_rec.set_defaults(func=cmd_recognize)
 
     p_gadget = sub.add_parser("gadget", help="emit a hardness gadget instance")
@@ -427,9 +430,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except InstanceTooLarge as exc:
         print(f"error=InstanceTooLarge detail={exc}", file=sys.stderr)

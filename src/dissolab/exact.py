@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .graph import Graph
-from .matching import Matching, matching_from_edges
+from .matching import Matching, is_induced_matching, matching_from_edges
 
 __all__ = [
     "InstanceTooLarge",
@@ -345,7 +345,7 @@ def induced_matching_number_exact(
     edges, conflict = _edge_conflicts(g)
     k = len(edges)
     if k == 0:
-        return 0, Matching(frozenset(), True)
+        return 0, Matching(frozenset())
     best_size = 0
     best_mask = 0
 
@@ -385,7 +385,8 @@ def induced_matching_number_exact(
     rec((1 << k) - 1, 0, 0)
     picked = [edges[i] for i in range(k) if (best_mask >> i) & 1]
     matching = matching_from_edges(g, picked)
-    assert matching.induced
+    if not is_induced_matching(g, matching.edges):
+        raise RuntimeError("induced matching search returned a non-induced matching")
     return best_size, matching
 
 

@@ -77,12 +77,13 @@ class Graph:
         return tuple(sorted(self.edges))
 
     @cached_property
-    def adjacency(self) -> tuple[frozenset[int], ...]:
-        nbrs: list[set[int]] = [set() for _ in range(self.n)]
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's neighbours in ascending order: every search's scan order."""
+        nbrs: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return tuple(frozenset(s) for s in nbrs)
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        return tuple(tuple(sorted(s)) for s in nbrs)
 
     @cached_property
     def adjacency_masks(self) -> tuple[int, ...]:
@@ -147,7 +148,7 @@ def bipartition(g: Graph) -> Bipartition:
         queue = deque([root])
         while queue:
             u = queue.popleft()
-            for v in sorted(g.adjacency[u]):
+            for v in g.adjacency[u]:
                 if color[v] == -1:
                     color[v] = 1 - color[u]
                     parent[v] = u

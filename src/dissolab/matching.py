@@ -1,8 +1,8 @@
 """Maximum bipartite matching, König covers, and bipartite independent sets.
 
-The matching search scans vertices and adjacency lists in ascending index
-order, so every result here is a deterministic function of the input graph
-and bipartition.
+The matching search scans vertices in ascending index order and adjacency in
+the ascending order of ``Graph.adjacency``, so every result here is a
+deterministic function of the input graph and bipartition.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ __all__ = [
     "Matching",
     "MatchingNotMaximumError",
     "matching_from_edges",
+    "partner_map",
     "is_matching",
     "is_induced_matching",
     "maximum_matching",
@@ -32,20 +33,9 @@ class MatchingNotMaximumError(ValueError):
 
 @dataclass(frozen=True)
 class Matching:
-    """Vertex-disjoint edge set; ``induced`` records the stronger validation."""
+    """Vertex-disjoint edge set, each edge with its smaller endpoint first."""
 
     edges: frozenset[tuple[int, int]]
-    induced: bool
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-    @property
-    def edge_list(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.edges))
-
-    def covered(self) -> frozenset[int]:
-        return frozenset(v for e in self.edges for v in e)
 
 
 def is_matching(g: Graph, edges: Iterable[tuple[int, int]]) -> bool:
@@ -78,11 +68,20 @@ def is_induced_matching(g: Graph, edges: Iterable[tuple[int, int]]) -> bool:
 
 
 def matching_from_edges(g: Graph, edges: Iterable[tuple[int, int]]) -> Matching:
-    """Validate edges as a matching of g; the induced flag is computed."""
+    """Validate edges as a matching of g."""
     es = frozenset(_canonical_edge(u, v) for u, v in edges)
     if not is_matching(g, es):
         raise ValueError("edge set is not a matching of the graph")
-    return Matching(es, is_induced_matching(g, es))
+    return Matching(es)
+
+
+def partner_map(m: Matching) -> dict[int, int]:
+    """Each matched vertex mapped to the other end of its matching edge."""
+    partner: dict[int, int] = {}
+    for u, v in m.edges:
+        partner[u] = v
+        partner[v] = u
+    return partner
 
 
 def _validate_bipartition(g: Graph, b: Bipartition) -> None:
@@ -98,7 +97,7 @@ def maximum_matching(g: Graph, b: Bipartition) -> Matching:
     _validate_bipartition(g, b)
     n = g.n
     a_side = sorted(b.side_a)
-    adj = [sorted(g.adjacency[u]) for u in range(n)]
+    adj = g.adjacency
     partner = [-1] * n
     NIL = n
     INF = n + 1
@@ -124,15 +123,29 @@ def maximum_matching(g: Graph, b: Bipartition) -> Matching:
                             dq.append(w)
         return dist[NIL] != INF
 
-    def dfs(u: int) -> bool:
-        for v in adj[u]:
-            w = partner[v] if partner[v] != -1 else NIL
-            if dist[w] == dist[u] + 1 and (w == NIL or dfs(w)):
-                partner[u] = v
-                partner[v] = u
-                return True
-        dist[u] = INF
-        return False
+    def dfs(root: int) -> None:
+        # augmenting-path search along the BFS layers with an explicit stack:
+        # pos[i] is the next neighbour of path[i] to try
+        path, pos = [root], [0]
+        while path:
+            u = path[-1]
+            for i in range(pos[-1], len(adj[u])):
+                v = adj[u][i]
+                w = partner[v] if partner[v] != -1 else NIL
+                if dist[w] == dist[u] + 1:
+                    pos[-1] = i + 1
+                    if w == NIL:
+                        for x, j in zip(path, pos):
+                            partner[x] = adj[x][j - 1]
+                            partner[adj[x][j - 1]] = x
+                        return
+                    path.append(w)
+                    pos.append(0)
+                    break
+            else:
+                dist[u] = INF
+                path.pop()
+                pos.pop()
 
     while bfs():
         for u in a_side:
@@ -152,10 +165,7 @@ def _alternating_reachable(
     Returns (reached A vertices, reached B vertices, free B vertex reached),
     the last flag meaning an augmenting path exists.
     """
-    partner: dict[int, int] = {}
-    for u, v in m.edges:
-        partner[u] = v
-        partner[v] = u
+    partner = partner_map(m)
     matched_edges = m.edges
     reached_a = {u for u in b.side_a if u not in partner}
     reached_b: set[int] = set()
@@ -163,7 +173,7 @@ def _alternating_reachable(
     stack = sorted(reached_a)
     while stack:
         u = stack.pop()
-        for v in sorted(g.adjacency[u]):
+        for v in g.adjacency[u]:
             if _canonical_edge(u, v) in matched_edges or v in reached_b:
                 continue
             reached_b.add(v)

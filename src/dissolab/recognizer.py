@@ -23,6 +23,7 @@ from .matching import (
     has_augmenting_path,
     is_matching,
     maximum_matching,
+    partner_map,
 )
 from .exact import is_dissociation_set
 from .twosat import Assignment, Literal, TwoSatFormula, solve_2sat
@@ -34,7 +35,6 @@ __all__ = [
     "CycleComponent",
     "AlternatingDecomposition",
     "NotExtremalReason",
-    "RecognitionFailure",
     "NotExtremal",
     "Extremal",
     "RecognitionOutcome",
@@ -116,12 +116,6 @@ class NotExtremalReason(Enum):
 
 
 @dataclass(frozen=True)
-class RecognitionFailure:
-    reason: NotExtremalReason
-    detail: str = ""
-
-
-@dataclass(frozen=True)
 class NotExtremal:
     reason: NotExtremalReason
     detail: str = ""
@@ -134,14 +128,6 @@ class Extremal:
 
 
 RecognitionOutcome = Union[Extremal, NotExtremal]
-
-
-def _partner_array(n: int, edges: frozenset[tuple[int, int]]) -> list[int]:
-    partner = [-1] * n
-    for u, v in edges:
-        partner[u] = v
-        partner[v] = u
-    return partner
 
 
 def decompose_alternating(
@@ -160,8 +146,8 @@ def decompose_alternating(
         if not is_matching(g, edges):
             raise ValueError("edge set is not a matching of the graph")
     n = g.n
-    pm = _partner_array(n, m.edges)
-    pm2 = _partner_array(n, m2.edges)
+    pm = partner_map(m)
+    pm2 = partner_map(m2)
     visited = [False] * n
     paths: list[PathComponent] = []
     cycles: list[CycleComponent] = []
@@ -172,8 +158,8 @@ def decompose_alternating(
         take_m = first_in_m
         cur = start
         while True:
-            nxt = pm[cur] if take_m else pm2[cur]
-            if nxt == -1 or visited[nxt]:
+            nxt = (pm if take_m else pm2).get(cur)
+            if nxt is None or visited[nxt]:
                 return seq
             seq.append(nxt)
             visited[nxt] = True
@@ -184,20 +170,19 @@ def decompose_alternating(
     for v in range(n):
         if visited[v]:
             continue
-        in_m = pm[v] != -1
-        in_m2 = pm2[v] != -1
-        if in_m and in_m2:
+        in_m = v in pm
+        if in_m and v in pm2:
             continue
         seq = walk(v, in_m)
         if len(seq) > 1:
             last = seq[-1]
-            last_in_m = pm[last] == seq[-2]
-            first_in_m = pm[seq[0]] == seq[1]
+            last_in_m = pm.get(last) == seq[-2]
+            first_in_m = pm.get(seq[0]) == seq[1]
             if not first_in_m and last_in_m:
                 seq.reverse()
             elif first_in_m == last_in_m and seq[-1] < seq[0]:
                 seq.reverse()
-        tags = tuple(pm[seq[i]] == seq[i + 1] for i in range(len(seq) - 1))
+        tags = tuple(pm.get(seq[i]) == seq[i + 1] for i in range(len(seq) - 1))
         paths.append(PathComponent(tuple(seq), tags))
 
     # remaining vertices lie on cycles
@@ -218,17 +203,17 @@ def decompose_alternating(
     return AlternatingDecomposition(tuple(paths), tuple(cycles))
 
 
-def check_component_lengths(d: AlternatingDecomposition) -> Optional[RecognitionFailure]:
+def check_component_lengths(d: AlternatingDecomposition) -> Optional[NotExtremal]:
     """Cycles must have length 0 mod 6, paths length 4 mod 6."""
     for cyc in d.cycles:
         if cyc.length % 6 != 0:
-            return RecognitionFailure(
+            return NotExtremal(
                 NotExtremalReason.BAD_CYCLE_LENGTH,
                 f"cycle {cyc.vertices} has length {cyc.length}",
             )
     for path in d.paths:
         if path.length % 6 != 4:
-            return RecognitionFailure(
+            return NotExtremal(
                 NotExtremalReason.BAD_PATH_LENGTH,
                 f"path {path.vertices} has length {path.length}",
             )
@@ -244,10 +229,7 @@ def label_path_components(
     in M, and the classes then repeat with period six (mirrored when the
     start vertex is on side B). Cycle vertices stay unlabeled here.
     """
-    pm2 = {}
-    for u, v in m2.edges:
-        pm2[u] = v
-        pm2[v] = u
+    pm2 = partner_map(m2)
     labels: dict[int, SixClass] = {}
     for path in d.paths:
         verts = path.vertices
@@ -264,7 +246,7 @@ def label_path_components(
 
 def check_path_path_edges(
     g: Graph, m: Matching, m2: Matching, labels: Mapping[int, SixClass]
-) -> Optional[RecognitionFailure]:
+) -> Optional[NotExtremal]:
     """Stray edges between two path vertices must touch A4 or B4."""
     used = m.edges | m2.edges
     for u, v in g.edge_list:
@@ -272,7 +254,7 @@ def check_path_path_edges(
             continue
         if u in labels and v in labels:
             if labels[u] not in _BLOCKED and labels[v] not in _BLOCKED:
-                return RecognitionFailure(
+                return NotExtremal(
                     NotExtremalReason.PATH_EDGE_VIOLATION,
                     f"edge ({u}, {v}) joins classes "
                     f"{labels[u].value} and {labels[v].value}",
@@ -424,11 +406,11 @@ def recognize_extremal(g: Graph, m: Matching) -> RecognitionOutcome:
     d = decompose_alternating(g, b, m, m2)
     failure = check_component_lengths(d)
     if failure is not None:
-        return NotExtremal(failure.reason, failure.detail)
+        return failure
     labels = label_path_components(d, b, m, m2)
     failure = check_path_path_edges(g, m, m2, labels)
     if failure is not None:
-        return NotExtremal(failure.reason, failure.detail)
+        return failure
     formula, _ = build_2sat(g, d, b, m, m2, labels)
     assignment = solve_2sat(formula)
     if assignment is None:

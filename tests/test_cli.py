@@ -61,6 +61,11 @@ class TestSolve:
         path = write_graph(tmp_path / "big.dimacs", new_graph(40, []))
         assert main(["solve", path]) == 0
 
+    def test_invalid_env_cutoff_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("DISSOLAB_CUTOFF", "abc")
+        assert main(["solve", c6_file(tmp_path)]) == 2
+        assert "DISSOLAB_CUTOFF" in capsys.readouterr().err
+
     def test_invariant_subset(self, tmp_path, capsys):
         path = c6_file(tmp_path)
         assert main(["solve", path, "--invariants", "alpha"]) == 0
@@ -234,6 +239,15 @@ class TestCheck:
 
     def test_unknown_target_rejected(self, capsys):
         assert main(["check", "nonsense:1"]) == 2
+
+    @pytest.mark.parametrize(
+        "target",
+        ["chain-catalog", "chain-catalog:", "chain-catalog:x", "chain-random:5",
+         "isgadget:3", "join-random:2:five", "gadget-random"],
+    )
+    def test_malformed_spec_exit_code(self, target, capsys):
+        assert main(["check", target]) == 2
+        assert target in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "target,instances",

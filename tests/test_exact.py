@@ -102,7 +102,7 @@ class TestInducedMatchingNumber:
 
     def test_c6(self):
         value, matching = induced_matching_number_exact(c6())
-        assert value == 2 and matching.induced
+        assert value == 2 and is_induced_matching(c6(), matching.edges)
 
     def test_c5(self):
         assert induced_matching_number_exact(c5())[0] == 1

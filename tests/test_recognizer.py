@@ -338,7 +338,7 @@ class TestRecognizeExtremal:
         g = c6()
         from dissolab.matching import Matching
 
-        fake = Matching(frozenset({(0, 2)}), False)
+        fake = Matching(frozenset({(0, 2)}))
         with pytest.raises(ValueError):
             recognize_extremal(g, fake)
 
