@@ -3,7 +3,6 @@ and hardness gadgets, with exhaustive oracles for desk-scale verification."""
 
 from .graph import (
     Graph,
-    Bipartition,
     GraphConstructionError,
     NotBipartiteError,
     ParseError,

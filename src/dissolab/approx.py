@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, bipartition, remove_edges
+from .exact import is_dissociation_set
+from .graph import Graph, remove_edges
 from .matching import Matching, maximum_independent_set_bipartite, maximum_matching
 
 __all__ = ["ApproxCertificate", "approx_dissociation_bipartite"]
@@ -31,8 +32,9 @@ def approx_dissociation_bipartite(
     Raises NotBipartiteError for non-bipartite input. The result is a
     deterministic function of g (matching tie-breaks are pinned).
     """
-    b = bipartition(g)
-    m = maximum_matching(g, b)
+    m = maximum_matching(g)
     reduced = remove_edges(g, m.edges)
     independent = maximum_independent_set_bipartite(reduced)
+    if not is_dissociation_set(g, independent):
+        raise RuntimeError("independent set of g - M is not a dissociation set of g")
     return independent, ApproxCertificate(m, len(independent))

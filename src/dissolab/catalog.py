@@ -12,7 +12,7 @@ stay cheap).
 
 from __future__ import annotations
 
-from .graph import Graph, bipartition, new_graph, NotBipartiteError
+from .graph import Graph, new_graph
 
 __all__ = [
     "canonical_form",
@@ -140,7 +140,8 @@ def _canonical_rows(g: Graph) -> tuple[int, ...]:
 
     colors = _refine(n, adj, [0] * n)
     search([], [], False, set(range(n)), colors)
-    assert best is not None
+    if best is None:
+        raise RuntimeError("canonical search finished without a labeling")
     return tuple(best)
 
 
@@ -210,9 +211,9 @@ def connected_bipartite_graphs(n: int) -> list[Graph]:
         forms: dict[tuple, Graph] = {}
         new_vertex = n - 1
         for parent in connected_bipartite_graphs(n - 1):
-            b = bipartition(parent)
             base = list(parent.edge_list)
-            for side in (sorted(b.side_a), sorted(b.side_b)):
+            for color in (0, 1):
+                side = [v for v, s in enumerate(parent.side) if s == color]
                 if not side:
                     continue
                 for attach in range(1, 1 << len(side)):
@@ -246,28 +247,3 @@ def all_graphs(n: int) -> list[Graph]:
         if key not in forms:
             forms[key] = canonical_graph(g)
     return _dedup_sorted(forms)
-
-
-def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    seen = 1
-    stack = [0]
-    adj = g.adjacency_masks
-    while stack:
-        v = stack.pop()
-        w = adj[v] & ~seen
-        while w:
-            b = w & -w
-            seen |= b
-            stack.append(b.bit_length() - 1)
-            w ^= b
-    return seen == (1 << g.n) - 1
-
-
-def is_bipartite(g: Graph) -> bool:
-    try:
-        bipartition(g)
-        return True
-    except NotBipartiteError:
-        return False

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .graph import Graph, bipartition, remove_edges, parse_edge_list
+from .graph import Graph, remove_edges, parse_edge_list
 from .matching import maximum_matching
 from .approx import approx_dissociation_bipartite
 from .exact import (
+    InstanceTooLarge,
     check_inequality_chain,
     diss_via_induced_matchings,
     dissociation_number_exact,
@@ -48,7 +49,9 @@ def check_chain(g: Graph, *, cutoff: int = 64) -> Optional[str]:
     """Inequality chain, witness validity, and the induced-matching detour."""
     try:
         report = check_inequality_chain(g, cutoff=cutoff, nus_cutoff=cutoff)
-    except AssertionError as exc:
+    except InstanceTooLarge:
+        raise
+    except RuntimeError as exc:
         return f"chain violated: {exc}"
     if not is_dissociation_set(g, report.diss_witness):
         return "diss witness invalid"
@@ -64,8 +67,7 @@ def check_chain(g: Graph, *, cutoff: int = 64) -> Optional[str]:
 
 def check_matching_oracle(g: Graph) -> Optional[str]:
     """Deterministic maximum matching agrees with brute force in size."""
-    b = bipartition(g)
-    m = maximum_matching(g, b)
+    m = maximum_matching(g)
     brute = matching_number_bruteforce(g)
     if len(m.edges) != brute:
         return f"matching size {len(m.edges)} differs from brute force {brute}"
@@ -74,8 +76,7 @@ def check_matching_oracle(g: Graph) -> Optional[str]:
 
 def check_recognizer(g: Graph, *, cutoff: int = 64) -> Optional[str]:
     """Extremal outcome iff 3 diss(g) = 4 alpha(g - M), both by oracles."""
-    b = bipartition(g)
-    m = maximum_matching(g, b)
+    m = maximum_matching(g)
     outcome = recognize_extremal(g, m)
     diss, _ = dissociation_number_exact(g, cutoff=cutoff)
     alpha_minus, _ = independence_number_exact(

@@ -173,7 +173,8 @@ def dissociation_number_exact(
 
     rec((1 << n) - 1, 0, 0, 0)
     witness = _mask_to_set(best_mask)
-    assert is_dissociation_set(g, witness)
+    if not is_dissociation_set(g, witness):
+        raise RuntimeError("dissociation search returned a set that is not a dissociation set")
     return best_size, witness
 
 
@@ -316,7 +317,8 @@ def independence_number_exact(
         return 0, frozenset()
     size, mask = _max_independent_set(n, g.adjacency_masks, (1 << n) - 1)
     witness = _mask_to_set(mask)
-    assert is_independent_set(g, witness)
+    if not is_independent_set(g, witness):
+        raise RuntimeError("independent set search returned a set that is not independent")
     return size, witness
 
 
@@ -465,12 +467,17 @@ def check_inequality_chain(
     """Compute all three invariants and the equality flags between them.
 
     The chain max(alpha, 2 nu_s) <= diss <= alpha + nu_s <= 2 alpha is
-    asserted; a violation would mean a solver bug.
+    checked, and a violation, which would mean a solver bug, raises
+    RuntimeError.
     """
     diss, dw = dissociation_number_exact(g, cutoff=cutoff)
     alpha, aw = independence_number_exact(g, cutoff=cutoff)
     nu_s, mw = induced_matching_number_exact(g, cutoff=nus_cutoff)
-    assert max(alpha, 2 * nu_s) <= diss <= alpha + nu_s <= 2 * alpha
+    if not max(alpha, 2 * nu_s) <= diss <= alpha + nu_s <= 2 * alpha:
+        raise RuntimeError(
+            "max(alpha, 2 nu_s) <= diss <= alpha + nu_s <= 2 alpha fails for "
+            f"diss={diss} alpha={alpha} nu_s={nu_s}"
+        )
     return InvariantReport(
         diss=diss,
         alpha=alpha,

@@ -15,7 +15,6 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 __all__ = [
     "Graph",
-    "Bipartition",
     "GraphConstructionError",
     "NotBipartiteError",
     "ParseError",
@@ -93,19 +92,16 @@ class Graph:
             masks[v] |= 1 << u
         return tuple(masks)
 
+    @cached_property
+    def side(self) -> tuple[int, ...]:
+        """Each vertex's side, 0 for A and 1 for B; computed once by :func:`bipartition`."""
+        return bipartition(self)
+
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
     def has_edge(self, u: int, v: int) -> bool:
         return _canonical_edge(u, v) in self.edges
-
-
-@dataclass(frozen=True)
-class Bipartition:
-    """A 2-coloring: ``side_a`` and ``side_b`` partition the vertices."""
-
-    side_a: frozenset[int]
-    side_b: frozenset[int]
 
 
 def new_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -131,12 +127,13 @@ def _normalize_cycle(cycle: list[int]) -> tuple[int, ...]:
     return tuple(rot)
 
 
-def bipartition(g: Graph) -> Bipartition:
-    """2-color ``g`` deterministically.
+def bipartition(g: Graph) -> tuple[int, ...]:
+    """2-color ``g`` deterministically: each vertex's side, 0 for A, 1 for B.
 
     In every connected component the lowest-index vertex lands on side A;
     isolated vertices therefore go to side A. Raises
     :class:`NotBipartiteError` with an odd-cycle witness otherwise.
+    Callers read the memoised ``Graph.side`` instead of calling this.
     """
     color = [-1] * g.n
     parent = [-1] * g.n
@@ -165,9 +162,7 @@ def bipartition(g: Graph) -> Bipartition:
                         pv.append(parent[pv[-1]])
                     cycle = pu + pv[-2::-1]
                     raise NotBipartiteError(_normalize_cycle(cycle))
-    side_a = frozenset(v for v in range(g.n) if color[v] == 0)
-    side_b = frozenset(v for v in range(g.n) if color[v] == 1)
-    return Bipartition(side_a, side_b)
+    return tuple(color)
 
 
 def remove_edges(g: Graph, drop: Iterable[tuple[int, int]]) -> Graph:

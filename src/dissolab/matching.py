@@ -2,7 +2,8 @@
 
 The matching search scans vertices in ascending index order and adjacency in
 the ascending order of ``Graph.adjacency``, so every result here is a
-deterministic function of the input graph and bipartition.
+deterministic function of the input graph. Sides are read from
+``Graph.side``.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import Bipartition, Graph, bipartition, _canonical_edge
+from .graph import Graph, _canonical_edge
 
 __all__ = [
     "Matching",
@@ -84,19 +85,10 @@ def partner_map(m: Matching) -> dict[int, int]:
     return partner
 
 
-def _validate_bipartition(g: Graph, b: Bipartition) -> None:
-    if b.side_a | b.side_b != frozenset(range(g.n)) or b.side_a & b.side_b:
-        raise ValueError("bipartition does not partition the vertex set")
-    for u, v in g.edges:
-        if (u in b.side_a) == (v in b.side_a):
-            raise ValueError(f"bipartition puts edge ({u}, {v}) inside one side")
-
-
-def maximum_matching(g: Graph, b: Bipartition) -> Matching:
+def maximum_matching(g: Graph) -> Matching:
     """Hopcroft-Karp maximum matching, pinned by ascending-index tie-breaks."""
-    _validate_bipartition(g, b)
     n = g.n
-    a_side = sorted(b.side_a)
+    a_side = [v for v, s in enumerate(g.side) if s == 0]
     adj = g.adjacency
     partner = [-1] * n
     NIL = n
@@ -157,17 +149,20 @@ def maximum_matching(g: Graph, b: Bipartition) -> Matching:
     return matching_from_edges(g, edges)
 
 
-def _alternating_reachable(
-    g: Graph, b: Bipartition, m: Matching
-) -> tuple[set[int], set[int], bool]:
+def _alternating_reachable(g: Graph, m: Matching) -> tuple[set[int], set[int], bool]:
     """Alternating BFS from unmatched side-A vertices.
 
     Returns (reached A vertices, reached B vertices, free B vertex reached),
-    the last flag meaning an augmenting path exists.
+    the last flag meaning an augmenting path exists. Raises
+    NotBipartiteError for non-bipartite g, then ValueError when m is not a
+    matching of g.
     """
+    side = g.side
+    if not is_matching(g, m.edges):
+        raise ValueError("edge set is not a matching of the graph")
     partner = partner_map(m)
     matched_edges = m.edges
-    reached_a = {u for u in b.side_a if u not in partner}
+    reached_a = {u for u, s in enumerate(side) if s == 0 and u not in partner}
     reached_b: set[int] = set()
     found_free_b = False
     stack = sorted(reached_a)
@@ -186,32 +181,28 @@ def _alternating_reachable(
     return reached_a, reached_b, found_free_b
 
 
-def has_augmenting_path(g: Graph, b: Bipartition, m: Matching) -> bool:
+def has_augmenting_path(g: Graph, m: Matching) -> bool:
     """True iff m is not a maximum matching of g (Berge)."""
-    _validate_bipartition(g, b)
-    if not is_matching(g, m.edges):
-        raise ValueError("edge set is not a matching of the graph")
-    return _alternating_reachable(g, b, m)[2]
+    return _alternating_reachable(g, m)[2]
 
 
-def koenig_cover(g: Graph, b: Bipartition, m: Matching) -> frozenset[int]:
+def koenig_cover(g: Graph, m: Matching) -> frozenset[int]:
     """Vertex cover of size |m| from a maximum matching (König construction)."""
-    _validate_bipartition(g, b)
-    if not is_matching(g, m.edges):
-        raise ValueError("edge set is not a matching of the graph")
-    reached_a, reached_b, free_b = _alternating_reachable(g, b, m)
+    reached_a, reached_b, free_b = _alternating_reachable(g, m)
     if free_b:
         raise MatchingNotMaximumError(
             "matching admits an augmenting path; not maximum"
         )
-    cover = frozenset(b.side_a - reached_a) | frozenset(reached_b)
-    assert len(cover) == len(m.edges)
+    cover = frozenset(
+        v for v, s in enumerate(g.side) if s == 0 and v not in reached_a
+    ) | frozenset(reached_b)
+    if len(cover) != len(m.edges):
+        raise RuntimeError(
+            f"König cover has {len(cover)} vertices for {len(m.edges)} matching edges"
+        )
     return cover
 
 
 def maximum_independent_set_bipartite(g: Graph) -> frozenset[int]:
     """Maximum independent set of a bipartite graph via the König complement."""
-    b = bipartition(g)
-    m = maximum_matching(g, b)
-    cover = koenig_cover(g, b, m)
-    return frozenset(range(g.n)) - cover
+    return frozenset(range(g.n)) - koenig_cover(g, maximum_matching(g))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional, Union
 
-from .graph import Bipartition, Graph, bipartition, remove_edges
+from .graph import Graph, remove_edges
 from .matching import (
     Matching,
     has_augmenting_path,
@@ -131,7 +131,7 @@ RecognitionOutcome = Union[Extremal, NotExtremal]
 
 
 def decompose_alternating(
-    g: Graph, b: Bipartition, m: Matching, m2: Matching
+    g: Graph, m: Matching, m2: Matching
 ) -> AlternatingDecomposition:
     """Split H = (V(g), m + m2) into alternating paths and cycles.
 
@@ -190,15 +190,15 @@ def decompose_alternating(
         if visited[v]:
             continue
         seq = walk(v, True)
-        in_a = [u for u in seq if u in b.side_a]
-        anchor = min(in_a)
+        anchor = min(u for u in seq if g.side[u] == 0)
         i = seq.index(anchor)
         # orient so the anchor's successor edge is its M edge
         if pm[anchor] == seq[(i + 1) % len(seq)]:
             rotated = seq[i:] + seq[:i]
         else:
             rotated = [seq[i]] + seq[:i][::-1] + seq[i + 1:][::-1]
-            assert pm[anchor] == rotated[1]
+            if pm[anchor] != rotated[1]:
+                raise RuntimeError(f"cycle {tuple(seq)} does not alternate at {anchor}")
         cycles.append(CycleComponent(tuple(rotated)))
     return AlternatingDecomposition(tuple(paths), tuple(cycles))
 
@@ -221,7 +221,7 @@ def check_component_lengths(d: AlternatingDecomposition) -> Optional[NotExtremal
 
 
 def label_path_components(
-    d: AlternatingDecomposition, b: Bipartition, m: Matching, m2: Matching
+    g: Graph, d: AlternatingDecomposition, m: Matching, m2: Matching
 ) -> dict[int, SixClass]:
     """Fix the six-class positions of all path vertices.
 
@@ -238,7 +238,7 @@ def label_path_components(
                 "path labeling reached with unvalidated component "
                 f"{verts}; length checks must run first"
             )
-        pattern = _A_START if verts[0] in b.side_a else _B_START
+        pattern = _A_START if g.side[verts[0]] == 0 else _B_START
         for idx, v in enumerate(verts):
             labels[v] = pattern[idx % 6]
     return labels
@@ -275,7 +275,6 @@ def _anchor_index_b(position: int) -> int:
 def build_2sat(
     g: Graph,
     d: AlternatingDecomposition,
-    b: Bipartition,
     m: Matching,
     m2: Matching,
     labels: Mapping[int, SixClass],
@@ -305,9 +304,7 @@ def build_2sat(
     for u, v in g.edge_list:
         if (u, v) in used:
             continue
-        if u not in position and v not in position:
-            continue
-        a, bb = (u, v) if u in b.side_a else (v, u)
+        a, bb = (u, v) if g.side[u] == 0 else (v, u)
         a_lit: Optional[Literal] = None
         b_lit: Optional[Literal] = None
         if a in position:
@@ -321,8 +318,7 @@ def build_2sat(
         elif a_lit is not None:
             if labels[bb] is not SixClass.B4:
                 clauses.append((a_lit,))
-        else:
-            assert b_lit is not None
+        elif b_lit is not None:
             if labels[a] is not SixClass.A4:
                 clauses.append((b_lit,))
     formula = TwoSatFormula(3 * len(d.cycles), tuple(clauses))
@@ -349,7 +345,6 @@ def _complete_labeling(
 
 def _validate_extremal(
     g: Graph,
-    b: Bipartition,
     m: Matching,
     m2: Matching,
     d: AlternatingDecomposition,
@@ -360,8 +355,7 @@ def _validate_extremal(
     counts = {cls: 0 for cls in SixClass}
     for v, cls in classes.items():
         counts[cls] += 1
-        side_ok = v in b.side_a if cls.value[0] == "A" else v in b.side_b
-        if not side_ok:
+        if g.side[v] != (0 if cls.value[0] == "A" else 1):
             raise RuntimeError(f"class {cls.value} assigned across sides at {v}")
     if not (
         counts[SixClass.A1] == counts[SixClass.A2]
@@ -389,29 +383,27 @@ def recognize_extremal(g: Graph, m: Matching) -> RecognitionOutcome:
     NotBipartiteError for non-bipartite input and ValueError when m is not
     a matching of g.
     """
-    b = bipartition(g)
-    if not is_matching(g, m.edges):
-        raise ValueError("edge set is not a matching of the graph")
-    if has_augmenting_path(g, b, m):
+    if has_augmenting_path(g, m):
         return NotExtremal(
             NotExtremalReason.NOT_MAXIMUM_MATCHING,
             "matching admits an augmenting path",
         )
-    m2 = maximum_matching(remove_edges(g, m.edges), b)
+    # G - M is 2-colored by its own components, as in the approximation
+    m2 = maximum_matching(remove_edges(g, m.edges))
     if len(m.edges) != len(m2.edges):
         return NotExtremal(
             NotExtremalReason.MATCHING_SIZE_MISMATCH,
             f"|M|={len(m.edges)} |M'|={len(m2.edges)}",
         )
-    d = decompose_alternating(g, b, m, m2)
+    d = decompose_alternating(g, m, m2)
     failure = check_component_lengths(d)
     if failure is not None:
         return failure
-    labels = label_path_components(d, b, m, m2)
+    labels = label_path_components(g, d, m, m2)
     failure = check_path_path_edges(g, m, m2, labels)
     if failure is not None:
         return failure
-    formula, _ = build_2sat(g, d, b, m, m2, labels)
+    formula, _ = build_2sat(g, d, m, m2, labels)
     assignment = solve_2sat(formula)
     if assignment is None:
         return NotExtremal(
@@ -421,5 +413,5 @@ def recognize_extremal(g: Graph, m: Matching) -> RecognitionOutcome:
     classes = _complete_labeling(d, labels, assignment)
     ell = sum(1 for cls in classes.values() if cls is SixClass.A1)
     chosen = frozenset(v for v, cls in classes.items() if cls in _IN_SET)
-    _validate_extremal(g, b, m, m2, d, classes, ell, chosen)
+    _validate_extremal(g, m, m2, d, classes, ell, chosen)
     return Extremal(SixLabeling(classes, ell), chosen)

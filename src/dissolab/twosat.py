@@ -128,7 +128,8 @@ def solve_2sat(f: TwoSatFormula) -> Optional[Assignment]:
             return None
         values.append(pos < neg)
     result = Assignment(tuple(values))
-    assert satisfies(f, result)
+    if not satisfies(f, result):
+        raise RuntimeError("2-SAT assignment from the SCC order violates a clause")
     return result
 
 

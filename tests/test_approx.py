@@ -7,7 +7,7 @@ from dissolab.exact import (
     independence_number_exact,
     is_dissociation_set,
 )
-from dissolab.graph import NotBipartiteError, bipartition, new_graph, remove_edges
+from dissolab.graph import NotBipartiteError, new_graph, remove_edges
 from dissolab.recognizer import Extremal, recognize_extremal
 
 
@@ -38,6 +38,18 @@ def test_k23():
 def test_not_bipartite():
     with pytest.raises(NotBipartiteError):
         approx_dissociation_bipartite(new_graph(3, [(0, 1), (1, 2), (0, 2)]))
+
+
+def test_invalid_set_raises(monkeypatch):
+    # the approximation checks its own output with a raise, which -O keeps
+    import dissolab.approx as approx
+
+    def everything(h):
+        return frozenset(range(h.n))
+
+    monkeypatch.setattr(approx, "maximum_independent_set_bipartite", everything)
+    with pytest.raises(RuntimeError, match="not a dissociation set"):
+        approx_dissociation_bipartite(new_graph(3, [(0, 1), (1, 2)]))
 
 
 def test_certificate_matches_set():

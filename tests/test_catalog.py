@@ -9,10 +9,8 @@ from dissolab.catalog import (
     canonical_graph,
     connected_bipartite_graphs,
     connected_graphs,
-    is_bipartite,
-    is_connected,
 )
-from dissolab.graph import new_graph
+from dissolab.graph import NotBipartiteError, new_graph
 
 from strategies import graphs
 
@@ -20,6 +18,31 @@ from strategies import graphs
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 BIPARTITE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 3, 5: 5, 6: 17, 7: 44, 8: 182}
 ALL_COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34}
+
+
+def is_connected(g):
+    if g.n == 0:
+        return True
+    seen = 1
+    stack = [0]
+    adj = g.adjacency_masks
+    while stack:
+        v = stack.pop()
+        w = adj[v] & ~seen
+        while w:
+            b = w & -w
+            seen |= b
+            stack.append(b.bit_length() - 1)
+            w ^= b
+    return seen == (1 << g.n) - 1
+
+
+def is_bipartite(g):
+    try:
+        g.side
+    except NotBipartiteError:
+        return False
+    return True
 
 
 def permuted(g, perm):

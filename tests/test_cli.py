@@ -2,8 +2,9 @@ import os
 
 import pytest
 
+from dissolab import graph
 from dissolab.cli import main
-from dissolab.graph import new_graph, parse_edge_list, render_edge_list
+from dissolab.graph import new_graph, parse_edge_list, remove_edges, render_edge_list
 from dissolab.reductions import parse_gadget_metadata
 
 
@@ -139,6 +140,25 @@ class TestRecognize:
         assert main(["recognize", path, "--matching", str(mpath)]) == 2
 
 
+@pytest.mark.parametrize("argv", [["recognize", "--matching", "auto"], ["approx"]])
+def test_each_graph_colored_once(argv, tmp_path, capsys, monkeypatch):
+    # a 6-cycle and a 5-vertex path: G - M has more components than G
+    g = new_graph(11, [(i, (i + 1) % 6) for i in range(6)] + [(i, i + 1) for i in range(6, 10)])
+    path = write_graph(tmp_path / "g.dimacs", g)
+    colored = []
+    bfs = graph.bipartition
+
+    def counting_bfs(h):
+        colored.append(h)
+        return bfs(h)
+
+    monkeypatch.setattr(graph, "bipartition", counting_bfs)
+    assert main([argv[0], path] + argv[1:]) == 0
+    pairs = kv(capsys.readouterr().out)["matching"].split()
+    m = [(int(u) - 1, int(v) - 1) for u, v in (p.split("-") for p in pairs)]
+    assert colored == [g, remove_edges(g, m)]
+
+
 class TestGadget:
     def cnf_file(self, tmp_path):
         p = tmp_path / "f.cnf"
@@ -237,13 +257,17 @@ class TestCheck:
         assert main(serial + ["--jobs", "2"]) == 0
         assert capsys.readouterr().out == first
 
+    def test_over_cutoff_exit_code(self, capsys):
+        assert main(["check", "chain-catalog:5", "--cutoff", "3"]) == 3
+
     def test_unknown_target_rejected(self, capsys):
         assert main(["check", "nonsense:1"]) == 2
 
     @pytest.mark.parametrize(
         "target",
         ["chain-catalog", "chain-catalog:", "chain-catalog:x", "chain-random:5",
-         "isgadget:3", "join-random:2:five", "gadget-random"],
+         "isgadget:3", "join-random:2:five", "gadget-random", "chain-catalog:3:junk",
+         "gadget-random:5:x"],
     )
     def test_malformed_spec_exit_code(self, target, capsys):
         assert main(["check", target]) == 2

@@ -6,7 +6,6 @@ from dissolab.graph import (
     NotBipartiteError,
     ParseError,
     SplitMix64,
-    bipartition,
     new_graph,
     parse_edge_list,
     random_bipartite,
@@ -49,38 +48,37 @@ class TestConstruction:
 
 class TestBipartition:
     def test_c6(self):
-        b = bipartition(c6())
-        assert sorted(b.side_a) == [0, 2, 4]
-        assert sorted(b.side_b) == [1, 3, 5]
+        assert c6().side == (0, 1, 0, 1, 0, 1)
 
     def test_k3_witness(self):
         with pytest.raises(NotBipartiteError) as err:
-            bipartition(new_graph(3, [(0, 1), (1, 2), (0, 2)]))
+            new_graph(3, [(0, 1), (1, 2), (0, 2)]).side
         assert err.value.cycle == (0, 1, 2)
 
     def test_isolated_vertices_on_side_a(self):
-        b = bipartition(new_graph(3, []))
-        assert sorted(b.side_a) == [0, 1, 2] and not b.side_b
+        assert new_graph(3, []).side == (0, 0, 0)
 
     def test_component_rule(self):
         # two components; each lowest index lands on side A
-        g = new_graph(4, [(0, 1), (2, 3)])
-        b = bipartition(g)
-        assert {0, 2} <= b.side_a and {1, 3} <= b.side_b
+        assert new_graph(4, [(0, 1), (2, 3)]).side == (0, 1, 0, 1)
+
+    def test_side_is_memoised(self):
+        g = c6()
+        assert g.side is g.side
 
     @given(graphs(max_n=8))
     def test_valid_or_witnessed(self, g):
         try:
-            b = bipartition(g)
+            side = g.side
         except NotBipartiteError as err:
             cycle = err.cycle
             assert len(cycle) % 2 == 1
             for i, v in enumerate(cycle):
                 assert g.has_edge(v, cycle[(i + 1) % len(cycle)])
         else:
-            assert b.side_a | b.side_b == frozenset(range(g.n))
+            assert len(side) == g.n and set(side) <= {0, 1}
             for u, v in g.edges:
-                assert (u in b.side_a) != (v in b.side_a)
+                assert side[u] != side[v]
 
 
 class TestRemoveEdges:
@@ -153,12 +151,11 @@ class TestDot:
         assert "bold" in out and "dashed" in out
 
     def test_recognizer_labels_rendered(self):
-        from dissolab.graph import bipartition as bp
         from dissolab.matching import maximum_matching
         from dissolab.recognizer import Extremal, recognize_extremal
 
         g = c6()
-        outcome = recognize_extremal(g, maximum_matching(g, bp(g)))
+        outcome = recognize_extremal(g, maximum_matching(g))
         assert isinstance(outcome, Extremal)
         out = to_dot(g, labeling=outcome.labeling.classes)
         for cls in ("A1", "A2", "A4", "B1", "B2", "B4"):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from dissolab.exact import matching_number_bruteforce
-from dissolab.graph import NotBipartiteError, bipartition, new_graph
+from dissolab.graph import NotBipartiteError, new_graph
 from dissolab.matching import (
     MatchingNotMaximumError,
     has_augmenting_path,
@@ -34,85 +34,77 @@ class TestMaximumMatching:
         label = list(range(n))
         random.Random(4).shuffle(label)
         g = new_graph(n, [(label[i], label[i + 1]) for i in range(n - 1)])
-        m = maximum_matching(g, bipartition(g))
+        m = maximum_matching(g)
         assert len(m.edges) == n // 2
-        assert not has_augmenting_path(g, bipartition(g), m)
+        assert not has_augmenting_path(g, m)
 
     def test_c6_size(self):
         g = c6()
-        m = maximum_matching(g, bipartition(g))
+        m = maximum_matching(g)
         assert len(m.edges) == 3 == matching_number_bruteforce(g)
 
     def test_c6_pinned_value(self):
         # frozen output of the deterministic tie-break rule
         g = c6()
-        m = maximum_matching(g, bipartition(g))
+        m = maximum_matching(g)
         assert sorted(m.edges) == [(0, 1), (2, 3), (4, 5)]
 
     def test_edgeless(self):
         g = new_graph(4, [])
-        assert maximum_matching(g, bipartition(g)).edges == frozenset()
+        assert maximum_matching(g).edges == frozenset()
+
+    def test_odd_cycle_raises(self):
+        c5 = new_graph(5, [(i, (i + 1) % 5) for i in range(5)])
+        with pytest.raises(NotBipartiteError):
+            maximum_matching(c5)
 
     def test_p4(self):
         g = new_graph(4, [(0, 1), (1, 2), (2, 3)])
-        m = maximum_matching(g, bipartition(g))
+        m = maximum_matching(g)
         assert len(m.edges) == 2 == matching_number_bruteforce(g)
-
-    def test_invalid_bipartition_rejected(self):
-        from dissolab.graph import Bipartition
-
-        g = c6()
-        bad = Bipartition(frozenset({0, 1, 2}), frozenset({3, 4, 5}))
-        with pytest.raises(ValueError):
-            maximum_matching(g, bad)
 
     @given(bipartite_graphs(max_side=5))
     @settings(max_examples=150)
     def test_agrees_with_bruteforce(self, g):
-        m = maximum_matching(g, bipartition(g))
+        m = maximum_matching(g)
         assert len(m.edges) == matching_number_bruteforce(g)
-        assert not has_augmenting_path(g, bipartition(g), m)
+        assert not has_augmenting_path(g, m)
 
     def test_agrees_with_bruteforce_up_to_12(self):
         from dissolab.corpus import random_bipartite_corpus
 
         for g in random_bipartite_corpus(60, 12, 77):
-            m = maximum_matching(g, bipartition(g))
+            m = maximum_matching(g)
             assert len(m.edges) == matching_number_bruteforce(g)
 
 
 class TestKoenigCover:
     def test_c6_cover(self):
         g = c6()
-        b = bipartition(g)
-        cover = koenig_cover(g, b, maximum_matching(g, b))
+        cover = koenig_cover(g, maximum_matching(g))
         assert len(cover) == 3
         assert all(u in cover or v in cover for u, v in g.edges)
 
     def test_empty(self):
         g = new_graph(3, [])
-        b = bipartition(g)
-        assert koenig_cover(g, b, maximum_matching(g, b)) == frozenset()
+        assert koenig_cover(g, maximum_matching(g)) == frozenset()
 
     def test_k33_perfect_matching(self):
         g = k33()
-        b = bipartition(g)
-        cover = koenig_cover(g, b, maximum_matching(g, b))
+        cover = koenig_cover(g, maximum_matching(g))
         assert len(cover) == 3
 
     def test_non_maximum_matching_rejected(self):
         g = c6()
-        b = bipartition(g)
         small = matching_from_edges(g, [(0, 1)])
         with pytest.raises(MatchingNotMaximumError):
-            koenig_cover(g, b, small)
+            koenig_cover(g, small)
 
     @given(bipartite_graphs(max_side=5))
     @settings(max_examples=100)
     def test_cover_properties(self, g):
-        b = bipartition(g)
-        m = maximum_matching(g, b)
-        cover = koenig_cover(g, b, m)
+        m = maximum_matching(g)
+        cover = koenig_cover(g, m)
         assert len(cover) == len(m.edges)
         assert all(u in cover or v in cover for u, v in g.edges)
 

@@ -1,0 +1,42 @@
+"""Correctness checks in the library must survive ``python -O``."""
+
+import ast
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in (SRC / "dissolab").glob("*.py"))
+)
+def test_library_has_no_assert(module):
+    tree = ast.parse((SRC / "dissolab" / module).read_text(encoding="utf-8"))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == [], f"assert statements in {module} at lines {lines}"
+
+
+def test_chain_violation_reported_under_optimize():
+    # an independence oracle that answers 0 breaks alpha + nu_s <= 2 alpha
+    script = (
+        "import sys\n"
+        "import dissolab.exact as exact\n"
+        "from dissolab.checks import check_chain\n"
+        "from dissolab.graph import new_graph\n"
+        "exact.independence_number_exact = lambda g, cutoff: (0, frozenset())\n"
+        "print(sys.flags.optimize)\n"
+        "print(check_chain(new_graph(3, [(0, 1), (1, 2)])))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    optimize, detail = done.stdout.splitlines()
+    assert optimize == "1"
+    assert detail.startswith("chain violated:"), detail

@@ -5,7 +5,7 @@ from dissolab.exact import (
     independence_number_exact,
     is_dissociation_set,
 )
-from dissolab.graph import NotBipartiteError, bipartition, new_graph, remove_edges
+from dissolab.graph import NotBipartiteError, new_graph, remove_edges
 from dissolab.matching import matching_from_edges, maximum_matching
 from dissolab.recognizer import (
     Extremal,
@@ -84,9 +84,8 @@ def path_graph(k, offset=0):
 class TestDecompose:
     def test_c6_single_cycle(self):
         g = c6()
-        b = bipartition(g)
         m, m2 = c6_matchings(g)
-        d = decompose_alternating(g, b, m, m2)
+        d = decompose_alternating(g, m, m2)
         assert not d.paths and len(d.cycles) == 1
         cyc = d.cycles[0]
         assert cyc.length == 6
@@ -94,34 +93,30 @@ class TestDecompose:
 
     def test_p4_single_path(self):
         g = new_graph(4, path_graph(4))
-        b = bipartition(g)
         m = matching_from_edges(g, [(0, 1), (2, 3)])
         m2 = matching_from_edges(g, [(1, 2)])
-        d = decompose_alternating(g, b, m, m2)
+        d = decompose_alternating(g, m, m2)
         assert not d.cycles and len(d.paths) == 1
         assert d.paths[0].length == 3
         assert d.paths[0].edges_in_m == (True, False, True)
 
     def test_isolated_vertices_are_trivial_paths(self):
         g = new_graph(2, [])
-        b = bipartition(g)
         empty = matching_from_edges(g, [])
-        d = decompose_alternating(g, b, empty, empty)
+        d = decompose_alternating(g, empty, empty)
         assert len(d.paths) == 2 and all(p.length == 0 for p in d.paths)
 
     def test_overlapping_matchings_rejected(self):
         g = c6()
-        b = bipartition(g)
         m = matching_from_edges(g, [(0, 1)])
         with pytest.raises(ValueError, match="overlap"):
-            decompose_alternating(g, b, m, m)
+            decompose_alternating(g, m, m)
 
     def test_components_partition_vertices(self):
         g = new_graph(11, path_graph(6) + path_graph(5, 6))
-        b = bipartition(g)
         m = matching_from_edges(g, [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)])
         m2 = matching_from_edges(g, [(1, 2), (3, 4), (7, 8), (9, 10)])
-        d = decompose_alternating(g, b, m, m2)
+        d = decompose_alternating(g, m, m2)
         seen = [v for comp in d.components for v in comp.vertices]
         assert sorted(seen) == list(range(11))
 
@@ -129,7 +124,7 @@ class TestDecompose:
 class TestLengthChecks:
     def test_c6_ok(self):
         g = c6()
-        d = decompose_alternating(g, bipartition(g), *c6_matchings(g))
+        d = decompose_alternating(g, *c6_matchings(g))
         assert check_component_lengths(d) is None
 
     def test_p4_bad_path(self):
@@ -137,7 +132,7 @@ class TestLengthChecks:
         m = matching_from_edges(g, [(0, 1), (2, 3)])
         m2 = matching_from_edges(g, [(1, 2)])
         failure = check_component_lengths(
-            decompose_alternating(g, bipartition(g), m, m2)
+            decompose_alternating(g, m, m2)
         )
         assert failure is not None
         assert failure.reason is NotExtremalReason.BAD_PATH_LENGTH
@@ -146,7 +141,7 @@ class TestLengthChecks:
         g = new_graph(1, [])
         empty = matching_from_edges(g, [])
         failure = check_component_lengths(
-            decompose_alternating(g, bipartition(g), empty, empty)
+            decompose_alternating(g, empty, empty)
         )
         assert failure is not None
         assert failure.reason is NotExtremalReason.BAD_PATH_LENGTH
@@ -156,7 +151,7 @@ class TestLengthChecks:
         m = matching_from_edges(g, [(0, 1), (2, 3)])
         m2 = matching_from_edges(g, [(1, 2), (0, 3)])
         failure = check_component_lengths(
-            decompose_alternating(g, bipartition(g), m, m2)
+            decompose_alternating(g, m, m2)
         )
         assert failure is not None
         assert failure.reason is NotExtremalReason.BAD_CYCLE_LENGTH
@@ -172,34 +167,33 @@ def p5_with_matchings():
 class TestPathLabeling:
     def test_a_start_pattern(self):
         g, m, m2 = p5_with_matchings()
-        d = decompose_alternating(g, bipartition(g), m, m2)
-        labels = label_path_components(d, bipartition(g), m, m2)
+        d = decompose_alternating(g, m, m2)
+        labels = label_path_components(g, d, m, m2)
         assert [labels[v].value for v in range(5)] == ["A1", "B1", "A4", "B2", "A2"]
 
     def test_b_start_mirrored_pattern(self):
         # path 1-0-2-3-4: endpoint 1 sits on side B
         g = new_graph(5, [(1, 0), (0, 2), (2, 3), (3, 4)])
-        b = bipartition(g)
-        assert 1 in b.side_b
+        assert g.side[1] == 1
         m = matching_from_edges(g, [(0, 1), (2, 3)])
         m2 = matching_from_edges(g, [(0, 2), (3, 4)])
-        d = decompose_alternating(g, b, m, m2)
-        labels = label_path_components(d, b, m, m2)
+        d = decompose_alternating(g, m, m2)
+        labels = label_path_components(g, d, m, m2)
         order = d.paths[0].vertices
         assert order == (1, 0, 2, 3, 4)
         assert [labels[v].value for v in order] == ["B1", "A1", "B4", "A2", "B2"]
 
     def test_no_paths_empty_labeling(self):
         g = c6()
-        d = decompose_alternating(g, bipartition(g), *c6_matchings(g))
-        assert label_path_components(d, bipartition(g), *c6_matchings(g)) == {}
+        d = decompose_alternating(g, *c6_matchings(g))
+        assert label_path_components(g, d, *c6_matchings(g)) == {}
 
     def test_unvalidated_component_raises(self):
         g = new_graph(1, [])
         empty = matching_from_edges(g, [])
-        d = decompose_alternating(g, bipartition(g), empty, empty)
+        d = decompose_alternating(g, empty, empty)
         with pytest.raises(RuntimeError, match="unvalidated"):
-            label_path_components(d, bipartition(g), empty, empty)
+            label_path_components(g, d, empty, empty)
 
 
 class TestPathPathEdges:
@@ -208,9 +202,8 @@ class TestPathPathEdges:
         g = new_graph(10, edges)
         m = matching_from_edges(g, [(0, 1), (2, 3), (5, 6), (7, 8)])
         m2 = matching_from_edges(g, [(1, 2), (3, 4), (6, 7), (8, 9)])
-        b = bipartition(g)
-        d = decompose_alternating(g, b, m, m2)
-        labels = label_path_components(d, b, m, m2)
+        d = decompose_alternating(g, m, m2)
+        labels = label_path_components(g, d, m, m2)
         return g, m, m2, labels
 
     def test_violation_reported_with_edge(self):
@@ -235,10 +228,9 @@ class TestPathPathEdges:
 class TestBuildTwoSat:
     def test_c6_only_at_most_one_clauses(self):
         g = c6()
-        b = bipartition(g)
         m, m2 = c6_matchings(g)
-        d = decompose_alternating(g, b, m, m2)
-        formula, var_map = build_2sat(g, d, b, m, m2, {})
+        d = decompose_alternating(g, m, m2)
+        formula, var_map = build_2sat(g, d, m, m2, {})
         assert formula.var_count == 3
         assert len(formula.clauses) == 3
         assert set(var_map) == {(0, 1), (0, 2), (0, 3)}
@@ -251,11 +243,10 @@ class TestBuildTwoSat:
             + [(0, 7)]
         )
         g = new_graph(12, edges)
-        b = bipartition(g)
         m = matching_from_edges(g, [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11)])
         m2 = matching_from_edges(g, [(1, 2), (3, 4), (0, 5), (7, 8), (9, 10), (6, 11)])
-        d = decompose_alternating(g, b, m, m2)
-        formula, var_map = build_2sat(g, d, b, m, m2, {})
+        d = decompose_alternating(g, m, m2)
+        formula, var_map = build_2sat(g, d, m, m2, {})
         assert formula.var_count == 6
         binary = [cl for cl in formula.clauses if all(pol for _, pol in cl)]
         assert len(binary) == 1
@@ -272,13 +263,12 @@ class TestBuildTwoSat:
             + [(1, 8)]
         )
         g = new_graph(11, edges)
-        b = bipartition(g)
         m = matching_from_edges(g, [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)])
         m2 = matching_from_edges(g, [(1, 2), (3, 4), (0, 5), (7, 8), (9, 10)])
-        d = decompose_alternating(g, b, m, m2)
-        labels = label_path_components(d, b, m, m2)
+        d = decompose_alternating(g, m, m2)
+        labels = label_path_components(g, d, m, m2)
         assert labels[8] is SixClass.A4
-        formula, _ = build_2sat(g, d, b, m, m2, labels)
+        formula, _ = build_2sat(g, d, m, m2, labels)
         assert len(formula.clauses) == 3  # at-most-one clauses only
 
 
@@ -415,7 +405,7 @@ class TestRecognizeExtremal:
 
     def test_agrees_with_oracle_on_random_corpus(self):
         for g in random_bipartite_corpus(60, 13, 321):
-            m = maximum_matching(g, bipartition(g))
+            m = maximum_matching(g)
             outcome = recognize_extremal(g, m)
             diss = dissociation_number_exact(g)[0]
             alpha_m = independence_number_exact(remove_edges(g, m.edges))[0]
@@ -438,7 +428,7 @@ class TestRecognizeExtremal:
             checked += 1
             detail = check_recognizer(g, cutoff=40)
             assert detail is None, (seed, detail)
-            m = maximum_matching(g, bipartition(g))
+            m = maximum_matching(g)
             if isinstance(recognize_extremal(g, m), Extremal):
                 extremal += 1
         assert checked > 50 and extremal > 10  # both outcomes well represented
