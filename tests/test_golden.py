@@ -69,6 +69,17 @@ FIXTURES = {
     "f.cnf": "p cnf 4 3\n1 2 3 0\n-1 4 -2 0\n1 3 4 0\n",
 }
 
+# the files the gadget-* cases wrote, as recorded, for the directory check;
+# tampered.dimacs is fig3 with a wrong alpha prediction
+_GADGETS = {
+    name: text
+    for case in ("gadget-fig3", "gadget-fig4", "gadget-is", "gadget-join")
+    for name, text in json.loads(GOLDEN.read_text(encoding="utf-8"))[case]["files"].items()
+}
+_GADGETS["tampered.dimacs"] = _GADGETS["g3.dimacs"].replace(
+    "c predict alpha 3\n", "c predict alpha 4\n")
+FIXTURES.update({f"gadgets/{name}": text for name, text in _GADGETS.items()})
+
 # name -> (argv, files the invocation writes)
 CASES = {
     "solve-c6": (["solve", "c6.dimacs"], []),
@@ -109,6 +120,7 @@ CASES = {
     "check-isgadget": (["check", "isgadget:3:2"], []),
     "check-join-random": (["check", "join-random:2:5", "--seed", "7"], []),
     "check-several": (["check", "chain-catalog:3", "matching-catalog:4"], []),
+    "check-gadget-dir": (["check", "gadgets", "--verbose"], []),
 }
 
 
@@ -131,7 +143,9 @@ def run_case(directory, name):
 
 def write_fixtures(directory):
     for name, text in FIXTURES.items():
-        (directory / name).write_text(text, encoding="utf-8")
+        path = directory / name
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(text, encoding="utf-8")
 
 
 @pytest.fixture(scope="module")
