@@ -13,6 +13,7 @@ from .graph import Graph, remove_edges, parse_edge_list
 from .matching import maximum_matching
 from .approx import approx_dissociation_bipartite
 from .exact import (
+    SOLVERS,
     InstanceTooLarge,
     check_inequality_chain,
     diss_via_induced_matchings,
@@ -197,46 +198,62 @@ def check_join_gadget(g: Graph, *, cutoff: int = 64) -> Optional[str]:
     return None
 
 
+def _equals(name, value, expected, sat):
+    got = value(name)
+    return f"predict {name} expected {expected} got {got}" if got != int(expected) else None
+
+
+def _nus_at_least(name, value, expected, sat):
+    got = value("nu_s")
+    return f"predict {name} expected >= {expected} got {got}" if got < int(expected) else None
+
+
+def _always_alpha_plus_nus(name, value, expected, sat):
+    failed = expected == "always" and value("diss") != value("alpha") + value("nu_s")
+    return "predict diss=alpha+nu_s failed" if failed else None
+
+
+def _iff_satisfiable(relation):
+    def check(name, value, expected, sat):
+        if expected != "iff-satisfiable" or sat not in ("True", "False"):
+            return None
+        truth, actual = sat == "True", relation(value)
+        return f"predict {name} expected {truth} got {actual}" if actual != truth else None
+    return check
+
+
+# prediction name -> (name, value, expected, satisfiable) -> failure detail or
+# None, where value(invariant) solves the file's graph at most once; other
+# names, and markers the predicates do not handle, go unchecked
+_PREDICTIONS = {
+    "order": _equals,
+    "alpha": _equals,
+    "diss": _equals,
+    "nus_at_least": _nus_at_least,
+    "diss_eq_alpha_plus_nus": _always_alpha_plus_nus,
+    "diss_eq_2alpha": _iff_satisfiable(lambda v: v("diss") == 2 * v("alpha")),
+    "diss_eq_2nus": _iff_satisfiable(lambda v: v("diss") == 2 * v("nu_s")),
+    "diss_eq_alpha": _iff_satisfiable(lambda v: v("diss") == v("alpha")),
+}
+
+
 def check_instance_file(path: str, *, cutoff: int = 40) -> Optional[str]:
     """Validate a gadget file's resolvable predictions against the oracles."""
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     g = parse_edge_list(text)
     _, predictions, _ = parse_gadget_metadata(text)
-    if g.n > cutoff:
-        return None  # nothing checkable at this cutoff
-    values: dict[str, int] = {"order": g.n}
-    needed = {"alpha", "diss", "nus_at_least", "alpha_minus_matching"}
-    if {"alpha", "diss_eq_2alpha", "diss_eq_alpha", "diss_eq_alpha_plus_nus"} & set(
-        predictions
-    ) or needed & set(predictions):
-        values["alpha"], _ = independence_number_exact(g, cutoff=cutoff)
-    if {"diss", "diss_eq_2alpha", "diss_eq_2nus", "diss_eq_alpha",
-            "diss_eq_alpha_plus_nus"} & set(predictions):
-        values["diss"], _ = dissociation_number_exact(g, cutoff=cutoff)
-    if {"nus_at_least", "diss_eq_2nus", "diss_eq_alpha_plus_nus"} & set(predictions):
-        values["nu_s"], _ = induced_matching_number_exact(g, cutoff=cutoff)
     sat = predictions.get("satisfiable")
+    values = {"order": g.n}
+
+    def value(name: str) -> int:
+        if name not in values:
+            values[name], _ = SOLVERS[name](g, cutoff)
+        return values[name]
+
     for name, expected in sorted(predictions.items()):
-        if name in ("order", "alpha", "diss"):
-            if values[name] != int(expected):
-                return f"predict {name} expected {expected} got {values[name]}"
-        elif name == "nus_at_least":
-            if values["nu_s"] < int(expected):
-                return f"predict {name} expected >= {expected} got {values['nu_s']}"
-        elif name == "diss_eq_alpha_plus_nus" and expected == "always":
-            if values["diss"] != values["alpha"] + values["nu_s"]:
-                return "predict diss=alpha+nu_s failed"
-        elif expected == "iff-satisfiable" and sat in ("True", "False"):
-            truth = sat == "True"
-            if name == "diss_eq_2alpha":
-                actual = values["diss"] == 2 * values["alpha"]
-            elif name == "diss_eq_2nus":
-                actual = values["diss"] == 2 * values["nu_s"]
-            elif name == "diss_eq_alpha":
-                actual = values["diss"] == values["alpha"]
-            else:
-                continue
-            if actual != truth:
-                return f"predict {name} expected {truth} got {actual}"
+        if name in _PREDICTIONS:
+            detail = _PREDICTIONS[name](name, value, expected, sat)
+            if detail is not None:
+                return detail
     return None

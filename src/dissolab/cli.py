@@ -12,7 +12,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from . import checks
 from .approx import approx_dissociation_bipartite
@@ -23,7 +23,7 @@ from .corpus import (
     random_cnf_corpus,
     random_graph_corpus,
 )
-from .exact import DISS_ALPHA_CUTOFF, InstanceTooLarge, check_inequality_chain
+from .exact import DISS_ALPHA_CUTOFF, SOLVERS, InstanceTooLarge, check_inequality_chain
 from .graph import (
     Graph,
     GraphConstructionError,
@@ -91,47 +91,40 @@ def _edge_pairs(edges) -> str:
     return " ".join(f"{u + 1}-{v + 1}" for u, v in sorted(edges))
 
 
+# --invariants token -> (output key, witness formatter); the key names the
+# solver in exact.SOLVERS and the value and witness in an InvariantReport
+_INVARIANTS = {
+    "diss": ("diss", _vertices),
+    "alpha": ("alpha", _vertices),
+    "nus": ("nu_s", lambda m: _edge_pairs(m.edges)),
+}
+# output key -> InvariantReport flag, printed when all invariants are solved
+_EQUALITIES = {"eq_diss_2alpha": "diss_eq_2alpha", "eq_diss_2nus": "diss_eq_2nus",
+               "eq_diss_alpha": "diss_eq_alpha",
+               "eq_diss_alpha_plus_nus": "diss_eq_alpha_plus_nus",
+               "eq_alpha_plus_nus_2alpha": "alpha_plus_nus_eq_2alpha"}
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     g = _read_graph(args.path)
     wanted = set(args.invariants.split(","))
-    unknown = wanted - {"diss", "alpha", "nus"}
+    unknown = wanted - set(_INVARIANTS)
     if unknown:
         raise ValueError(f"unknown invariant(s): {sorted(unknown)}")
     print(f"instance={args.path}")
     print(f"n={g.n}")
     print(f"m={g.m}")
-    if wanted == {"diss", "alpha", "nus"}:
+    report = None
+    if wanted == set(_INVARIANTS):
         report = check_inequality_chain(g, cutoff=args.cutoff, nus_cutoff=args.cutoff)
-        print(f"diss={report.diss}")
-        print(f"diss_witness={_vertices(report.diss_witness)}")
-        print(f"alpha={report.alpha}")
-        print(f"alpha_witness={_vertices(report.alpha_witness)}")
-        print(f"nu_s={report.nu_s}")
-        print(f"nu_s_witness={_edge_pairs(report.nu_s_witness.edges)}")
-        print(f"eq_diss_2alpha={str(report.diss_eq_2alpha).lower()}")
-        print(f"eq_diss_2nus={str(report.diss_eq_2nus).lower()}")
-        print(f"eq_diss_alpha={str(report.diss_eq_alpha).lower()}")
-        print(f"eq_diss_alpha_plus_nus={str(report.diss_eq_alpha_plus_nus).lower()}")
-        print(f"eq_alpha_plus_nus_2alpha={str(report.alpha_plus_nus_eq_2alpha).lower()}")
-    else:
-        from .exact import (
-            dissociation_number_exact,
-            independence_number_exact,
-            induced_matching_number_exact,
-        )
-
-        if "diss" in wanted:
-            diss, witness = dissociation_number_exact(g, cutoff=args.cutoff)
-            print(f"diss={diss}")
-            print(f"diss_witness={_vertices(witness)}")
-        if "alpha" in wanted:
-            alpha, witness = independence_number_exact(g, cutoff=args.cutoff)
-            print(f"alpha={alpha}")
-            print(f"alpha_witness={_vertices(witness)}")
-        if "nus" in wanted:
-            nus, matching = induced_matching_number_exact(g, cutoff=args.cutoff)
-            print(f"nu_s={nus}")
-            print(f"nu_s_witness={_edge_pairs(matching.edges)}")
+    for token, (key, witness_text) in _INVARIANTS.items():
+        if token in wanted:
+            value, witness = SOLVERS[key](g, args.cutoff) if report is None else (
+                getattr(report, key), getattr(report, f"{key}_witness"))
+            print(f"{key}={value}")
+            print(f"{key}_witness={witness_text(witness)}")
+    for key, flag in _EQUALITIES.items() if report else ():
+        print(f"{key}={str(getattr(report, flag)).lower()}")
     return EXIT_OK
 
 
@@ -227,11 +220,49 @@ def cmd_gadget(args: argparse.Namespace) -> int:
 def _spec_ints(target: str, fields: list[str], count: int) -> list[int]:
     """The ``count`` integer fields after a spec's kind, and no more."""
     try:
-        if len(fields) == count + 1:
-            return [int(f) for f in fields[1:]]
+        if len(fields) == count:
+            return [int(f) for f in fields]
     except ValueError:
         pass
     raise ValueError(f"check target {target!r} needs exactly {count} integer field(s)")
+
+
+def _catalog(build, max_n: int, first: int = 1) -> list:
+    return [g for n in range(first, max_n + 1) for g in build(n)]
+
+
+class _Spec(NamedTuple):
+    fields: tuple[str, ...]  # names of the integer fields after the kind
+    generate: Callable[..., list]  # (*fields, seed) -> payloads
+    check: Callable[[Any, int], Optional[str]]  # (payload, cutoff) -> failure detail
+
+
+# check spec kind -> _Spec. The lambdas look functions up at call time, so a
+# rebinding of them (by a tracer, say) is seen; pool tasks carry the kind.
+_TARGETS = {
+    "chain-catalog": _Spec(("N",), lambda n, seed: _catalog(connected_graphs, n),
+                           lambda g, cutoff: checks.check_chain(g, cutoff=cutoff)),
+    "chain-random": _Spec(("COUNT", "N"), lambda *args: random_graph_corpus(*args),
+                          lambda g, cutoff: checks.check_chain(g, cutoff=cutoff)),
+    "matching-catalog": _Spec(("N",), lambda n, seed: _catalog(connected_bipartite_graphs, n),
+                              lambda g, cutoff: checks.check_matching_oracle(g)),
+    "recognizer-catalog": _Spec(("N",), lambda n, seed: _catalog(connected_bipartite_graphs, n),
+                                lambda g, cutoff: checks.check_recognizer(g, cutoff=cutoff)),
+    "recognizer-random": _Spec(("COUNT", "N"), lambda *args: random_bipartite_corpus(*args),
+                               lambda g, cutoff: checks.check_recognizer(g, cutoff=cutoff)),
+    "approx-random": _Spec(("COUNT", "N"), lambda *args: random_bipartite_corpus(*args),
+                           lambda g, cutoff: checks.check_approx(g, cutoff=cutoff)),
+    "gadget-random": _Spec(("COUNT",), lambda count, seed: random_cnf_corpus(count, 5, 4, seed),
+                           lambda f, cutoff: checks.check_cnf_gadgets(f, cutoff=cutoff)),
+    "isgadget": _Spec(("N", "K"), lambda n, k, seed: [
+                          (g, j) for g in _catalog(all_graphs, n, 0) for j in range(1, k + 1)],
+                      lambda gk, cutoff: checks.check_is_gadget(*gk, cutoff=cutoff)),
+    "join-random": _Spec(("COUNT", "N"), lambda *args: join_input_corpus(*args),
+                         lambda g, cutoff: checks.check_join_gadget(g, cutoff=cutoff)),
+}
+# task kind -> check: a spec's kind, or "file" for a file in a directory target
+_CHECKS = {kind: spec.check for kind, spec in _TARGETS.items()}
+_CHECKS["file"] = lambda path, cutoff: checks.check_instance_file(path, cutoff=cutoff)
 
 
 def _expand_target(target: str, seed: int) -> list[tuple[str, str, object]]:
@@ -245,78 +276,17 @@ def _expand_target(target: str, seed: int) -> list[tuple[str, str, object]]:
             if os.path.isfile(path):
                 out.append((path, "file", path))
         return out
-    fields = target.split(":")
-    kind = fields[0]
-    if kind == "chain-catalog":
-        (max_n,) = _spec_ints(target, fields, 1)
-        graphs = [g for n in range(1, max_n + 1) for g in connected_graphs(n)]
-        return [(f"{target}#{i}", "chain", g) for i, g in enumerate(graphs)]
-    if kind == "chain-random":
-        count, max_n = _spec_ints(target, fields, 2)
-        graphs = random_graph_corpus(count, max_n, seed)
-        return [(f"{target}#{i}", "chain", g) for i, g in enumerate(graphs)]
-    if kind == "matching-catalog":
-        (max_n,) = _spec_ints(target, fields, 1)
-        graphs = [
-            g for n in range(1, max_n + 1) for g in connected_bipartite_graphs(n)
-        ]
-        return [(f"{target}#{i}", "matching", g) for i, g in enumerate(graphs)]
-    if kind == "recognizer-catalog":
-        (max_n,) = _spec_ints(target, fields, 1)
-        graphs = [
-            g for n in range(1, max_n + 1) for g in connected_bipartite_graphs(n)
-        ]
-        return [(f"{target}#{i}", "recognizer", g) for i, g in enumerate(graphs)]
-    if kind == "recognizer-random":
-        count, max_n = _spec_ints(target, fields, 2)
-        graphs = random_bipartite_corpus(count, max_n, seed)
-        return [(f"{target}#{i}", "recognizer", g) for i, g in enumerate(graphs)]
-    if kind == "approx-random":
-        count, max_n = _spec_ints(target, fields, 2)
-        graphs = random_bipartite_corpus(count, max_n, seed)
-        return [(f"{target}#{i}", "approx", g) for i, g in enumerate(graphs)]
-    if kind == "gadget-random":
-        (count,) = _spec_ints(target, fields, 1)
-        formulas = random_cnf_corpus(count, 5, 4, seed)
-        return [(f"{target}#{i}", "cnf-gadget", f) for i, f in enumerate(formulas)]
-    if kind == "isgadget":
-        max_n, max_k = _spec_ints(target, fields, 2)
-        payloads = [
-            (g, k)
-            for n in range(0, max_n + 1)
-            for g in all_graphs(n)
-            for k in range(1, max_k + 1)
-        ]
-        return [(f"{target}#{i}", "is-gadget", p) for i, p in enumerate(payloads)]
-    if kind == "join-random":
-        count, max_n = _spec_ints(target, fields, 2)
-        graphs = join_input_corpus(count, max_n, seed)
-        return [(f"{target}#{i}", "join-gadget", g) for i, g in enumerate(graphs)]
-    raise ValueError(f"unknown check target {target!r}")
+    kind, *fields = target.split(":")
+    if kind not in _TARGETS:
+        raise ValueError(f"unknown check target {target!r}")
+    spec = _TARGETS[kind]
+    payloads = spec.generate(*_spec_ints(target, fields, len(spec.fields)), seed)
+    return [(f"{target}#{i}", kind, p) for i, p in enumerate(payloads)]
 
 
 def _run_check(task: tuple[str, str, object, int]) -> tuple[str, Optional[str]]:
     instance_id, kind, payload, cutoff = task
-    if kind == "chain":
-        detail = checks.check_chain(payload, cutoff=cutoff)
-    elif kind == "matching":
-        detail = checks.check_matching_oracle(payload)
-    elif kind == "recognizer":
-        detail = checks.check_recognizer(payload, cutoff=cutoff)
-    elif kind == "approx":
-        detail = checks.check_approx(payload, cutoff=cutoff)
-    elif kind == "cnf-gadget":
-        detail = checks.check_cnf_gadgets(payload, cutoff=cutoff)
-    elif kind == "is-gadget":
-        g, k = payload
-        detail = checks.check_is_gadget(g, k, cutoff=cutoff)
-    elif kind == "join-gadget":
-        detail = checks.check_join_gadget(payload, cutoff=cutoff)
-    elif kind == "file":
-        detail = checks.check_instance_file(payload, cutoff=cutoff)
-    else:
-        raise ValueError(f"unknown check kind {kind!r}")
-    return instance_id, detail
+    return instance_id, _CHECKS[kind](payload, cutoff)
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -328,8 +298,9 @@ def cmd_check(args: argparse.Namespace) -> int:
             (instance_id, kind, payload, args.cutoff)
             for instance_id, kind, payload in _expand_target(target, args.seed)
         ]
-        if args.jobs > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_run_check, tasks, chunksize=16))
         else:
             results = [_run_check(task) for task in tasks]
@@ -389,16 +360,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gadget.add_argument("--cutoff", type=int, default=cutoff)
     p_gadget.set_defaults(func=cmd_gadget)
 
+    specs = ", ".join(":".join((kind,) + spec.fields) for kind, spec in _TARGETS.items())
     p_check = sub.add_parser(
         "check",
         help="run property suites over catalogs, seeded corpora, or a fixture dir",
-        description=(
-            "Targets: a directory of instance files, or generator specs "
-            "chain-catalog:N, chain-random:COUNT:N, matching-catalog:N, "
-            "recognizer-catalog:N, recognizer-random:COUNT:N, "
-            "approx-random:COUNT:N, gadget-random:COUNT, isgadget:N:K, "
-            "join-random:COUNT:N."
-        ),
+        description=f"Targets: a directory of instance files, or generator specs {specs}.",
     )
     p_check.add_argument("targets", nargs="+")
     p_check.add_argument("--seed", type=int, default=1)

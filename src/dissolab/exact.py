@@ -28,6 +28,7 @@ __all__ = [
     "diss_via_induced_matchings",
     "check_inequality_chain",
     "matching_number_bruteforce",
+    "SOLVERS",
 ]
 
 DISS_ALPHA_CUTOFF = 30
@@ -439,6 +440,15 @@ def diss_via_induced_matchings(
 
     rec(full_edges, 0, 0)
     return best
+
+
+# invariant -> (graph, cutoff) -> (value, witness); looked up at call time, so
+# a rebinding of these functions (by a tracer, say) reaches every caller
+SOLVERS = {
+    "diss": lambda g, cutoff: dissociation_number_exact(g, cutoff=cutoff),
+    "alpha": lambda g, cutoff: independence_number_exact(g, cutoff=cutoff),
+    "nu_s": lambda g, cutoff: induced_matching_number_exact(g, cutoff=cutoff),
+}
 
 
 @dataclass(frozen=True)

@@ -221,7 +221,7 @@ def check_component_lengths(d: AlternatingDecomposition) -> Optional[NotExtremal
 
 
 def label_path_components(
-    g: Graph, d: AlternatingDecomposition, m: Matching, m2: Matching
+    g: Graph, d: AlternatingDecomposition, m2: Matching
 ) -> dict[int, SixClass]:
     """Fix the six-class positions of all path vertices.
 
@@ -399,7 +399,7 @@ def recognize_extremal(g: Graph, m: Matching) -> RecognitionOutcome:
     failure = check_component_lengths(d)
     if failure is not None:
         return failure
-    labels = label_path_components(g, d, m, m2)
+    labels = label_path_components(g, d, m2)
     failure = check_path_path_edges(g, m, m2, labels)
     if failure is not None:
         return failure

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from dissolab import graph
+from dissolab import cli, graph
 from dissolab.cli import main
 from dissolab.graph import new_graph, parse_edge_list, remove_edges, render_edge_list
 from dissolab.reductions import parse_gadget_metadata
@@ -259,6 +259,51 @@ class TestCheck:
 
     def test_over_cutoff_exit_code(self, capsys):
         assert main(["check", "chain-catalog:5", "--cutoff", "3"]) == 3
+
+    def test_over_cutoff_file_exit_code(self, tmp_path, capsys):
+        # an 11-clause fig3 gadget has 44 vertices, over the default cutoff of 40
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text("p cnf 3 11\n" + "1 2 3 0\n" * 11)
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        assert main(["gadget", "fig3", "--cnf", str(cnf), "--out", str(corpus / "a.dimacs")]) == 0
+        assert kv(capsys.readouterr().out)["order"] == "44"
+        assert main(["check", str(corpus), "--verbose"]) == 3
+        captured = capsys.readouterr()
+        assert "status=ok" not in captured.out
+        assert "InstanceTooLarge" in captured.err
+
+    @pytest.mark.parametrize(
+        "target,jobs,cpus,pools",
+        [
+            ("chain-random:3:5", "5000", 8, [3]),   # no more workers than tasks
+            ("chain-random:3:5", "5000", 2, [2]),   # nor than CPUs
+            ("chain-random:3:5", "2", 8, [2]),
+            ("chain-random:3:5", "5000", 1, []),    # one worker: serial, no pool
+            ("chain-random:3:5", "5000", None, []), # CPU count unknown
+            ("chain-random:1:5", "4", 8, []),       # a single task
+        ],
+    )
+    def test_jobs_clamped(self, target, jobs, cpus, pools, monkeypatch, capsys):
+        started = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert main(["check", target, "--jobs", jobs]) == 0
+        assert started == pools
 
     def test_unknown_target_rejected(self, capsys):
         assert main(["check", "nonsense:1"]) == 2

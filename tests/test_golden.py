@@ -157,6 +157,13 @@ def test_golden_covers_every_case(golden):
     assert sorted(golden) == sorted(CASES)
 
 
+def test_every_check_spec_has_a_case():
+    from dissolab.cli import _TARGETS
+
+    targets = [arg for argv, _ in CASES.values() if argv[0] == "check" for arg in argv[1:]]
+    assert set(_TARGETS) <= {target.split(":")[0] for target in targets}
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name, golden, tmp_path, monkeypatch):
     monkeypatch.delenv("DISSOLAB_CUTOFF", raising=False)

@@ -168,7 +168,7 @@ class TestPathLabeling:
     def test_a_start_pattern(self):
         g, m, m2 = p5_with_matchings()
         d = decompose_alternating(g, m, m2)
-        labels = label_path_components(g, d, m, m2)
+        labels = label_path_components(g, d, m2)
         assert [labels[v].value for v in range(5)] == ["A1", "B1", "A4", "B2", "A2"]
 
     def test_b_start_mirrored_pattern(self):
@@ -178,22 +178,23 @@ class TestPathLabeling:
         m = matching_from_edges(g, [(0, 1), (2, 3)])
         m2 = matching_from_edges(g, [(0, 2), (3, 4)])
         d = decompose_alternating(g, m, m2)
-        labels = label_path_components(g, d, m, m2)
+        labels = label_path_components(g, d, m2)
         order = d.paths[0].vertices
         assert order == (1, 0, 2, 3, 4)
         assert [labels[v].value for v in order] == ["B1", "A1", "B4", "A2", "B2"]
 
     def test_no_paths_empty_labeling(self):
         g = c6()
-        d = decompose_alternating(g, *c6_matchings(g))
-        assert label_path_components(g, d, *c6_matchings(g)) == {}
+        m, m2 = c6_matchings(g)
+        d = decompose_alternating(g, m, m2)
+        assert label_path_components(g, d, m2) == {}
 
     def test_unvalidated_component_raises(self):
         g = new_graph(1, [])
         empty = matching_from_edges(g, [])
         d = decompose_alternating(g, empty, empty)
         with pytest.raises(RuntimeError, match="unvalidated"):
-            label_path_components(g, d, empty, empty)
+            label_path_components(g, d, empty)
 
 
 class TestPathPathEdges:
@@ -203,7 +204,7 @@ class TestPathPathEdges:
         m = matching_from_edges(g, [(0, 1), (2, 3), (5, 6), (7, 8)])
         m2 = matching_from_edges(g, [(1, 2), (3, 4), (6, 7), (8, 9)])
         d = decompose_alternating(g, m, m2)
-        labels = label_path_components(g, d, m, m2)
+        labels = label_path_components(g, d, m2)
         return g, m, m2, labels
 
     def test_violation_reported_with_edge(self):
@@ -266,7 +267,7 @@ class TestBuildTwoSat:
         m = matching_from_edges(g, [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)])
         m2 = matching_from_edges(g, [(1, 2), (3, 4), (0, 5), (7, 8), (9, 10)])
         d = decompose_alternating(g, m, m2)
-        labels = label_path_components(g, d, m, m2)
+        labels = label_path_components(g, d, m2)
         assert labels[8] is SixClass.A4
         formula, _ = build_2sat(g, d, m, m2, labels)
         assert len(formula.clauses) == 3  # at-most-one clauses only
