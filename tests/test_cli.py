@@ -276,12 +276,12 @@ class TestCheck:
     @pytest.mark.parametrize(
         "target,jobs,cpus,pools",
         [
-            ("chain-random:3:5", "5000", 8, [3]),   # no more workers than tasks
-            ("chain-random:3:5", "5000", 2, [2]),   # nor than CPUs
+            ("chain-random:3:5", "5000", 8, [3]),    # no more workers than tasks
+            ("chain-random:3:5", "5000", 2, [2]),    # nor than CPUs
             ("chain-random:3:5", "2", 8, [2]),
-            ("chain-random:3:5", "5000", 1, []),    # one worker: serial, no pool
-            ("chain-random:3:5", "5000", None, []), # CPU count unknown
-            ("chain-random:1:5", "4", 8, []),       # a single task
+            ("chain-random:3:5", "5000", 1, []),     # one worker: serial, no pool
+            ("chain-random:3:5", "5000", None, []),  # CPU count unknown
+            ("chain-random:1:5", "4", 8, []),        # a single task
         ],
     )
     def test_jobs_clamped(self, target, jobs, cpus, pools, monkeypatch, capsys):
