@@ -224,7 +224,8 @@ def _iff_satisfiable(relation):
 
 # prediction name -> (name, value, expected, satisfiable) -> failure detail or
 # None, where value(invariant) solves the file's graph at most once; other
-# names, and markers the predicates do not handle, go unchecked
+# names, and markers the predicates do not handle, go unchecked, and a file
+# with none of these names is invalid input
 _PREDICTIONS = {
     "order": _equals,
     "alpha": _equals,
@@ -238,7 +239,10 @@ _PREDICTIONS = {
 
 
 def check_instance_file(path: str, *, cutoff: int = 40) -> Optional[str]:
-    """Validate a gadget file's resolvable predictions against the oracles."""
+    """Validate a gadget file's resolvable predictions against the oracles.
+
+    Raises ValueError when the file has no prediction named in _PREDICTIONS.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     g = parse_edge_list(text)
@@ -251,9 +255,11 @@ def check_instance_file(path: str, *, cutoff: int = 40) -> Optional[str]:
             values[name], _ = SOLVERS[name](g, cutoff)
         return values[name]
 
-    for name, expected in sorted(predictions.items()):
-        if name in _PREDICTIONS:
-            detail = _PREDICTIONS[name](name, value, expected, sat)
-            if detail is not None:
-                return detail
+    checked = sorted(name for name in predictions if name in _PREDICTIONS)
+    if not checked:
+        raise ValueError(f"{path} carries no prediction that check verifies")
+    for name in checked:
+        detail = _PREDICTIONS[name](name, value, predictions[name], sat)
+        if detail is not None:
+            return detail
     return None

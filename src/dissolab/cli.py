@@ -53,12 +53,24 @@ EXIT_CUTOFF = 3
 _ENV_CUTOFF = "DISSOLAB_CUTOFF"
 
 
+def positive_int(text: str) -> int:
+    """``text`` as an integer of at least 1, else ValueError.
+
+    An argparse ``type``; argparse names it in its error message, hence no
+    leading underscore.
+    """
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"{text!r} is below 1")
+    return value
+
+
 def _default_cutoff() -> int:
     value = os.environ.get(_ENV_CUTOFF)
     if value is None:
         return DISS_ALPHA_CUTOFF
     try:
-        return int(value)
+        return positive_int(value)
     except ValueError:
         raise ValueError(f"invalid {_ENV_CUTOFF} value {value!r}") from None
 
@@ -218,13 +230,13 @@ def cmd_gadget(args: argparse.Namespace) -> int:
 
 
 def _spec_ints(target: str, fields: list[str], count: int) -> list[int]:
-    """The ``count`` integer fields after a spec's kind, and no more."""
+    """The ``count`` positive integer fields after a spec's kind, and no more."""
     try:
         if len(fields) == count:
-            return [int(f) for f in fields]
+            return [positive_int(f) for f in fields]
     except ValueError:
         pass
-    raise ValueError(f"check target {target!r} needs exactly {count} integer field(s)")
+    raise ValueError(f"check target {target!r} needs exactly {count} positive integer field(s)")
 
 
 def _catalog(build, max_n: int, first: int = 1) -> list:
@@ -337,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("path")
     p_solve.add_argument("--invariants", default="diss,alpha,nus",
                          help="comma list from diss,alpha,nus")
-    p_solve.add_argument("--cutoff", type=int, default=cutoff)
+    p_solve.add_argument("--cutoff", type=positive_int, default=cutoff)
     p_solve.set_defaults(func=cmd_solve)
 
     p_approx = sub.add_parser("approx", help="4/3-approximation on a bipartite graph")
@@ -357,7 +369,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gadget.add_argument("--graph", default=None, help="graph input (DIMACS edge)")
     p_gadget.add_argument("--k", type=int, default=None)
     p_gadget.add_argument("--out", required=True)
-    p_gadget.add_argument("--cutoff", type=int, default=cutoff)
+    p_gadget.add_argument("--cutoff", type=positive_int, default=cutoff)
     p_gadget.set_defaults(func=cmd_gadget)
 
     specs = ", ".join(":".join((kind,) + spec.fields) for kind, spec in _TARGETS.items())
@@ -368,8 +380,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_check.add_argument("targets", nargs="+")
     p_check.add_argument("--seed", type=int, default=1)
-    p_check.add_argument("--jobs", type=int, default=1)
-    p_check.add_argument("--cutoff", type=int, default=max(cutoff, 40))
+    p_check.add_argument("--jobs", type=positive_int, default=1)
+    p_check.add_argument("--cutoff", type=positive_int, default=max(cutoff, 40))
     p_check.add_argument("--verbose", action="store_true")
     p_check.add_argument("--timings", action="store_true",
                          help="print elapsed_ms to stderr")

@@ -63,9 +63,10 @@ class TestSolve:
         assert main(["solve", path]) == 0
 
     def test_invalid_env_cutoff_exit_code(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("DISSOLAB_CUTOFF", "abc")
-        assert main(["solve", c6_file(tmp_path)]) == 2
-        assert "DISSOLAB_CUTOFF" in capsys.readouterr().err
+        for value in ("abc", "-1"):
+            monkeypatch.setenv("DISSOLAB_CUTOFF", value)
+            assert main(["solve", c6_file(tmp_path)]) == 2
+            assert "DISSOLAB_CUTOFF" in capsys.readouterr().err
 
     def test_invariant_subset(self, tmp_path, capsys):
         path = c6_file(tmp_path)
@@ -157,6 +158,19 @@ def test_each_graph_colored_once(argv, tmp_path, capsys, monkeypatch):
     pairs = kv(capsys.readouterr().out)["matching"].split()
     m = [(int(u) - 1, int(v) - 1) for u, v in (p.split("-") for p in pairs)]
     assert colored == [g, remove_edges(g, m)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check", "chain-catalog:3", "--jobs", "0"], ["check", "chain-catalog:3", "--jobs", "-3"],
+     ["solve", "g.dimacs", "--cutoff", "-1"]],
+)
+def test_nonpositive_flag_exit_code(argv, capsys):
+    # argparse rejects the value before the command runs
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {argv[-2]}" in capsys.readouterr().err
 
 
 class TestGadget:
@@ -305,6 +319,21 @@ class TestCheck:
         assert main(["check", target, "--jobs", jobs]) == 0
         assert started == pools
 
+    @pytest.mark.parametrize(
+        "text",
+        ["p edge 3 2\ne 1 2\ne 2 3\n",
+         "p edge 3 2\nc predict alpha_minus_matching 2\ne 1 2\ne 2 3\n"],
+        ids=["no-predictions", "unchecked-prediction"],
+    )
+    def test_file_without_checked_prediction_rejected(self, text, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "p3.dimacs").write_text(text)
+        assert main(["check", str(corpus), "--verbose"]) == 2
+        captured = capsys.readouterr()
+        assert "status=ok" not in captured.out
+        assert "p3.dimacs" in captured.err
+
     def test_unknown_target_rejected(self, capsys):
         assert main(["check", "nonsense:1"]) == 2
 
@@ -312,7 +341,8 @@ class TestCheck:
         "target",
         ["chain-catalog", "chain-catalog:", "chain-catalog:x", "chain-random:5",
          "isgadget:3", "join-random:2:five", "gadget-random", "chain-catalog:3:junk",
-         "gadget-random:5:x"],
+         "gadget-random:5:x", "chain-random:-5:6", "chain-catalog:-1", "isgadget:0:0",
+         "chain-random:0:6"],
     )
     def test_malformed_spec_exit_code(self, target, capsys):
         assert main(["check", target]) == 2
