@@ -1,10 +1,20 @@
 """Exhaustive oracles: dissociation number, independence number, induced
 matching number, and the inequality-chain report tying them together.
 
-All solvers are branch-and-bound over bitmask vertex sets. They are the
-ground truth the approximation, recognizer, and gadget modules are tested
-against, so they stay deliberately simple: max-degree branching, greedy
-inclusion of vertices that cannot hurt, and the trivial counting bound.
+They are the ground truth the approximation, recognizer, and gadget modules
+are tested against, so they stay deliberately simple. Two branch-and-bound
+searches over bitmask sets do the work, both with max-degree branching,
+greedy inclusion of vertices that cannot hurt, and the trivial counting
+bound:
+
+* ``_max_independent_set``, the one independent-set kernel, behind ``alpha``
+  and, on the edge-conflict graph, ``nu_s``. Its leaf rule takes vertices of
+  residual degree 0 or 1; its cycle rule, once every residual degree is 2,
+  takes the branch vertex without the exclude branch.
+* the ``diss`` search in ``dissociation_number_exact``.
+
+``diss_via_induced_matchings`` enumerates maximal induced matchings and runs
+the kernel on each ``G - M``; it stays as the reference for ``diss``.
 """
 
 from __future__ import annotations
@@ -179,73 +189,11 @@ def dissociation_number_exact(
     return best_size, witness
 
 
-def _walk_order(comp_mask: int, adj: tuple[int, ...], start: int) -> list[int]:
-    """Order a path/cycle component starting at ``start`` (lowest neighbour first)."""
-    size = comp_mask.bit_count()
-    order = [start]
-    prev = -1
-    cur = start
-    while len(order) < size:
-        nxt = -1
-        w = adj[cur] & comp_mask
-        while w:
-            b = w & -w
-            w ^= b
-            cand = b.bit_length() - 1
-            if cand != prev:
-                nxt = cand
-                break
-        if nxt == -1:
-            break
-        order.append(nxt)
-        prev, cur = cur, nxt
-    return order
+def _max_independent_set(adj: tuple[int, ...], avail0: int) -> tuple[int, int]:
+    """Maximum independent set among the vertices of ``avail0``: (size, mask).
 
-
-def _deg2_independent(avail: int, adj: tuple[int, ...]) -> tuple[int, int]:
-    """Optimal independent set of a max-degree-<=2 residual (paths/cycles)."""
-    total = 0
-    mask = 0
-    remaining = avail
-    while remaining:
-        b = remaining & -remaining
-        start = b.bit_length() - 1
-        comp_mask = b
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            w = adj[v] & avail & ~comp_mask
-            while w:
-                b2 = w & -w
-                comp_mask |= b2
-                stack.append(b2.bit_length() - 1)
-                w ^= b2
-        remaining &= ~comp_mask
-        size = comp_mask.bit_count()
-        endpoint = -1
-        w = comp_mask
-        while w:
-            b2 = w & -w
-            w ^= b2
-            v = b2.bit_length() - 1
-            if (adj[v] & comp_mask).bit_count() <= 1:
-                endpoint = v
-                break
-        if endpoint != -1:
-            # path of k vertices: every other vertex, ceil(k/2) of them
-            order = _walk_order(comp_mask, adj, endpoint)
-            picks = range(0, size, 2)
-        else:
-            # cycle of k vertices: floor(k/2) alternating vertices
-            order = _walk_order(comp_mask, adj, start)
-            picks = range(0, 2 * (size // 2) - 1, 2)
-        for i in picks:
-            total += 1
-            mask |= 1 << order[i]
-    return total, mask
-
-
-def _max_independent_set(n: int, adj: tuple[int, ...], avail0: int) -> tuple[int, int]:
+    ``adj[v]`` is the neighbour mask of v, which never holds v itself.
+    """
     best_size = -1
     best_mask = 0
 
@@ -259,7 +207,7 @@ def _max_independent_set(n: int, adj: tuple[int, ...], avail0: int) -> tuple[int
                 bit = w & -w
                 w ^= bit
                 v = bit.bit_length() - 1
-                d = adj[v] & avail & ~bit
+                d = adj[v] & avail
                 if d == 0:
                     avail ^= bit
                     chosen |= bit
@@ -272,36 +220,28 @@ def _max_independent_set(n: int, adj: tuple[int, ...], avail0: int) -> tuple[int
                     size += 1
                     progress = True
                     break
-        if avail:
-            max_deg = 0
-            bv = -1
-            w = avail
-            while w:
-                bit = w & -w
-                w ^= bit
-                v = bit.bit_length() - 1
-                d = (adj[v] & avail).bit_count() - (1 if adj[v] & bit else 0)
-                if d > max_deg:
-                    max_deg = d
-                    bv = v
-            if max_deg <= 2:
-                extra, emask = _deg2_independent(avail, adj)
-                size += extra
-                chosen |= emask
-                avail = 0
-            else:
-                if size > best_size:
-                    best_size = size
-                    best_mask = chosen
-                if size + avail.bit_count() <= best_size:
-                    return
-                bit = 1 << bv
-                rec(avail & ~(bit | adj[bv]), chosen | bit, size + 1)
-                rec(avail ^ bit, chosen, size)
-                return
         if size > best_size:
             best_size = size
             best_mask = chosen
+        if not avail or size + avail.bit_count() <= best_size:
+            return
+        # branch vertex: max residual degree, lowest index on ties
+        max_deg = 0
+        bv = -1
+        w = avail
+        while w:
+            bit = w & -w
+            w ^= bit
+            v = bit.bit_length() - 1
+            d = (adj[v] & avail).bit_count()
+            if d > max_deg:
+                max_deg = d
+                bv = v
+        bit = 1 << bv
+        rec(avail & ~(bit | adj[bv]), chosen | bit, size + 1)
+        # all degrees 2: disjoint cycles, and any vertex lies in some maximum set
+        if max_deg > 2:
+            rec(avail ^ bit, chosen, size)
 
     rec(avail0, 0, 0)
     return best_size, best_mask
@@ -314,9 +254,7 @@ def independence_number_exact(
     n = g.n
     if n > cutoff:
         raise InstanceTooLarge(n, cutoff)
-    if n == 0:
-        return 0, frozenset()
-    size, mask = _max_independent_set(n, g.adjacency_masks, (1 << n) - 1)
+    size, mask = _max_independent_set(g.adjacency_masks, (1 << n) - 1)
     witness = _mask_to_set(mask)
     if not is_independent_set(g, witness):
         raise RuntimeError("independent set search returned a set that is not independent")
@@ -342,55 +280,22 @@ def _edge_conflicts(g: Graph) -> tuple[list[tuple[int, int]], list[int]]:
 def induced_matching_number_exact(
     g: Graph, *, cutoff: int = INDUCED_MATCHING_CUTOFF
 ) -> tuple[int, Matching]:
-    """Exact induced matching number via edge search with conflict pruning."""
+    """Exact induced matching number with a witness.
+
+    An induced matching of g is an independent set of its edge-conflict
+    graph, the square of the line graph (Cameron, 1989), so this is the
+    independent-set search with one node per edge of g.
+    """
     if g.n > cutoff:
         raise InstanceTooLarge(g.n, cutoff)
     edges, conflict = _edge_conflicts(g)
     k = len(edges)
-    if k == 0:
-        return 0, Matching(frozenset())
-    best_size = 0
-    best_mask = 0
-
-    def rec(avail: int, chosen: int, size: int) -> None:
-        nonlocal best_size, best_mask
-        # edges with no remaining conflicts can always be added
-        w = avail
-        while w:
-            bit = w & -w
-            w ^= bit
-            e = bit.bit_length() - 1
-            if conflict[e] & avail == 0:
-                avail ^= bit
-                chosen |= bit
-                size += 1
-        if size > best_size:
-            best_size = size
-            best_mask = chosen
-        if not avail or size + avail.bit_count() <= best_size:
-            return
-        # branch on the most-conflicted available edge
-        be = -1
-        bd = -1
-        w = avail
-        while w:
-            bit = w & -w
-            w ^= bit
-            e = bit.bit_length() - 1
-            d = (conflict[e] & avail).bit_count()
-            if d > bd:
-                bd = d
-                be = e
-        bit = 1 << be
-        rec(avail & ~bit & ~conflict[be], chosen | bit, size + 1)
-        rec(avail ^ bit, chosen, size)
-
-    rec((1 << k) - 1, 0, 0)
-    picked = [edges[i] for i in range(k) if (best_mask >> i) & 1]
+    size, mask = _max_independent_set(tuple(conflict), (1 << k) - 1)
+    picked = [edges[i] for i in range(k) if (mask >> i) & 1]
     matching = matching_from_edges(g, picked)
     if not is_induced_matching(g, matching.edges):
         raise RuntimeError("induced matching search returned a non-induced matching")
-    return best_size, matching
+    return size, matching
 
 
 def diss_via_induced_matchings(
@@ -423,7 +328,7 @@ def diss_via_induced_matchings(
             u, v = edges[bit.bit_length() - 1]
             masks[u] &= ~(1 << v)
             masks[v] &= ~(1 << u)
-        size, _ = _max_independent_set(g.n, tuple(masks), full_vertices)
+        size, _ = _max_independent_set(tuple(masks), full_vertices)
         if size > best:
             best = size
 

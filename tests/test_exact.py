@@ -1,7 +1,8 @@
+import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from dissolab.catalog import all_graphs
 from dissolab.exact import (
@@ -27,6 +28,12 @@ def c5():
 
 def c6():
     return new_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
+
+
+def relabelled(n, edges, seed):
+    label = list(range(n))
+    random.Random(seed).shuffle(label)
+    return new_graph(n, [(label[u], label[v]) for u, v in edges])
 
 
 def naive_diss(g):
@@ -95,6 +102,34 @@ class TestIndependenceNumber:
         with pytest.raises(InstanceTooLarge):
             independence_number_exact(new_graph(31, []))
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_disjoint_cycles(self, seed):
+        # C3..C13 side by side, vertices relabelled: only the cycle rule applies
+        lengths = range(3, 14)
+        edges = []
+        start = 0
+        for k in lengths:
+            edges += [(start + i, start + (i + 1) % k) for i in range(k)]
+            start += k
+        g = relabelled(start, edges, seed)
+        value, witness = independence_number_exact(g, cutoff=g.n)
+        assert value == sum(k // 2 for k in lengths) == len(witness)
+        assert is_independent_set(g, witness)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("a", range(3, 7))
+    @pytest.mark.parametrize("b", range(3, 7))
+    def test_cycles_joined_by_hub(self, a, b, seed):
+        # hub 0 meets C_a once and C_b twice, so cycles are left below a branch;
+        # relabelling varies which degree-3 vertex is branched on
+        cycle_a = [(1 + i, 1 + (i + 1) % a) for i in range(a)]
+        cycle_b = [(1 + a + i, 1 + a + (i + 1) % b) for i in range(b)]
+        hub = [(0, 1), (0, 1 + a), (0, 1 + a + b // 2)]
+        g = relabelled(1 + a + b, cycle_a + cycle_b + hub, seed)
+        value, witness = independence_number_exact(g)
+        assert value == naive_alpha(g) == len(witness)
+        assert is_independent_set(g, witness)
+
 
 class TestInducedMatchingNumber:
     def test_k2(self):
@@ -161,6 +196,17 @@ def test_solvers_match_naive_enumeration(g):
     assert independence_number_exact(g)[0] == naive_alpha(g)
 
 
+def with_every_graph(max_n):
+    """Add every graph with at most ``max_n`` vertices as a hypothesis example."""
+    def add(test):
+        for n in range(max_n + 1):
+            for g in all_graphs(n):
+                test = example(g)(test)
+        return test
+    return add
+
+
+@with_every_graph(6)
 @given(graphs(max_n=6))
 @settings(max_examples=150, deadline=None)
 def test_nus_matches_naive_enumeration(g):
