@@ -104,7 +104,7 @@ class TestIndependenceNumber:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_disjoint_cycles(self, seed):
-        # C3..C13 side by side, vertices relabelled: only the cycle rule applies
+        # C3..C13 side by side, relabelled: no degree above 2, so no exclude branch runs
         lengths = range(3, 14)
         edges = []
         start = 0
