@@ -12,6 +12,9 @@ stay cheap).
 
 from __future__ import annotations
 
+from typing import Callable, Iterable, Iterator
+
+from .exact import InstanceTooLarge
 from .graph import Graph, new_graph
 
 __all__ = [
@@ -147,7 +150,11 @@ def _canonical_rows(g: Graph) -> tuple[int, ...]:
 
 def canonical_graph(g: Graph) -> Graph:
     """The canonically labeled representative of g's isomorphism class."""
-    rows = _canonical_rows(g)
+    return _form_graph(canonical_form(g))
+
+
+def _form_graph(form: tuple) -> Graph:
+    n, rows = form
     edges = []
     for i, row in enumerate(rows):
         w = row
@@ -155,44 +162,47 @@ def canonical_graph(g: Graph) -> Graph:
             b = w & -w
             edges.append((b.bit_length() - 1, i))
             w ^= b
-    return new_graph(g.n, edges)
+    return new_graph(n, edges)
 
 
-_connected_cache: dict[int, list[Graph]] = {}
-_bipartite_cache: dict[int, list[Graph]] = {}
+# catalog kind -> largest n the catalog builds; beyond it the work is out of
+# desk reach, so asking for more is over the cutoff
+_LIMITS = {"connected": 8, "bipartite": 10, "all": 6}
+# (kind, n) -> catalog; each kind starts from its single one-vertex graph
+_cache: dict[tuple[str, int], list[Graph]] = {
+    ("connected", 1): [new_graph(1, [])], ("bipartite", 1): [new_graph(1, [])]}
 
 
-def _dedup_sorted(forms: dict[tuple, Graph]) -> list[Graph]:
-    return [forms[k] for k in sorted(forms)]
+def _classes(kind: str, n: int, children: Callable[[], Iterable[Graph]]) -> list[Graph]:
+    """One canonical representative per isomorphism class among ``children()``,
+    sorted by canonical form and built once per (kind, n)."""
+    if n > _LIMITS[kind]:
+        raise InstanceTooLarge(n, _LIMITS[kind])
+    if (kind, n) not in _cache:
+        forms: dict[tuple, Graph] = {}
+        for child in children():
+            form = canonical_form(child)
+            if form not in forms:
+                forms[form] = _form_graph(form)
+        _cache[kind, n] = [forms[form] for form in sorted(forms)]
+    return _cache[kind, n]
+
+
+def _attach(parent: Graph, vertices: list[int]) -> Iterator[Graph]:
+    """parent plus a new vertex joined to each nonempty subset of ``vertices``."""
+    n = parent.n + 1
+    for attach in range(1, 1 << len(vertices)):
+        yield Graph(n, parent.edges | {(v, n - 1) for i, v in enumerate(vertices)
+                                       if (attach >> i) & 1})
 
 
 def connected_graphs(n: int) -> list[Graph]:
     """All connected graphs on exactly n vertices, one per isomorphism class."""
     if n < 1:
         return []
-    if n in _connected_cache:
-        return _connected_cache[n]
-    if n == 1:
-        result = [new_graph(1, [])]
-    else:
-        forms: dict[tuple, Graph] = {}
-        new_vertex = n - 1
-        for parent in connected_graphs(n - 1):
-            base = list(parent.edge_list)
-            for attach in range(1, 1 << (n - 1)):
-                edges = list(base)
-                w = attach
-                while w:
-                    b = w & -w
-                    edges.append((b.bit_length() - 1, new_vertex))
-                    w ^= b
-                child = Graph(n, frozenset(edges))
-                key = canonical_form(child)
-                if key not in forms:
-                    forms[key] = canonical_graph(child)
-        result = _dedup_sorted(forms)
-    _connected_cache[n] = result
-    return result
+    return _classes("connected", n, lambda: (
+        child for parent in connected_graphs(n - 1)
+        for child in _attach(parent, list(range(n - 1)))))
 
 
 def connected_bipartite_graphs(n: int) -> list[Graph]:
@@ -203,47 +213,16 @@ def connected_bipartite_graphs(n: int) -> list[Graph]:
     """
     if n < 1:
         return []
-    if n in _bipartite_cache:
-        return _bipartite_cache[n]
-    if n == 1:
-        result = [new_graph(1, [])]
-    else:
-        forms: dict[tuple, Graph] = {}
-        new_vertex = n - 1
-        for parent in connected_bipartite_graphs(n - 1):
-            base = list(parent.edge_list)
-            for color in (0, 1):
-                side = [v for v, s in enumerate(parent.side) if s == color]
-                if not side:
-                    continue
-                for attach in range(1, 1 << len(side)):
-                    edges = list(base)
-                    w = attach
-                    while w:
-                        b2 = w & -w
-                        edges.append((side[b2.bit_length() - 1], new_vertex))
-                        w ^= b2
-                    child = Graph(n, frozenset(edges))
-                    key = canonical_form(child)
-                    if key not in forms:
-                        forms[key] = canonical_graph(child)
-        result = _dedup_sorted(forms)
-    _bipartite_cache[n] = result
-    return result
+    return _classes("bipartite", n, lambda: (
+        child for parent in connected_bipartite_graphs(n - 1) for color in (0, 1)
+        for child in _attach(parent, [v for v, s in enumerate(parent.side) if s == color])))
 
 
 def all_graphs(n: int) -> list[Graph]:
     """Every graph on exactly n vertices up to isomorphism (brute force, n <= 6)."""
     if n < 0:
         return []
-    if n > 6:
-        raise ValueError("all_graphs enumerates 2^(n choose 2) labelings; n <= 6 only")
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    forms: dict[tuple, Graph] = {}
-    for mask in range(1 << len(pairs)):
-        edges = [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1]
-        g = Graph(n, frozenset(edges))
-        key = canonical_form(g)
-        if key not in forms:
-            forms[key] = canonical_graph(g)
-    return _dedup_sorted(forms)
+    return _classes("all", n, lambda: (
+        Graph(n, frozenset(pairs[i] for i in range(len(pairs)) if (mask >> i) & 1))
+        for mask in range(1 << len(pairs))))

@@ -7,10 +7,13 @@ process pool; results are merged in instance order either way.
 
 from __future__ import annotations
 
-from typing import Optional
+import functools
+import pathlib
+import re
+from typing import Mapping, Optional
 
-from .graph import Graph, remove_edges, parse_edge_list
-from .matching import maximum_matching
+from .graph import Graph, new_graph, remove_edges, parse_edge_list
+from .matching import Matching, maximum_matching, parse_matching
 from .approx import approx_dissociation_bipartite
 from .exact import (
     SOLVERS,
@@ -19,7 +22,6 @@ from .exact import (
     diss_via_induced_matchings,
     dissociation_number_exact,
     independence_number_exact,
-    induced_matching_number_exact,
     is_dissociation_set,
     is_independent_set,
     matching_number_bruteforce,
@@ -30,6 +32,7 @@ from .reductions import (
     gadget_diss_2alpha,
     gadget_diss_alpha,
     gadget_diss_alpha_plus_nus,
+    gadget_join_kn,
     parse_gadget_metadata,
 )
 from .twosat import cnf_satisfiable
@@ -42,6 +45,7 @@ __all__ = [
     "check_cnf_gadgets",
     "check_is_gadget",
     "check_join_gadget",
+    "check_predictions",
     "check_instance_file",
 ]
 
@@ -127,139 +131,134 @@ def check_approx(g: Graph, *, cutoff: int = 64) -> Optional[str]:
 
 
 def check_cnf_gadgets(f: CnfFormula, *, cutoff: int = 64) -> Optional[str]:
-    """Biconditionals and unconditional predictions for both CNF gadgets."""
+    """Both CNF gadgets' predictions, satisfiability from the truth table."""
     sat = cnf_satisfiable(f.var_count, f.clauses)
-    m = len(f.clauses)
-
-    g3 = gadget_diss_2alpha(f).graph
-    diss, _ = dissociation_number_exact(g3, cutoff=cutoff)
-    alpha, _ = independence_number_exact(g3, cutoff=cutoff)
-    nus, _ = induced_matching_number_exact(g3, cutoff=cutoff)
-    if alpha != m:
-        return f"clause-clique gadget alpha={alpha}, predicted {m}"
-    if diss != alpha + nus:
-        return "clause-clique gadget misses diss = alpha + nu_s"
-    if (diss == 2 * alpha) != sat:
-        return f"diss=2alpha is {diss == 2 * alpha} but satisfiable is {sat}"
-    if (diss == 2 * nus) != sat:
-        return f"diss=2nu_s is {diss == 2 * nus} but satisfiable is {sat}"
-
-    g4 = gadget_diss_alpha(f).graph
-    diss4, _ = dissociation_number_exact(g4, cutoff=cutoff)
-    alpha4, _ = independence_number_exact(g4, cutoff=cutoff)
-    if diss4 != 2 * m:
-        return f"doubled-clause gadget diss={diss4}, predicted {2 * m}"
-    if (diss4 == alpha4) != sat:
-        return f"diss=alpha is {diss4 == alpha4} but satisfiable is {sat}"
+    for gi in (gadget_diss_2alpha(f), gadget_diss_alpha(f)):
+        detail = check_predictions(gi.graph, {**gi.predicted, "satisfiable": sat},
+                                   gi.vertex_roles, cutoff=cutoff)
+        if detail is not None:
+            return f"{gi.kind}: {detail}"
     return None
 
 
 def check_is_gadget(g: Graph, k: int, *, cutoff: int = 64) -> Optional[str]:
-    """Padded IS gadget: exact alpha/diss plus the equality biconditional."""
+    """Padded IS gadget's predictions, including the biconditional on alpha(g) < k."""
     gi = gadget_diss_alpha_plus_nus(g, k)
-    h = gi.graph
-    alpha_h, _ = independence_number_exact(h, cutoff=cutoff)
-    diss_h, _ = dissociation_number_exact(h, cutoff=cutoff)
-    nus_h, _ = induced_matching_number_exact(h, cutoff=cutoff)
-    if alpha_h != gi.predicted["alpha"]:
-        return f"alpha(H)={alpha_h}, predicted {gi.predicted['alpha']}"
-    if diss_h != gi.predicted["diss"]:
-        return f"diss(H)={diss_h}, predicted {gi.predicted['diss']}"
-    if nus_h < int(gi.predicted["nus_at_least"]):
-        return f"nu_s(H)={nus_h} below {gi.predicted['nus_at_least']}"
-    alpha_g, _ = independence_number_exact(g, cutoff=cutoff)
-    equality = diss_h == alpha_h + nus_h
-    if equality != (alpha_g < k):
-        return (
-            f"diss=alpha+nu_s is {equality} but alpha(g)={alpha_g} vs k={k}"
-        )
-    kk = int(gi.predicted["k_padded"])
-    if (alpha_g >= k) != (nus_h >= kk):
-        return f"alpha(g)>=k is {alpha_g >= k} but nu_s(H)={nus_h} vs k'={kk}"
-    return None
+    return check_predictions(gi.graph, gi.predicted, gi.vertex_roles, cutoff=cutoff)
 
 
 def check_join_gadget(g: Graph, *, cutoff: int = 64) -> Optional[str]:
     """Join gadget preserves alpha and diss, with and without the matching."""
-    from .reductions import gadget_join_kn
-
     gi, matching = gadget_join_kn(g, cutoff=cutoff)
-    h = gi.graph
-    hm = remove_edges(h, matching.edges)
-    alpha_g = gi.predicted["alpha"]
-    diss_g = gi.predicted["diss"]
-    for name, graph in (("H", h), ("H-M", hm)):
-        alpha, _ = independence_number_exact(graph, cutoff=cutoff)
-        diss, _ = dissociation_number_exact(graph, cutoff=cutoff)
-        if alpha != alpha_g:
-            return f"alpha({name})={alpha}, expected {alpha_g}"
-        if diss != diss_g:
-            return f"diss({name})={diss}, expected {diss_g}"
-    return None
+    return check_predictions(gi.graph, gi.predicted, gi.vertex_roles, matching, cutoff=cutoff)
 
 
-def _equals(name, value, expected, sat):
-    got = value(name)
+def _equals(name, value, predictions):
+    got, expected = value(name), predictions[name]
     return f"predict {name} expected {expected} got {got}" if got != int(expected) else None
 
 
-def _nus_at_least(name, value, expected, sat):
-    got = value("nu_s")
+def _nus_at_least(name, value, predictions):
+    got, expected = value("nu_s"), predictions[name]
     return f"predict {name} expected >= {expected} got {got}" if got < int(expected) else None
 
 
-def _always_alpha_plus_nus(name, value, expected, sat):
-    failed = expected == "always" and value("diss") != value("alpha") + value("nu_s")
-    return "predict diss=alpha+nu_s failed" if failed else None
+# biconditional marker -> (value, predictions) -> the truth the relation must
+# have, or None when the metadata it rests on is absent (a formula too large
+# for the truth table gets no satisfiable line)
+_MARKERS = {
+    "always": lambda value, p: True,
+    "iff-satisfiable": lambda value, p: {"True": True, "False": False}.get(p.get("satisfiable")),
+    "iff-alpha-lt-k": lambda value, p: (
+        value("alpha_original") < int(p["k_original"]) if "k_original" in p else None),
+}
 
 
-def _iff_satisfiable(relation):
-    def check(name, value, expected, sat):
-        if expected != "iff-satisfiable" or sat not in ("True", "False"):
+def _holds(relation):
+    def check(name, value, predictions):
+        marker = predictions[name]
+        if marker not in _MARKERS:
+            raise ValueError(f"unknown marker {marker!r} for prediction {name!r}")
+        truth = _MARKERS[marker](value, predictions)
+        if truth is None:
             return None
-        truth, actual = sat == "True", relation(value)
+        actual = relation(value)
         return f"predict {name} expected {truth} got {actual}" if actual != truth else None
     return check
 
 
-# prediction name -> (name, value, expected, satisfiable) -> failure detail or
-# None, where value(invariant) solves the file's graph at most once; other
-# names, and markers the predicates do not handle, go unchecked, and a file
-# with none of these names is invalid input
+# prediction name -> (name, value, predictions) -> failure detail or None
 _PREDICTIONS = {
     "order": _equals,
     "alpha": _equals,
     "diss": _equals,
+    "alpha_minus_matching": _equals,
+    "diss_minus_matching": _equals,
     "nus_at_least": _nus_at_least,
-    "diss_eq_alpha_plus_nus": _always_alpha_plus_nus,
-    "diss_eq_2alpha": _iff_satisfiable(lambda v: v("diss") == 2 * v("alpha")),
-    "diss_eq_2nus": _iff_satisfiable(lambda v: v("diss") == 2 * v("nu_s")),
-    "diss_eq_alpha": _iff_satisfiable(lambda v: v("diss") == v("alpha")),
+    "diss_eq_alpha_plus_nus": _holds(lambda v: v("diss") == v("alpha") + v("nu_s")),
+    "diss_eq_2alpha": _holds(lambda v: v("diss") == 2 * v("alpha")),
+    "diss_eq_2nus": _holds(lambda v: v("diss") == 2 * v("nu_s")),
+    "diss_eq_alpha": _holds(lambda v: v("diss") == v("alpha")),
 }
+# names the gadget builders write for the predicates to read, not to check
+_METADATA = {"satisfiable", "n_original", "k_original", "n_padded", "k_padded"}
+# a value(name) argument: an invariant, then the graph it is solved on
+_VALUE = re.compile(r"(order|alpha|diss|nu_s)(_minus_matching|_original|)")
 
 
-def check_instance_file(path: str, *, cutoff: int = 40) -> Optional[str]:
-    """Validate a gadget file's resolvable predictions against the oracles.
+def _original_graph(g: Graph, roles: Mapping[int, str]) -> Graph:
+    """The source graph: g induced on its ``orig:<v>`` vertices, v numbered by its role."""
+    source = {u: int(role[len("orig:"):]) for u, role in roles.items() if role.startswith("orig:")}
+    return new_graph(len(source), [(source[u], source[v]) for u, v in g.edge_list
+                                   if u in source and v in source])
 
-    Raises ValueError when the file has no prediction named in _PREDICTIONS.
+
+def check_predictions(g: Graph, predictions: Mapping[str, object], roles: Mapping[int, str],
+                      matching: Optional[Matching] = None, *, cutoff: int) -> Optional[str]:
+    """The first failed prediction of a gadget, in name order, or None.
+
+    Each invariant is solved at most once: on g, on g - M for a
+    ``_minus_matching`` name, and on the source graph of the ``orig:`` roles
+    for ``_original``. Raises ValueError on an unknown name, on a map with no
+    name in _PREDICTIONS, and on a ``_minus_matching`` name with no matching.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    g = parse_edge_list(text)
-    _, predictions, _ = parse_gadget_metadata(text)
-    sat = predictions.get("satisfiable")
-    values = {"order": g.n}
-
-    def value(name: str) -> int:
-        if name not in values:
-            values[name], _ = SOLVERS[name](g, cutoff)
-        return values[name]
-
-    checked = sorted(name for name in predictions if name in _PREDICTIONS)
+    predictions = {name: str(v) for name, v in predictions.items()}
+    unknown = sorted(predictions.keys() - _PREDICTIONS.keys() - _METADATA)
+    if unknown:
+        raise ValueError(f"unknown prediction {unknown[0]!r}")
+    checked = sorted(predictions.keys() & _PREDICTIONS.keys())
     if not checked:
-        raise ValueError(f"{path} carries no prediction that check verifies")
+        raise ValueError("no prediction that check verifies")
+    if matching is None and any(name.endswith("_minus_matching") for name in checked):
+        raise ValueError("predictions on g - M, but no matching")
+    graphs = {"": lambda: g, "_minus_matching": lambda: remove_edges(g, matching.edges),
+              "_original": lambda: _original_graph(g, roles)}
+    graph = functools.cache(lambda on: graphs[on]())
+
+    @functools.cache
+    def value(name: str) -> int:
+        invariant, on = _VALUE.fullmatch(name).groups()
+        h = graph(on)
+        return h.n if invariant == "order" else SOLVERS[invariant](h, cutoff)[0]
+
     for name in checked:
-        detail = _PREDICTIONS[name](name, value, predictions[name], sat)
+        detail = _PREDICTIONS[name](name, value, predictions)
         if detail is not None:
             return detail
     return None
+
+
+def check_instance_file(path: str, *, cutoff: int = 40) -> Optional[str]:
+    """A gadget file's predictions, with its ``<path>.matching`` sidecar if any.
+
+    Raises ValueError, naming the file, where check_predictions does.
+    """
+    text = pathlib.Path(path).read_text(encoding="utf-8")
+    g = parse_edge_list(text)
+    _, predictions, roles = parse_gadget_metadata(text)
+    sidecar = pathlib.Path(path + ".matching")
+    matching = parse_matching(sidecar.read_text(encoding="utf-8"), g) if sidecar.exists() else None
+    try:
+        return check_predictions(g, predictions, roles, matching, cutoff=cutoff)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

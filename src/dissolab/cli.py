@@ -32,7 +32,7 @@ from .graph import (
     parse_edge_list,
     to_dot,
 )
-from .matching import Matching, matching_from_edges, maximum_matching
+from .matching import maximum_matching, parse_matching
 from .recognizer import Extremal, recognize_extremal
 from .reductions import (
     PreconditionFailed,
@@ -75,24 +75,13 @@ def _default_cutoff() -> int:
         raise ValueError(f"invalid {_ENV_CUTOFF} value {value!r}") from None
 
 
+def _read(path: str) -> str:
+    with open(path, "r", encoding="utf-8") as handle:
+        return handle.read()
+
+
 def _read_graph(path: str) -> Graph:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_edge_list(handle.read())
-
-
-def _read_matching(path: str, g: Graph) -> Matching:
-    edges = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("c"):
-                continue
-            fields = line.split()
-            if len(fields) != 3 or fields[0] != "m":
-                raise ParseError(line_no, f"malformed matching line {line!r}")
-            u, v = int(fields[1]) - 1, int(fields[2]) - 1
-            edges.append((u, v))
-    return matching_from_edges(g, edges)
+    return parse_edge_list(_read(path))
 
 
 def _vertices(vs) -> str:
@@ -159,7 +148,7 @@ def cmd_recognize(args: argparse.Namespace) -> int:
     if args.matching == "auto":
         m = maximum_matching(g)
     else:
-        m = _read_matching(args.matching, g)
+        m = parse_matching(_read(args.matching), g)
     outcome = recognize_extremal(g, m)
     print(f"instance={args.path}")
     print(f"n={g.n}")
@@ -196,8 +185,7 @@ def cmd_gadget(args: argparse.Namespace) -> int:
     if args.kind in ("fig3", "fig4"):
         if not args.cnf:
             raise ValueError(f"kind {args.kind} needs --cnf")
-        with open(args.cnf, "r", encoding="utf-8") as handle:
-            formula = parse_cnf(handle.read())
+        formula = parse_cnf(_read(args.cnf))
         if formula.var_count <= 20:
             extra["satisfiable"] = cnf_satisfiable(formula.var_count, formula.clauses)
         builder = gadget_diss_2alpha if args.kind == "fig3" else gadget_diss_alpha
@@ -240,6 +228,7 @@ def _spec_ints(target: str, fields: list[str], count: int) -> list[int]:
 
 
 def _catalog(build, max_n: int, first: int = 1) -> list:
+    build(max_n)  # the largest first, so an oversized catalog fails before any work
     return [g for n in range(first, max_n + 1) for g in build(n)]
 
 

@@ -30,6 +30,9 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+# largest vertex count a header may declare: far above the 10^5-vertex inputs
+# the polynomial paths serve, far below what would exhaust memory
+MAX_VERTICES = 10**7
 
 
 class GraphConstructionError(ValueError):
@@ -203,6 +206,8 @@ def parse_edge_list(text: str) -> Graph:
                 raise ParseError(line_no, f"malformed header {line!r}") from None
             if n < 0 or declared_m < 0:
                 raise ParseError(line_no, "negative count in header")
+            if n > MAX_VERTICES:
+                raise ParseError(line_no, f"header declares {n} vertices, above {MAX_VERTICES}")
         elif fields[0] == "e":
             if n < 0:
                 raise ParseError(line_no, "edge before header")

@@ -12,12 +12,13 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import Graph, _canonical_edge
+from .graph import Graph, ParseError, _canonical_edge
 
 __all__ = [
     "Matching",
     "MatchingNotMaximumError",
     "matching_from_edges",
+    "parse_matching",
     "partner_map",
     "is_matching",
     "is_induced_matching",
@@ -74,6 +75,21 @@ def matching_from_edges(g: Graph, edges: Iterable[tuple[int, int]]) -> Matching:
     if not is_matching(g, es):
         raise ValueError("edge set is not a matching of the graph")
     return Matching(es)
+
+
+def parse_matching(text: str, g: Graph) -> Matching:
+    """Matching-file text as a matching of g: ``m <u> <v>`` lines, 1-based;
+    comment lines start with ``c``."""
+    edges = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        fields = line.split()
+        if len(fields) != 3 or fields[0] != "m":
+            raise ParseError(line_no, f"malformed matching line {line!r}")
+        edges.append((int(fields[1]) - 1, int(fields[2]) - 1))
+    return matching_from_edges(g, edges)
 
 
 def partner_map(m: Matching) -> dict[int, int]:

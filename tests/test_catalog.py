@@ -10,6 +10,7 @@ from dissolab.catalog import (
     connected_bipartite_graphs,
     connected_graphs,
 )
+from dissolab.exact import InstanceTooLarge
 from dissolab.graph import NotBipartiteError, new_graph
 
 from strategies import graphs
@@ -119,3 +120,13 @@ def test_catalog_members_are_canonical_representatives():
     # catalog output is independent of generation order
     for g in connected_graphs(6):
         assert canonical_graph(g) == g
+
+
+@pytest.mark.parametrize(
+    "build,n",
+    [(connected_graphs, 9), (connected_graphs, 40), (connected_bipartite_graphs, 11),
+     (all_graphs, 7)],
+)
+def test_oversized_catalog_raises_before_generating(build, n):
+    with pytest.raises(InstanceTooLarge):
+        build(n)

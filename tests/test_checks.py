@@ -1,0 +1,42 @@
+import pytest
+
+from dissolab import checks, exact
+from dissolab.corpus import random_cnf_corpus
+from dissolab.graph import new_graph
+
+
+def off_by_one(solver):
+    def wrong(g, *, cutoff):
+        value, witness = solver(g, cutoff=cutoff)
+        return value + 1, witness
+    return wrong
+
+
+GADGET_CHECKS = {
+    "cnf": lambda: checks.check_cnf_gadgets(random_cnf_corpus(1, 5, 4, 1)[0]),
+    "is": lambda: checks.check_is_gadget(new_graph(3, [(0, 1), (1, 2)]), 2),
+    "join": lambda: checks.check_join_gadget(new_graph(3, [])),
+}
+
+
+@pytest.mark.parametrize("oracle", ["independence_number_exact", "dissociation_number_exact"])
+@pytest.mark.parametrize("gadget", sorted(GADGET_CHECKS))
+def test_gadget_checks_catch_a_wrong_oracle(gadget, oracle, monkeypatch):
+    run = GADGET_CHECKS[gadget]
+    assert run() is None
+    monkeypatch.setattr(exact, oracle, off_by_one(getattr(exact, oracle)))
+    assert run() is not None
+
+
+@pytest.mark.parametrize(
+    "predictions,message",
+    [
+        ({"alpha": 1, "alpah": 1}, "unknown prediction 'alpah'"),
+        ({"k_original": 1}, "no prediction"),
+        ({"alpha_minus_matching": 1}, "no matching"),
+        ({"diss_eq_alpha": "iff-tuesday"}, "unknown marker"),
+    ],
+)
+def test_invalid_predictions_raise(predictions, message):
+    with pytest.raises(ValueError, match=message):
+        checks.check_predictions(new_graph(2, [(0, 1)]), predictions, {}, cutoff=30)

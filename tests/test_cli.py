@@ -1,4 +1,7 @@
 import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -102,6 +105,12 @@ class TestApprox:
         path = write_graph(tmp_path / "k3.dimacs", new_graph(3, [(0, 1), (1, 2), (0, 2)]))
         assert main(["approx", path]) == 2
         assert "NotBipartite" in capsys.readouterr().err
+
+    def test_absurd_header_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "huge.dimacs"
+        path.write_text("p edge 100000000000 1\ne 1 2\n")
+        assert main(["approx", str(path)]) == 2
+        assert "ParseError" in capsys.readouterr().err
 
 
 class TestRecognize:
@@ -322,8 +331,9 @@ class TestCheck:
     @pytest.mark.parametrize(
         "text",
         ["p edge 3 2\ne 1 2\ne 2 3\n",
-         "p edge 3 2\nc predict alpha_minus_matching 2\ne 1 2\ne 2 3\n"],
-        ids=["no-predictions", "unchecked-prediction"],
+         "p edge 3 2\nc predict alpha_minus_matching 2\ne 1 2\ne 2 3\n",
+         "p edge 3 2\nc predict alpha 2\nc predict alpah 2\ne 1 2\ne 2 3\n"],
+        ids=["no-predictions", "unchecked-prediction", "unknown-prediction"],
     )
     def test_file_without_checked_prediction_rejected(self, text, tmp_path, capsys):
         corpus = tmp_path / "corpus"
@@ -333,6 +343,47 @@ class TestCheck:
         captured = capsys.readouterr()
         assert "status=ok" not in captured.out
         assert "p3.dimacs" in captured.err
+
+    @pytest.mark.parametrize(
+        "kind,graph,flags,old,new,detail",
+        [
+            ("join", new_graph(3, []), [], "alpha_minus_matching 3", "alpha_minus_matching 2",
+             "predict alpha_minus_matching expected 2 got 3"),
+            ("join", new_graph(3, []), [], "diss_minus_matching 3", "diss_minus_matching 4",
+             "predict diss_minus_matching expected 4 got 3"),
+            # alpha(P3) = 2, so with k = 3 the equality would have to hold
+            ("is", new_graph(3, [(0, 1), (1, 2)]), ["--k", "2"], "k_original 2", "k_original 3",
+             "predict diss_eq_alpha_plus_nus expected True got False"),
+        ],
+        ids=["alpha_minus_matching", "diss_minus_matching", "k_original"],
+    )
+    def test_tampered_gadget_file_fails(self, kind, graph, flags, old, new, detail,
+                                        tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        out = corpus / f"{kind}.dimacs"
+        gpath = write_graph(tmp_path / "g.dimacs", graph)
+        assert main(["gadget", kind, "--graph", gpath, *flags, "--out", str(out)]) == 0
+        assert main(["check", str(corpus)]) == 0
+        capsys.readouterr()
+        out.write_text(out.read_text().replace(f"c predict {old}\n", f"c predict {new}\n"))
+        assert main(["check", str(corpus)]) == 1
+        assert f"status=fail detail={detail}" in capsys.readouterr().out
+
+    def test_gadget_corpus_script_checks_clean(self, tmp_path, capsys):
+        root = pathlib.Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        subprocess.run([sys.executable, str(root / "scripts" / "make_gadget_corpus.py"),
+                        str(tmp_path)], check=True, env=env, capture_output=True)
+        assert main(["check", str(tmp_path)]) == 0
+        assert "instances=25 failures=0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "target", ["chain-catalog:40", "matching-catalog:11", "recognizer-catalog:11",
+                   "isgadget:7:1"])
+    def test_oversized_catalog_exit_code(self, target, capsys):
+        assert main(["check", target]) == 3
+        assert "InstanceTooLarge" in capsys.readouterr().err
 
     def test_unknown_target_rejected(self, capsys):
         assert main(["check", "nonsense:1"]) == 2

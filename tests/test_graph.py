@@ -117,6 +117,11 @@ class TestEdgeListFormat:
         with pytest.raises(ParseError, match="line 2.*out of range"):
             parse_edge_list("p edge 2 1\ne 1 3\n")
 
+    def test_absurd_vertex_count(self):
+        # rejected at the header, before anything of that size is allocated
+        with pytest.raises(ParseError, match="line 1"):
+            parse_edge_list("p edge 100000000000 1\ne 1 2\n")
+
     def test_count_mismatch(self):
         with pytest.raises(ParseError, match="declares 2"):
             parse_edge_list("p edge 3 2\ne 1 2\n")
