@@ -65,6 +65,12 @@ FIXTURES = {
     ),
     "unsat.matching": _matching([(1, 2), (3, 4), (5, 6), (7, 8), (9, 10), (12, 13), (14, 15)]),
     "c6.matching": _matching([(2, 3), (4, 5), (1, 6)]),
+    # extremal: a 4-path read from its higher endpoint 11, a 6-cycle whose
+    # lowest vertex 2 is on side B, and the stray edge 3-9 forcing rotation 3
+    "rotated.dimacs": _edges(
+        11, [(1, 6), (1, 10), (2, 5), (2, 7), (3, 4), (3, 7), (3, 9), (4, 8), (5, 8),
+             (9, 10), (9, 11)]),
+    "rotated.matching": _matching([(1, 10), (2, 7), (3, 4), (5, 8), (9, 11)]),
     "c6-partial.matching": _matching([(1, 2)]),
     "f.cnf": "p cnf 4 3\n1 2 3 0\n-1 4 -2 0\n1 3 4 0\n",
 }
@@ -93,6 +99,8 @@ CASES = {
     "approx-not-bipartite": (["approx", "k3.dimacs"], []),
     "recognize-auto-c6": (["recognize", "c6.dimacs", "--dot", "c6.dot"], ["c6.dot"]),
     "recognize-file-c6": (["recognize", "c6.dimacs", "--matching", "c6.matching"], []),
+    "recognize-file-rotated": (
+        ["recognize", "rotated.dimacs", "--matching", "rotated.matching"], []),
     "recognize-auto-bip": (["recognize", "bip.dimacs"], []),
     "recognize-not-maximum": (
         ["recognize", "c6.dimacs", "--matching", "c6-partial.matching"], []),
