@@ -3,19 +3,20 @@
 
 Pipeline: validate M is maximum; take a maximum matching M' of G - M and
 require |M| = |M'|; the union H = M + M' splits into alternating paths and
-cycles whose lengths must be 4 mod 6 (paths) and 0 mod 6 (cycles). Path
-vertices then have forced positions in a six-class pattern; cycle rotations
-leave three choices each, and the stray edges of G (those outside M + M')
-must land on a blocked class (A4/B4), which a 2-SAT formula over the
-rotation choices decides. On success the four unblocked classes form a
-maximum dissociation set of size 4 * ell.
+cycles whose lengths must be 4 mod 6 (paths) and 0 mod 6 (cycles). One
+period-6 table, ``_PATTERN``, gives the classes along a component: a path
+reads it from its first vertex, and a cycle reads it at one of three
+rotations. The stray edges of G (those outside M + M') must land on a
+blocked class (A4/B4); a 2-SAT formula over the rotation choices decides
+whether they can. On success the four unblocked classes form a maximum
+dissociation set of size 4 * ell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Optional, Union
+from typing import Iterator, Mapping, Optional, Union
 
 from .graph import Graph, remove_edges
 from .matching import (
@@ -56,15 +57,20 @@ class SixClass(Enum):
     B4 = "B4"
 
 
-# class patterns along a component, period 6, first edge in M
-_A_START = (
-    SixClass.A1, SixClass.B1, SixClass.A4, SixClass.B2, SixClass.A2, SixClass.B4,
-)
-_B_START = (
-    SixClass.B1, SixClass.A1, SixClass.B4, SixClass.A2, SixClass.B2, SixClass.A4,
-)
 _IN_SET = frozenset({SixClass.A1, SixClass.A2, SixClass.B1, SixClass.B2})
 _BLOCKED = frozenset({SixClass.A4, SixClass.B4})
+# _PATTERN[side]: the classes, period 6, along a component whose first vertex
+# is on that side and whose first edge is in M. The side-B row is the side-A
+# row read backwards from B1, across the M edge A1-B1.
+_A_ROW = (SixClass.A1, SixClass.B1, SixClass.A4, SixClass.B2, SixClass.A2, SixClass.B4)
+_PATTERN = (_A_ROW, tuple(_A_ROW[(1 - i) % 6] for i in range(6)))
+# rotation r of a cycle puts its position p in _PATTERN[0][(p + _SHIFTS[r]) % 6]
+_SHIFTS = (2, 0, 4)
+# cycle position mod 6 -> the one rotation that puts it in A4 or B4
+_BLOCKING = tuple(
+    next(r for r, shift in enumerate(_SHIFTS) if _PATTERN[0][(p + shift) % 6] in _BLOCKED)
+    for p in range(6)
+)
 
 
 @dataclass(frozen=True)
@@ -78,7 +84,6 @@ class SixLabeling:
 @dataclass(frozen=True)
 class PathComponent:
     vertices: tuple[int, ...]
-    edges_in_m: tuple[bool, ...]
 
     @property
     def length(self) -> int:
@@ -99,10 +104,6 @@ class CycleComponent:
 class AlternatingDecomposition:
     paths: tuple[PathComponent, ...]
     cycles: tuple[CycleComponent, ...]
-
-    @property
-    def components(self) -> tuple[Union[PathComponent, CycleComponent], ...]:
-        return self.paths + self.cycles
 
 
 class NotExtremalReason(Enum):
@@ -136,9 +137,9 @@ def decompose_alternating(
     """Split H = (V(g), m + m2) into alternating paths and cycles.
 
     Both matchings touch each vertex at most once, so H has maximum degree
-    two and the edge tags alternate automatically. Cycles are rotated to
-    start at their lowest side-A vertex with the M edge first; paths start
-    at an M-covered endpoint when one exists, else at the lower endpoint.
+    two and its edges alternate between M and M'. Cycles start at their
+    lowest side-A vertex with the M edge first; paths start at an M-covered
+    endpoint when one exists, else at the lower endpoint.
     """
     if m.edges & m2.edges:
         raise ValueError("matchings overlap; they must be edge-disjoint")
@@ -166,7 +167,7 @@ def decompose_alternating(
             cur = nxt
             take_m = not take_m
 
-    # paths first: endpoints have degree <= 1 in H
+    # paths first, each walked from its lower endpoint (degree <= 1 in H)
     for v in range(n):
         if visited[v]:
             continue
@@ -174,32 +175,20 @@ def decompose_alternating(
         if in_m and v in pm2:
             continue
         seq = walk(v, in_m)
-        if len(seq) > 1:
-            last = seq[-1]
-            last_in_m = pm.get(last) == seq[-2]
-            first_in_m = pm.get(seq[0]) == seq[1]
-            if not first_in_m and last_in_m:
-                seq.reverse()
-            elif first_in_m == last_in_m and seq[-1] < seq[0]:
-                seq.reverse()
-        tags = tuple(pm.get(seq[i]) == seq[i + 1] for i in range(len(seq) - 1))
-        paths.append(PathComponent(tuple(seq), tags))
+        if not in_m and len(seq) > 1 and pm.get(seq[-1]) == seq[-2]:
+            seq.reverse()
+        paths.append(PathComponent(tuple(seq)))
 
     # remaining vertices lie on cycles
     for v in range(n):
         if visited[v]:
             continue
         seq = walk(v, True)
-        anchor = min(u for u in seq if g.side[u] == 0)
-        i = seq.index(anchor)
-        # orient so the anchor's successor edge is its M edge
-        if pm[anchor] == seq[(i + 1) % len(seq)]:
-            rotated = seq[i:] + seq[:i]
-        else:
-            rotated = [seq[i]] + seq[:i][::-1] + seq[i + 1:][::-1]
-            if pm[anchor] != rotated[1]:
-                raise RuntimeError(f"cycle {tuple(seq)} does not alternate at {anchor}")
-        cycles.append(CycleComponent(tuple(rotated)))
+        i = seq.index(min(u for u in seq if g.side[u] == 0))
+        # the walk takes M at even positions, so from an even i walk on and
+        # from an odd i walk back: either way seq[i]'s M edge comes first
+        cycles.append(CycleComponent(tuple(
+            seq[i:] + seq[:i] if i % 2 == 0 else seq[i::-1] + seq[:i:-1])))
     return AlternatingDecomposition(tuple(paths), tuple(cycles))
 
 
@@ -225,33 +214,36 @@ def label_path_components(
 ) -> dict[int, SixClass]:
     """Fix the six-class positions of all path vertices.
 
-    A path is read from its endpoint not covered by M'; the first edge lies
-    in M, and the classes then repeat with period six (mirrored when the
-    start vertex is on side B). Cycle vertices stay unlabeled here.
+    A path is read from its endpoint not covered by M', so its first edge
+    lies in M, and takes ``_PATTERN`` of its first vertex's side from the
+    start. Cycle vertices stay unlabeled here.
     """
     pm2 = partner_map(m2)
     labels: dict[int, SixClass] = {}
     for path in d.paths:
         verts = path.vertices
-        if len(verts) == 1 or not path.edges_in_m[0] or verts[0] in pm2:
+        if len(verts) == 1 or verts[0] in pm2:
             raise RuntimeError(
                 "path labeling reached with unvalidated component "
                 f"{verts}; length checks must run first"
             )
-        pattern = _A_START if g.side[verts[0]] == 0 else _B_START
+        pattern = _PATTERN[g.side[verts[0]]]
         for idx, v in enumerate(verts):
             labels[v] = pattern[idx % 6]
     return labels
+
+
+def _stray_edges(g: Graph, m: Matching, m2: Matching) -> Iterator[tuple[int, int]]:
+    """The edges of g outside M + M', in edge_list order."""
+    used = m.edges | m2.edges
+    return (e for e in g.edge_list if e not in used)
 
 
 def check_path_path_edges(
     g: Graph, m: Matching, m2: Matching, labels: Mapping[int, SixClass]
 ) -> Optional[NotExtremal]:
     """Stray edges between two path vertices must touch A4 or B4."""
-    used = m.edges | m2.edges
-    for u, v in g.edge_list:
-        if (u, v) in used:
-            continue
+    for u, v in _stray_edges(g, m, m2):
         if u in labels and v in labels:
             if labels[u] not in _BLOCKED and labels[v] not in _BLOCKED:
                 return NotExtremal(
@@ -262,16 +254,6 @@ def check_path_path_edges(
     return None
 
 
-def _anchor_index_a(position: int) -> int:
-    # 1-based rotation index j whose anchor sits 0 mod 6 before this A vertex
-    return (position % 6) // 2 + 1
-
-
-def _anchor_index_b(position: int) -> int:
-    # rotation index j whose anchor sits 3 mod 6 before this B vertex
-    return ((position - 3) % 6) // 2 + 1
-
-
 def build_2sat(
     g: Graph,
     d: AlternatingDecomposition,
@@ -279,7 +261,8 @@ def build_2sat(
     m2: Matching,
     labels: Mapping[int, SixClass],
 ) -> tuple[TwoSatFormula, dict[tuple[int, int], int]]:
-    """Formula over rotation variables x[i,j]: cycle i gets anchor j in A4.
+    """Formula over rotation variables: 3 * i + r is true when cycle i takes
+    rotation r of ``_SHIFTS``; ``var_map`` maps (i, r + 1) to it.
 
     Per cycle: pairwise at-most-one clauses over its three variables. A
     stray edge into a cycle forces the rotation that blocks its cycle
@@ -287,40 +270,24 @@ def build_2sat(
     stray edge between two cycle vertices yields the disjunction of the two
     blocking rotations.
     """
-    position: dict[int, tuple[int, int]] = {}
-    for ci, cyc in enumerate(d.cycles):
-        for p, v in enumerate(cyc.vertices):
-            position[v] = (ci, p)
+    blocking = {
+        v: 3 * ci + _BLOCKING[p % 6]
+        for ci, cyc in enumerate(d.cycles) for p, v in enumerate(cyc.vertices)
+    }
     var_map = {
         (ci, j): 3 * ci + (j - 1) for ci in range(len(d.cycles)) for j in (1, 2, 3)
     }
     clauses: list[tuple[Literal, ...]] = []
     for ci in range(len(d.cycles)):
-        x1, x2, x3 = (var_map[(ci, j)] for j in (1, 2, 3))
-        clauses.append(((x1, False), (x2, False)))
-        clauses.append(((x2, False), (x3, False)))
-        clauses.append(((x1, False), (x3, False)))
-    used = m.edges | m2.edges
-    for u, v in g.edge_list:
-        if (u, v) in used:
-            continue
-        a, bb = (u, v) if g.side[u] == 0 else (v, u)
-        a_lit: Optional[Literal] = None
-        b_lit: Optional[Literal] = None
-        if a in position:
-            ci, p = position[a]
-            a_lit = (var_map[(ci, _anchor_index_a(p))], True)
-        if bb in position:
-            ci, q = position[bb]
-            b_lit = (var_map[(ci, _anchor_index_b(q))], True)
-        if a_lit is not None and b_lit is not None:
-            clauses.append((a_lit, b_lit))
-        elif a_lit is not None:
-            if labels[bb] is not SixClass.B4:
-                clauses.append((a_lit,))
-        elif b_lit is not None:
-            if labels[a] is not SixClass.A4:
-                clauses.append((b_lit,))
+        for r, s in ((0, 1), (1, 2), (0, 2)):
+            clauses.append(((3 * ci + r, False), (3 * ci + s, False)))
+    for u, v in _stray_edges(g, m, m2):
+        ends = (u, v) if g.side[u] == 0 else (v, u)  # side-A literal first
+        lits = tuple((blocking[w], True) for w in ends if w in blocking)
+        # with one endpoint on a cycle, the clause is needed only while the
+        # path endpoint is unblocked
+        if len(lits) == 2 or (lits and all(labels.get(w) not in _BLOCKED for w in ends)):
+            clauses.append(lits)
     formula = TwoSatFormula(3 * len(d.cycles), tuple(clauses))
     return formula, var_map
 
@@ -332,14 +299,10 @@ def _complete_labeling(
 ) -> dict[int, SixClass]:
     classes = dict(labels)
     for ci, cyc in enumerate(d.cycles):
-        anchor = 1
-        for j in (1, 2, 3):
-            if assignment.values[3 * ci + (j - 1)]:
-                anchor = j
-                break
-        shift = 2 * (anchor - 1)
+        rotation = next((r for r in range(3) if assignment.values[3 * ci + r]), 0)
+        shift = _SHIFTS[rotation]
         for p, v in enumerate(cyc.vertices):
-            classes[v] = _A_START[(p - shift + 2) % 6]
+            classes[v] = _PATTERN[0][(p + shift) % 6]
     return classes
 
 
@@ -364,10 +327,7 @@ def _validate_extremal(
         raise RuntimeError("unbalanced six-class labeling")
     if len(chosen) != 4 * ell or not is_dissociation_set(g, chosen):
         raise RuntimeError("labeled vertex set is not a valid dissociation set")
-    used = m.edges | m2.edges
-    for u, v in g.edge_list:
-        if (u, v) in used:
-            continue
+    for u, v in _stray_edges(g, m, m2):
         if classes[u] not in _BLOCKED and classes[v] not in _BLOCKED:
             raise RuntimeError(f"stray edge ({u}, {v}) misses A4 and B4")
     # matched-pair bookkeeping of the blocked classes

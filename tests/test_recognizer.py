@@ -81,6 +81,13 @@ def path_graph(k, offset=0):
     return [(offset + i, offset + i + 1) for i in range(k - 1)]
 
 
+def rotated_instance():
+    """Extremal: the recognize-file-rotated golden case, numbered from 0."""
+    g = new_graph(11, [(0, 5), (0, 9), (1, 4), (1, 6), (2, 3), (2, 6), (2, 8), (3, 7),
+                       (4, 7), (8, 9), (8, 10)])
+    return g, matching_from_edges(g, [(0, 9), (1, 6), (2, 3), (4, 7), (8, 10)])
+
+
 class TestDecompose:
     def test_c6_single_cycle(self):
         g = c6()
@@ -97,8 +104,7 @@ class TestDecompose:
         m2 = matching_from_edges(g, [(1, 2)])
         d = decompose_alternating(g, m, m2)
         assert not d.cycles and len(d.paths) == 1
-        assert d.paths[0].length == 3
-        assert d.paths[0].edges_in_m == (True, False, True)
+        assert d.paths[0].vertices == (0, 1, 2, 3)
 
     def test_isolated_vertices_are_trivial_paths(self):
         g = new_graph(2, [])
@@ -117,8 +123,37 @@ class TestDecompose:
         m = matching_from_edges(g, [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)])
         m2 = matching_from_edges(g, [(1, 2), (3, 4), (7, 8), (9, 10)])
         d = decompose_alternating(g, m, m2)
-        seen = [v for comp in d.components for v in comp.vertices]
+        seen = [v for comp in d.paths + d.cycles for v in comp.vertices]
         assert sorted(seen) == list(range(11))
+
+    def test_path_read_from_m_covered_endpoint(self):
+        # path 10-8-9-0-5: its lower endpoint 5 is covered by M' only
+        g, m = rotated_instance()
+        d = decompose_alternating(g, m, maximum_matching(remove_edges(g, m.edges)))
+        assert [p.vertices for p in d.paths] == [(10, 8, 9, 0, 5)]
+
+    def test_cycle_starts_at_lowest_side_a_vertex(self):
+        # the cycle's lowest vertex 1 is on side B; from its lowest side-A
+        # vertex 3 the walk follows the M edge 3-2
+        g, m = rotated_instance()
+        d = decompose_alternating(g, m, maximum_matching(remove_edges(g, m.edges)))
+        assert g.side[1] == 1 and g.side[3] == 0
+        assert [c.vertices for c in d.cycles] == [(3, 2, 6, 1, 4, 7)]
+
+    @pytest.mark.parametrize("shift", range(6))
+    def test_cycle_orientation_independent_of_labels(self, shift):
+        # a 6-cycle relabeled by rotation: start at the lowest side-A vertex,
+        # then its M partner, whichever way the labels run
+        k = 6
+        order = [(i + shift) % k for i in range(k)]
+        g = new_graph(k, [(order[i], order[(i + 1) % k]) for i in range(k)])
+        m = matching_from_edges(g, [(order[i], order[i + 1]) for i in range(0, k, 2)])
+        m2 = matching_from_edges(g, [(order[i + 1], order[(i + 2) % k]) for i in range(0, k, 2)])
+        (cyc,) = decompose_alternating(g, m, m2).cycles
+        anchor = min(v for v in range(k) if g.side[v] == 0)
+        assert cyc.vertices[0] == anchor
+        assert frozenset(cyc.vertices[:2]) in {frozenset(e) for e in m.edges}
+        assert sorted(cyc.vertices) == list(range(k))
 
 
 class TestLengthChecks:
@@ -256,6 +291,19 @@ class TestBuildTwoSat:
         lit_vars = {var for var, _ in binary[0]}
         assert var_map[(0, 1)] in lit_vars
         assert var_map[(1, 3)] in lit_vars
+
+    def test_stray_edge_forces_third_rotation(self):
+        # the stray edge 2-8 joins cycle position 1 (side B) to the path's A1
+        g, m = rotated_instance()
+        m2 = maximum_matching(remove_edges(g, m.edges))
+        d = decompose_alternating(g, m, m2)
+        labels = label_path_components(g, d, m2)
+        assert labels[8] is SixClass.A1
+        formula, var_map = build_2sat(g, d, m, m2, labels)
+        assert formula.clauses[3:] == (((var_map[(0, 3)], True),),)
+        outcome = recognize_extremal(g, m)
+        assert isinstance(outcome, Extremal)
+        assert outcome.labeling.classes[2] is SixClass.B4
 
     def test_stray_edge_to_blocked_path_vertex_adds_nothing(self):
         edges = (
