@@ -26,7 +26,7 @@ from .exact import (
     is_independent_set,
     matching_number_bruteforce,
 )
-from .recognizer import Extremal, recognize_extremal
+from .recognizer import Extremal, SixClass, recognize_extremal
 from .reductions import (
     CnfFormula,
     gadget_diss_2alpha,
@@ -83,10 +83,9 @@ def check_recognizer(g: Graph, *, cutoff: int = 64) -> Optional[str]:
     """Extremal outcome iff 3 diss(g) = 4 alpha(g - M), both by oracles."""
     m = maximum_matching(g)
     outcome = recognize_extremal(g, m)
+    g_minus_m = remove_edges(g, m.edges)
     diss, _ = dissociation_number_exact(g, cutoff=cutoff)
-    alpha_minus, _ = independence_number_exact(
-        remove_edges(g, m.edges), cutoff=cutoff
-    )
+    alpha_minus, _ = independence_number_exact(g_minus_m, cutoff=cutoff)
     extremal_oracle = 3 * diss == 4 * alpha_minus
     if isinstance(outcome, Extremal):
         if not extremal_oracle:
@@ -100,11 +99,9 @@ def check_recognizer(g: Graph, *, cutoff: int = 64) -> Optional[str]:
             return "extremal set is not a dissociation set"
         inner = frozenset(
             v for v, cls in outcome.labeling.classes.items()
-            if cls.value in ("A1", "A2", "B1")
+            if cls in (SixClass.A1, SixClass.A2, SixClass.B1)
         )
-        if len(inner) != alpha_minus or not is_independent_set(
-            remove_edges(g, m.edges), inner
-        ):
+        if len(inner) != alpha_minus or not is_independent_set(g_minus_m, inner):
             return "A1|A2|B1 is not a maximum independent set of g - M"
     else:
         if extremal_oracle:
@@ -163,6 +160,8 @@ def _nus_at_least(name, value, predictions):
     return f"predict {name} expected >= {expected} got {got}" if got < int(expected) else None
 
 
+# what a predicate returns when the metadata its marker rests on is absent
+_SKIPPED = "skipped"
 # biconditional marker -> (value, predictions) -> the truth the relation must
 # have, or None when the metadata it rests on is absent (a formula too large
 # for the truth table gets no satisfiable line)
@@ -181,13 +180,13 @@ def _holds(relation):
             raise ValueError(f"unknown marker {marker!r} for prediction {name!r}")
         truth = _MARKERS[marker](value, predictions)
         if truth is None:
-            return None
+            return _SKIPPED
         actual = relation(value)
         return f"predict {name} expected {truth} got {actual}" if actual != truth else None
     return check
 
 
-# prediction name -> (name, value, predictions) -> failure detail or None
+# prediction name -> (name, value, predictions) -> failure detail, None, or _SKIPPED
 _PREDICTIONS = {
     "order": _equals,
     "alpha": _equals,
@@ -219,16 +218,15 @@ def check_predictions(g: Graph, predictions: Mapping[str, object], roles: Mappin
 
     Each invariant is solved at most once: on g, on g - M for a
     ``_minus_matching`` name, and on the source graph of the ``orig:`` roles
-    for ``_original``. Raises ValueError on an unknown name, on a map with no
-    name in _PREDICTIONS, and on a ``_minus_matching`` name with no matching.
+    for ``_original``. Raises ValueError on an unknown name, on a map in
+    which every name of _PREDICTIONS is skipped or none is present, and on a
+    ``_minus_matching`` name with no matching.
     """
     predictions = {name: str(v) for name, v in predictions.items()}
     unknown = sorted(predictions.keys() - _PREDICTIONS.keys() - _METADATA)
     if unknown:
         raise ValueError(f"unknown prediction {unknown[0]!r}")
     checked = sorted(predictions.keys() & _PREDICTIONS.keys())
-    if not checked:
-        raise ValueError("no prediction that check verifies")
     if matching is None and any(name.endswith("_minus_matching") for name in checked):
         raise ValueError("predictions on g - M, but no matching")
     graphs = {"": lambda: g, "_minus_matching": lambda: remove_edges(g, matching.edges),
@@ -241,24 +239,30 @@ def check_predictions(g: Graph, predictions: Mapping[str, object], roles: Mappin
         h = graph(on)
         return h.n if invariant == "order" else SOLVERS[invariant](h, cutoff)[0]
 
+    skipped = 0
     for name in checked:
         detail = _PREDICTIONS[name](name, value, predictions)
-        if detail is not None:
+        if detail == _SKIPPED:
+            skipped += 1
+        elif detail is not None:
             return detail
+    if skipped == len(checked):
+        raise ValueError("no prediction that check verifies")
     return None
 
 
 def check_instance_file(path: str, *, cutoff: int = 40) -> Optional[str]:
     """A gadget file's predictions, with its ``<path>.matching`` sidecar if any.
 
-    Raises ValueError, naming the file, where check_predictions does.
+    Raises ValueError, naming the file, where a parser or check_predictions
+    does.
     """
     text = pathlib.Path(path).read_text(encoding="utf-8")
-    g = parse_edge_list(text)
-    _, predictions, roles = parse_gadget_metadata(text)
     sidecar = pathlib.Path(path + ".matching")
-    matching = parse_matching(sidecar.read_text(encoding="utf-8"), g) if sidecar.exists() else None
     try:
+        g = parse_edge_list(text)
+        _, predictions, roles = parse_gadget_metadata(text)
+        matching = parse_matching(sidecar.read_text(encoding="utf-8"), g) if sidecar.exists() else None
         return check_predictions(g, predictions, roles, matching, cutoff=cutoff)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -22,6 +22,7 @@ __all__ = [
     "new_graph",
     "bipartition",
     "remove_edges",
+    "parse_header",
     "parse_edge_list",
     "render_edge_list",
     "to_dot",
@@ -177,6 +178,20 @@ def remove_edges(g: Graph, drop: Iterable[tuple[int, int]]) -> Graph:
     return Graph(g.n, g.edges - gone)
 
 
+def parse_header(line_no: int, line: str, kind: str) -> tuple[int, int]:
+    """The two non-negative counts of a ``p <kind> <a> <b>`` header line."""
+    fields = line.split()
+    if len(fields) != 4 or fields[1] != kind:
+        raise ParseError(line_no, f"malformed header {line!r}")
+    try:
+        a, b = int(fields[2]), int(fields[3])
+    except ValueError:
+        raise ParseError(line_no, f"malformed header {line!r}") from None
+    if a < 0 or b < 0:
+        raise ParseError(line_no, "negative count in header")
+    return a, b
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse DIMACS-style edge-list text.
 
@@ -198,14 +213,7 @@ def parse_edge_list(text: str) -> Graph:
         if fields[0] == "p":
             if n >= 0:
                 raise ParseError(line_no, "duplicate header")
-            if len(fields) != 4 or fields[1] != "edge":
-                raise ParseError(line_no, f"malformed header {line!r}")
-            try:
-                n, declared_m = int(fields[2]), int(fields[3])
-            except ValueError:
-                raise ParseError(line_no, f"malformed header {line!r}") from None
-            if n < 0 or declared_m < 0:
-                raise ParseError(line_no, "negative count in header")
+            n, declared_m = parse_header(line_no, line, "edge")
             if n > MAX_VERTICES:
                 raise ParseError(line_no, f"header declares {n} vertices, above {MAX_VERTICES}")
         elif fields[0] == "e":

@@ -88,7 +88,10 @@ def parse_matching(text: str, g: Graph) -> Matching:
         fields = line.split()
         if len(fields) != 3 or fields[0] != "m":
             raise ParseError(line_no, f"malformed matching line {line!r}")
-        edges.append((int(fields[1]) - 1, int(fields[2]) - 1))
+        try:
+            edges.append((int(fields[1]) - 1, int(fields[2]) - 1))
+        except ValueError:
+            raise ParseError(line_no, f"malformed matching line {line!r}") from None
     return matching_from_edges(g, edges)
 
 

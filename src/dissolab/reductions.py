@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .graph import Graph, new_graph, ParseError
+from .graph import Graph, new_graph, ParseError, parse_header
 from .matching import Matching, matching_from_edges
 from .exact import (
     DISS_ALPHA_CUTOFF,
@@ -87,7 +87,9 @@ def parse_cnf(text: str) -> CnfFormula:
     declared = 0
     clauses: list[list[Literal]] = []
     current: list[Literal] = []
+    last_line = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
+        last_line = line_no
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
@@ -95,9 +97,7 @@ def parse_cnf(text: str) -> CnfFormula:
         if fields[0] == "p":
             if var_count >= 0:
                 raise ParseError(line_no, "duplicate header")
-            if len(fields) != 4 or fields[1] != "cnf":
-                raise ParseError(line_no, f"malformed header {line!r}")
-            var_count, declared = int(fields[2]), int(fields[3])
+            var_count, declared = parse_header(line_no, line, "cnf")
             continue
         if var_count < 0:
             raise ParseError(line_no, "clause before header")
@@ -115,11 +115,11 @@ def parse_cnf(text: str) -> CnfFormula:
                     raise ParseError(line_no, f"variable {abs(lit)} out of range")
                 current.append((var, lit > 0))
     if var_count < 0:
-        raise ParseError(1, "missing header")
+        raise ParseError(last_line or 1, "missing header")
     if current:
-        raise ParseError(1, "unterminated clause (missing 0)")
+        raise ParseError(last_line or 1, "unterminated clause (missing 0)")
     if len(clauses) != declared:
-        raise ParseError(1, f"header declares {declared} clauses, found {len(clauses)}")
+        raise ParseError(last_line or 1, f"header declares {declared} clauses, found {len(clauses)}")
     return cnf_formula(var_count, clauses)
 
 

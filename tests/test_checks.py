@@ -35,6 +35,9 @@ def test_gadget_checks_catch_a_wrong_oracle(gadget, oracle, monkeypatch):
         ({"k_original": 1}, "no prediction"),
         ({"alpha_minus_matching": 1}, "no matching"),
         ({"diss_eq_alpha": "iff-tuesday"}, "unknown marker"),
+        # markers whose metadata is absent verify nothing
+        ({"diss_eq_2alpha": "iff-satisfiable"}, "no prediction"),
+        ({"diss_eq_alpha": "iff-alpha-lt-k", "n_original": 1}, "no prediction"),
     ],
 )
 def test_invalid_predictions_raise(predictions, message):

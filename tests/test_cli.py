@@ -149,6 +149,13 @@ class TestRecognize:
         mpath.write_text("m 1 3\n")  # not an edge of C6
         assert main(["recognize", path, "--matching", str(mpath)]) == 2
 
+    def test_non_integer_matching_endpoint(self, tmp_path, capsys):
+        path = c6_file(tmp_path)
+        mpath = tmp_path / "m.matching"
+        mpath.write_text("c comment\nm 1 x\n")
+        assert main(["recognize", path, "--matching", str(mpath)]) == 2
+        assert "error=ParseError detail=line 2: " in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("argv", [["recognize", "--matching", "auto"], ["approx"]])
 def test_each_graph_colored_once(argv, tmp_path, capsys, monkeypatch):
@@ -332,8 +339,10 @@ class TestCheck:
         "text",
         ["p edge 3 2\ne 1 2\ne 2 3\n",
          "p edge 3 2\nc predict alpha_minus_matching 2\ne 1 2\ne 2 3\n",
-         "p edge 3 2\nc predict alpha 2\nc predict alpah 2\ne 1 2\ne 2 3\n"],
-        ids=["no-predictions", "unchecked-prediction", "unknown-prediction"],
+         "p edge 3 2\nc predict alpha 2\nc predict alpah 2\ne 1 2\ne 2 3\n",
+         "p edge 3 2\nc predict diss_eq_2alpha iff-satisfiable\ne 1 2\ne 2 3\n"],
+        ids=["no-predictions", "unchecked-prediction", "unknown-prediction",
+             "marker-without-metadata"],
     )
     def test_file_without_checked_prediction_rejected(self, text, tmp_path, capsys):
         corpus = tmp_path / "corpus"
@@ -343,6 +352,21 @@ class TestCheck:
         captured = capsys.readouterr()
         assert "status=ok" not in captured.out
         assert "p3.dimacs" in captured.err
+
+    @pytest.mark.parametrize(
+        "files,error",
+        [({"p3.dimacs": "c predict alpha 2\np edge 3 1\ne 1 9\n"}, "p3.dimacs: line 3: "),
+         ({"p3.dimacs": "c predict alpha 2\np edge 3 2\ne 1 2\ne 2 3\n",
+           "p3.dimacs.matching": "m 1 x\n"}, "p3.dimacs: line 1: malformed matching line")],
+        ids=["graph-line", "sidecar-line"],
+    )
+    def test_malformed_file_named_in_error(self, files, error, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for name, text in files.items():
+            (corpus / name).write_text(text)
+        assert main(["check", str(corpus)]) == 2
+        assert error in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "kind,graph,flags,old,new,detail",

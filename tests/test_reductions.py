@@ -8,7 +8,7 @@ from dissolab.exact import (
     induced_matching_number_exact,
     is_independent_set,
 )
-from dissolab.graph import new_graph, parse_edge_list
+from dissolab.graph import ParseError, new_graph, parse_edge_list
 from dissolab.reductions import (
     PreconditionFailed,
     cnf_formula,
@@ -53,6 +53,21 @@ class TestCnfValidation:
         f = parse_cnf("c demo\np cnf 4 2\n1 2 3 0\n-1 4 -2 0\n")
         assert f.var_count == 4 and len(f.clauses) == 2
         assert f.clauses[1] == ((0, False), (3, True), (1, False))
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("p cnf x 1\n1 2 3 0\n", "line 1: malformed header"),
+            ("p cnf -3 0\n", "line 1: negative count"),
+            # end-of-input errors name the last line
+            ("p cnf 3 2\n1 2 3 0\n", "line 2: header declares 2 clauses, found 1"),
+            ("p cnf 3 1\n1 2 3\n", "line 2: unterminated clause"),
+            ("c no header\n\n", "line 2: missing header"),
+        ],
+    )
+    def test_parse_errors_name_their_line(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_cnf(text)
 
 
 class TestClauseCliqueGadget:
