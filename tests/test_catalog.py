@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -19,6 +20,13 @@ from strategies import graphs
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 BIPARTITE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 3, 5: 5, 6: 17, 7: 44, 8: 182}
 ALL_COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34}
+# sha256 over "<n> <edge_list>" lines, one per graph in catalog order; pins
+# content and order, so a faster generator must reproduce them exactly
+CATALOG_DIGESTS = {
+    "connected_catalog_8": "026a16c8e2d80481ad71aeff00a30a0775f68fada298ad55571832b88d79a5e0",
+    "bipartite_catalog_10": "0f6e9d1d31cfbcfb3e5390691948ed1ccdadbbaa515aef13674f3ede05add84c",
+    "all_catalog_6": "63013370c384d63a6342398b2aa2b8b8d847334577c8f336702fbd6ca0549fad",
+}
 
 
 def is_connected(g):
@@ -84,6 +92,22 @@ def test_connected_bipartite_counts(n, count):
 @pytest.mark.parametrize("n,count", sorted(ALL_COUNTS.items()))
 def test_all_graph_counts(n, count):
     assert len(all_graphs(n)) == count
+
+
+def catalog_digest(graphs):
+    h = hashlib.sha256()
+    for g in graphs:
+        h.update(f"{g.n} {g.edge_list}\n".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_DIGESTS))
+def test_catalog_digest(name, request):
+    if name == "all_catalog_6":
+        catalog = [g for n in range(7) for g in all_graphs(n)]
+    else:
+        catalog = request.getfixturevalue(name)
+    assert catalog_digest(catalog) == CATALOG_DIGESTS[name]
 
 
 @pytest.mark.parametrize("n", range(1, 6))
