@@ -1,13 +1,26 @@
 """Isomorphism-free graph catalogs for exhaustive desk-scale testing.
 
-Connected graphs are generated by vertex augmentation: every connected graph
-on n vertices arises from a connected graph on n-1 vertices (delete a
-non-cutvertex) by attaching a new vertex to a nonempty neighbour set, so
-augmenting each catalog level and deduplicating by canonical form is
-exhaustive. The canonical form is the lexicographically smallest adjacency
-bitstring over the orderings explored by color refinement with
-individualization (twin vertices are collapsed, so highly symmetric graphs
-stay cheap).
+Each catalog level grows from the one below by vertex augmentation: a parent
+P on n-1 vertices gets a new vertex n-1 joined to a subset S of its vertices.
+S is nonempty for connected graphs, nonempty and inside one side of P's
+bipartition for connected bipartite graphs, and any subset for all graphs.
+
+Canonical deletion (McKay, "Isomorph-free exhaustive generation", J.
+Algorithms 1998) prunes the children before they are canonized. A vertex is
+deletable when removing it leaves a graph of the same kind: a non-cut vertex
+for the connected kinds, any vertex for all graphs. A child is kept only if
+no deletable vertex outranks the new one by the isomorphism invariant
+(degree, then sorted neighbour degrees). No class is lost: in any graph G of
+the kind, take a deletable vertex w of largest rank. G - w is isomorphic to
+some parent P, so G arises as P + S with the new vertex in w's place, and
+that child passes. Ties and automorphic subsets still give isomorphic
+children, so the survivors are deduplicated by canonical form, and each level
+is sorted by that form: its content and order do not depend on how the
+children were generated.
+
+The canonical form is the lexicographically smallest adjacency bitstring over
+the orderings explored by color refinement with individualization (twin
+vertices are collapsed, so highly symmetric graphs stay cheap).
 """
 
 from __future__ import annotations
@@ -168,9 +181,10 @@ def _form_graph(form: tuple) -> Graph:
 # catalog kind -> largest n the catalog builds; beyond it the work is out of
 # desk reach, so asking for more is over the cutoff
 _LIMITS = {"connected": 8, "bipartite": 10, "all": 6}
-# (kind, n) -> catalog; each kind starts from its single one-vertex graph
+# (kind, n) -> catalog; each kind starts from its single smallest graph
 _cache: dict[tuple[str, int], list[Graph]] = {
-    ("connected", 1): [new_graph(1, [])], ("bipartite", 1): [new_graph(1, [])]}
+    ("connected", 1): [new_graph(1, [])], ("bipartite", 1): [new_graph(1, [])],
+    ("all", 0): [new_graph(0, [])]}
 
 
 def _classes(kind: str, n: int, children: Callable[[], Iterable[Graph]]) -> list[Graph]:
@@ -188,12 +202,65 @@ def _classes(kind: str, n: int, children: Callable[[], Iterable[Graph]]) -> list
     return _cache[kind, n]
 
 
-def _attach(parent: Graph, vertices: list[int]) -> Iterator[Graph]:
-    """parent plus a new vertex joined to each nonempty subset of ``vertices``."""
+def _is_cut_vertex(adj: list[int], u: int) -> bool:
+    """True iff the graph with masks adj is disconnected once u is deleted."""
+    rest = ((1 << len(adj)) - 1) & ~(1 << u)
+    seen = frontier = rest & -rest
+    while frontier:
+        b = frontier & -frontier
+        frontier ^= b
+        new = adj[b.bit_length() - 1] & rest & ~seen
+        seen |= new
+        frontier |= new
+    return seen != rest
+
+
+def _neighbour_degrees(adj_v: int, deg: list[int]) -> list[int]:
+    out = []
+    while adj_v:
+        b = adj_v & -adj_v
+        out.append(deg[b.bit_length() - 1])
+        adj_v ^= b
+    out.sort()
+    return out
+
+
+def _last_is_deletion_candidate(adj: list[int], connected: bool) -> bool:
+    """The canonical-deletion test: False iff some deletable vertex outranks
+    the last one by (degree, sorted neighbour degrees).
+
+    Deletable means a non-cut vertex when ``connected``, else any vertex. The
+    rank is an isomorphism invariant, so the test's verdict is too.
+    """
+    v = len(adj) - 1
+    deg = [a.bit_count() for a in adj]
+    key: list[int] | None = None
+    for u in range(v):
+        if deg[u] < deg[v]:
+            continue
+        if deg[u] == deg[v]:
+            if key is None:
+                key = _neighbour_degrees(adj[v], deg)
+            if _neighbour_degrees(adj[u], deg) <= key:
+                continue
+        if not connected or not _is_cut_vertex(adj, u):
+            return False
+    return True
+
+
+def _attach(parent: Graph, vertices: list[int], connected: bool = True) -> Iterator[Graph]:
+    """parent plus a new vertex joined to each subset of ``vertices`` (nonempty
+    when ``connected``) that passes the canonical-deletion test."""
     n = parent.n + 1
-    for attach in range(1, 1 << len(vertices)):
-        yield Graph(n, parent.edges | {(v, n - 1) for i, v in enumerate(vertices)
-                                       if (attach >> i) & 1})
+    new = n - 1
+    for attach in range(1 if connected else 0, 1 << len(vertices)):
+        nbrs = [v for i, v in enumerate(vertices) if (attach >> i) & 1]
+        adj = list(parent.adjacency_masks) + [0]
+        for v in nbrs:
+            adj[v] |= 1 << new
+            adj[new] |= 1 << v
+        if _last_is_deletion_candidate(adj, connected):
+            yield Graph(n, parent.edges | {(v, new) for v in nbrs})
 
 
 def connected_graphs(n: int) -> list[Graph]:
@@ -219,10 +286,13 @@ def connected_bipartite_graphs(n: int) -> list[Graph]:
 
 
 def all_graphs(n: int) -> list[Graph]:
-    """Every graph on exactly n vertices up to isomorphism (brute force, n <= 6)."""
+    """Every graph on exactly n vertices up to isomorphism (n <= 6).
+
+    Augmentation joins the new vertex to any subset of the parent's vertices,
+    the empty one included, so isolated vertices arise too.
+    """
     if n < 0:
         return []
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     return _classes("all", n, lambda: (
-        Graph(n, frozenset(pairs[i] for i in range(len(pairs)) if (mask >> i) & 1))
-        for mask in range(1 << len(pairs))))
+        child for parent in all_graphs(n - 1)
+        for child in _attach(parent, list(range(n - 1)), connected=False)))

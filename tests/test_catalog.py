@@ -1,9 +1,9 @@
 import hashlib
-import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dissolab import catalog
 from dissolab.catalog import (
     all_graphs,
     canonical_form,
@@ -58,6 +58,42 @@ def permuted(g, perm):
     return new_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
+def every_graph(n):
+    """Every labelled graph on n vertices, one per edge subset: the independent
+    route the augmenting catalogs are checked against."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for mask in range(1 << len(pairs)):
+        yield new_graph(n, [p for i, p in enumerate(pairs) if (mask >> i) & 1])
+
+
+def forms_of(graphs_):
+    return {canonical_form(g) for g in graphs_}
+
+
+def moved_last(g, u):
+    """g relabelled so that u is the last vertex, the others in their order."""
+    perm = {w: i for i, w in enumerate([w for w in range(g.n) if w != u] + [u])}
+    return permuted(g, perm)
+
+
+def is_cut_vertex(g, u):
+    rest = [w for w in range(g.n) if w != u]
+    index = {w: i for i, w in enumerate(rest)}
+    minus = new_graph(g.n - 1, [(index[a], index[b]) for a, b in g.edges if u not in (a, b)])
+    return not is_connected(minus)
+
+
+@st.composite
+def connected_graph_st(draw, max_n=8):
+    """A random spanning tree (each vertex joined to an earlier one) plus extra edges."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    edges = {(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if pairs:
+        edges |= draw(st.sets(st.sampled_from(pairs)))
+    return new_graph(n, edges)
+
+
 @given(graphs(max_n=7), st.randoms(use_true_random=False))
 @settings(max_examples=150)
 def test_canonical_form_is_isomorphism_invariant(g, rnd):
@@ -110,21 +146,65 @@ def test_catalog_digest(name, request):
     assert catalog_digest(catalog) == CATALOG_DIGESTS[name]
 
 
+@pytest.mark.parametrize("n", range(0, 6))
+def test_all_catalog_matches_brute_enumeration(n):
+    assert forms_of(all_graphs(n)) == forms_of(every_graph(n))
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_connected_catalog_matches_brute_enumeration(n):
-    # independent route: filter the brute-force catalog by connectivity
-    brute = {canonical_form(g) for g in all_graphs(n) if is_connected(g)}
-    assert {canonical_form(g) for g in connected_graphs(n)} == brute
+    brute = forms_of(g for g in every_graph(n) if is_connected(g))
+    assert forms_of(connected_graphs(n)) == brute
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_bipartite_catalog_matches_brute_enumeration(n):
-    brute = {
-        canonical_form(g)
-        for g in all_graphs(n)
-        if is_connected(g) and is_bipartite(g)
-    }
-    assert {canonical_form(g) for g in connected_bipartite_graphs(n)} == brute
+    brute = forms_of(g for g in every_graph(n) if is_connected(g) and is_bipartite(g))
+    assert forms_of(connected_bipartite_graphs(n)) == brute
+
+
+@given(st.one_of(connected_graph_st(), graphs(max_n=8)))
+@settings(max_examples=200)
+def test_some_deletable_vertex_moved_last_passes_the_deletion_test(g):
+    # the exhaustiveness argument: every graph has a deletable vertex whose
+    # deletion leaves a parent that regrows it through the test
+    if g.n == 0:
+        return
+    for connected in (True, False) if is_connected(g) else (False,):
+        deletable = [u for u in range(g.n)
+                     if not connected or g.n == 1 or not is_cut_vertex(g, u)]
+        assert any(catalog._last_is_deletion_candidate(moved_last(g, u).adjacency_masks, connected)
+                   for u in deletable)
+
+
+@given(st.one_of(connected_graph_st(), graphs(max_n=8)), st.randoms(use_true_random=False))
+@settings(max_examples=150)
+def test_deletion_test_ignores_the_labels_of_the_parent(g, rnd):
+    if g.n == 0:
+        return
+    perm = list(range(g.n - 1))
+    rnd.shuffle(perm)
+    h = permuted(g, perm + [g.n - 1])
+    for connected in (True, False):
+        assert (catalog._last_is_deletion_candidate(h.adjacency_masks, connected)
+                == catalog._last_is_deletion_candidate(g.adjacency_masks, connected))
+
+
+def test_cold_build_canonizes_few_children_per_class(monkeypatch):
+    # counts calls, not time: without the deletion test, 8.4 per kept graph
+    calls = []
+    canonize = catalog.canonical_form
+
+    def counting(g):
+        calls.append(g.n)
+        return canonize(g)
+
+    monkeypatch.setattr(catalog, "_cache", {("connected", 1): [new_graph(1, [])]})
+    monkeypatch.setattr(catalog, "canonical_form", counting)
+    connected_graphs(7)
+    kept = sum(len(catalog._cache["connected", n]) for n in range(2, 8))
+    assert kept == sum(CONNECTED_COUNTS[n] for n in range(2, 8))
+    assert len(calls) <= 2.5 * kept
 
 
 def test_catalog_members_have_their_property():
