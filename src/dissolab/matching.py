@@ -79,8 +79,11 @@ def matching_from_edges(g: Graph, edges: Iterable[tuple[int, int]]) -> Matching:
 
 def parse_matching(text: str, g: Graph) -> Matching:
     """Matching-file text as a matching of g: ``m <u> <v>`` lines, 1-based;
-    comment lines start with ``c``."""
-    edges = []
+    comment lines start with ``c``. A line with an endpoint out of range, a
+    non-edge or an already matched vertex is a ParseError; a repeated edge
+    is not."""
+    edges: set[tuple[int, int]] = set()
+    matched: set[int] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -89,10 +92,22 @@ def parse_matching(text: str, g: Graph) -> Matching:
         if len(fields) != 3 or fields[0] != "m":
             raise ParseError(line_no, f"malformed matching line {line!r}")
         try:
-            edges.append((int(fields[1]) - 1, int(fields[2]) - 1))
+            u, v = int(fields[1]) - 1, int(fields[2]) - 1
         except ValueError:
             raise ParseError(line_no, f"malformed matching line {line!r}") from None
-    return matching_from_edges(g, edges)
+        if not (0 <= u < g.n and 0 <= v < g.n):
+            raise ParseError(line_no, f"endpoint out of range in {line!r}")
+        if not g.has_edge(u, v):
+            raise ParseError(line_no, f"not an edge of the graph in {line!r}")
+        edge = _canonical_edge(u, v)
+        if edge in edges:
+            continue
+        for w in edge:
+            if w in matched:
+                raise ParseError(line_no, f"vertex {w + 1} already matched in {line!r}")
+        edges.add(edge)
+        matched.update(edge)
+    return Matching(frozenset(edges))
 
 
 def partner_map(m: Matching) -> dict[int, int]:

@@ -304,12 +304,15 @@ def parse_gadget_metadata(text: str) -> tuple[Optional[str], dict[str, str], dic
     kind: Optional[str] = None
     predictions: dict[str, str] = {}
     roles: dict[int, str] = {}
-    for raw in text.splitlines():
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         fields = raw.strip().split()
         if len(fields) >= 3 and fields[0] == "c" and fields[1] == "kind":
             kind = fields[2]
         elif len(fields) >= 4 and fields[0] == "c" and fields[1] == "predict":
             predictions[fields[2]] = " ".join(fields[3:])
         elif len(fields) >= 4 and fields[0] == "c" and fields[1] == "role":
-            roles[int(fields[2]) - 1] = " ".join(fields[3:])
+            try:
+                roles[int(fields[2]) - 1] = " ".join(fields[3:])
+            except ValueError:
+                raise ParseError(line_no, f"malformed role line {raw.strip()!r}") from None
     return kind, predictions, roles

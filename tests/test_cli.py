@@ -156,6 +156,27 @@ class TestRecognize:
         assert main(["recognize", path, "--matching", str(mpath)]) == 2
         assert "error=ParseError detail=line 2: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text,detail",
+        [("m 0 1\n", "line 1: endpoint out of range in 'm 0 1'"),
+         ("m 1 2\nm 2 3\n", "line 2: vertex 2 already matched in 'm 2 3'"),
+         ("c comment\nm 1 3\n", "line 2: not an edge of the graph in 'm 1 3'")],
+        ids=["out-of-range", "already-matched", "non-edge"],
+    )
+    def test_invalid_matching_line_named(self, text, detail, tmp_path, capsys):
+        path = write_graph(tmp_path / "p3.dimacs", new_graph(3, [(0, 1), (1, 2)]))
+        mpath = tmp_path / "m.matching"
+        mpath.write_text(text)
+        assert main(["recognize", path, "--matching", str(mpath)]) == 2
+        assert f"error=ParseError detail={detail}" in capsys.readouterr().err
+
+    def test_repeated_matching_line_accepted(self, tmp_path, capsys):
+        path = write_graph(tmp_path / "p3.dimacs", new_graph(3, [(0, 1), (1, 2)]))
+        mpath = tmp_path / "m.matching"
+        mpath.write_text("m 1 2\nm 2 1\n")
+        assert main(["recognize", path, "--matching", str(mpath)]) == 0
+        assert kv(capsys.readouterr().out)["matching"] == "1-2"
+
 
 @pytest.mark.parametrize("argv", [["recognize", "--matching", "auto"], ["approx"]])
 def test_each_graph_colored_once(argv, tmp_path, capsys, monkeypatch):
@@ -357,8 +378,10 @@ class TestCheck:
         "files,error",
         [({"p3.dimacs": "c predict alpha 2\np edge 3 1\ne 1 9\n"}, "p3.dimacs: line 3: "),
          ({"p3.dimacs": "c predict alpha 2\np edge 3 2\ne 1 2\ne 2 3\n",
-           "p3.dimacs.matching": "m 1 x\n"}, "p3.dimacs: line 1: malformed matching line")],
-        ids=["graph-line", "sidecar-line"],
+           "p3.dimacs.matching": "m 1 x\n"}, "p3.dimacs: line 1: malformed matching line"),
+         ({"p3.dimacs": "c predict alpha 2\nc role x foo\np edge 3 0\n"},
+          "p3.dimacs: line 2: malformed role line 'c role x foo'")],
+        ids=["graph-line", "sidecar-line", "role-line"],
     )
     def test_malformed_file_named_in_error(self, files, error, tmp_path, capsys):
         corpus = tmp_path / "corpus"
