@@ -25,7 +25,7 @@ vertices are collapsed, so highly symmetric graphs stay cheap).
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .exact import InstanceTooLarge
 from .graph import Graph, new_graph
@@ -202,7 +202,7 @@ def _classes(kind: str, n: int, children: Callable[[], Iterable[Graph]]) -> list
     return _cache[kind, n]
 
 
-def _is_cut_vertex(adj: list[int], u: int) -> bool:
+def _is_cut_vertex(adj: Sequence[int], u: int) -> bool:
     """True iff the graph with masks adj is disconnected once u is deleted."""
     rest = ((1 << len(adj)) - 1) & ~(1 << u)
     seen = frontier = rest & -rest
@@ -216,16 +216,10 @@ def _is_cut_vertex(adj: list[int], u: int) -> bool:
 
 
 def _neighbour_degrees(adj_v: int, deg: list[int]) -> list[int]:
-    out = []
-    while adj_v:
-        b = adj_v & -adj_v
-        out.append(deg[b.bit_length() - 1])
-        adj_v ^= b
-    out.sort()
-    return out
+    return sorted(d for w, d in enumerate(deg) if (adj_v >> w) & 1)
 
 
-def _last_is_deletion_candidate(adj: list[int], connected: bool) -> bool:
+def _last_is_deletion_candidate(adj: Sequence[int], connected: bool) -> bool:
     """The canonical-deletion test: False iff some deletable vertex outranks
     the last one by (degree, sorted neighbour degrees).
 
@@ -253,9 +247,10 @@ def _attach(parent: Graph, vertices: list[int], connected: bool = True) -> Itera
     when ``connected``) that passes the canonical-deletion test."""
     n = parent.n + 1
     new = n - 1
+    masks = list(parent.adjacency_masks) + [0]
     for attach in range(1 if connected else 0, 1 << len(vertices)):
         nbrs = [v for i, v in enumerate(vertices) if (attach >> i) & 1]
-        adj = list(parent.adjacency_masks) + [0]
+        adj = list(masks)
         for v in nbrs:
             adj[v] |= 1 << new
             adj[new] |= 1 << v

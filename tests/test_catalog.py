@@ -66,8 +66,8 @@ def every_graph(n):
         yield new_graph(n, [p for i, p in enumerate(pairs) if (mask >> i) & 1])
 
 
-def forms_of(graphs_):
-    return {canonical_form(g) for g in graphs_}
+def forms_of(gs):
+    return {canonical_form(g) for g in gs}
 
 
 def moved_last(g, u):
@@ -130,9 +130,9 @@ def test_all_graph_counts(n, count):
     assert len(all_graphs(n)) == count
 
 
-def catalog_digest(graphs):
+def catalog_digest(gs):
     h = hashlib.sha256()
-    for g in graphs:
+    for g in gs:
         h.update(f"{g.n} {g.edge_list}\n".encode())
     return h.hexdigest()
 
@@ -140,10 +140,10 @@ def catalog_digest(graphs):
 @pytest.mark.parametrize("name", sorted(CATALOG_DIGESTS))
 def test_catalog_digest(name, request):
     if name == "all_catalog_6":
-        catalog = [g for n in range(7) for g in all_graphs(n)]
+        listed = [g for n in range(7) for g in all_graphs(n)]
     else:
-        catalog = request.getfixturevalue(name)
-    assert catalog_digest(catalog) == CATALOG_DIGESTS[name]
+        listed = request.getfixturevalue(name)
+    assert catalog_digest(listed) == CATALOG_DIGESTS[name]
 
 
 @pytest.mark.parametrize("n", range(0, 6))
