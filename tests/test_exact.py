@@ -1,10 +1,12 @@
+import hashlib
 import random
 from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
 
-from dissolab.catalog import all_graphs
+from dissolab.catalog import all_graphs, connected_graphs
+from dissolab.corpus import random_graph_corpus
 from dissolab.exact import (
     InstanceTooLarge,
     check_inequality_chain,
@@ -18,6 +20,7 @@ from dissolab.exact import (
 )
 from dissolab.matching import is_induced_matching
 from dissolab.graph import new_graph
+from dissolab.reductions import gadget_diss_2alpha, gadget_diss_alpha, parse_cnf
 
 from strategies import graphs
 
@@ -249,3 +252,36 @@ def test_independent_sets_of_g_minus_matching_stay_below_diss():
                     used.update((u, v))
             alpha_m = independence_number_exact(remove_edges(g, matching))[0]
             assert alpha_m <= diss
+
+
+# fig3 gadgets: a satisfiable formula (24 vertices) and all eight sign
+# patterns over three variables (32 vertices); a fig4 gadget (24 vertices)
+FIG3_CNF = "p cnf 5 6\n1 2 3 0\n-1 4 5 0\n2 -3 -4 0\n-2 3 5 0\n1 -4 -5 0\n-1 -2 4 0\n"
+FIG3_UNSAT_CNF = "p cnf 3 8\n" + "".join(
+    f"{'-' * (s & 1)}1 {'-' * (s >> 1 & 1)}2 {'-' * (s >> 2 & 1)}3 0\n" for s in range(8))
+FIG4_CNF = "p cnf 4 4\n1 2 3 0\n-1 2 4 0\n1 -3 -4 0\n-2 3 4 0\n"
+
+
+def fig3():
+    return gadget_diss_2alpha(parse_cnf(FIG3_CNF)).graph
+
+
+def fig4():
+    return gadget_diss_alpha(parse_cnf(FIG4_CNF)).graph
+
+
+def test_witnesses_pinned():
+    # a search may prune only subtrees that cannot beat its incumbent, so a
+    # tighter bound must leave every value and every witness as it is
+    graphs = random_graph_corpus(300, 22, 5)
+    graphs += [g for n in range(1, 8) for g in connected_graphs(n)]
+    graphs += [fig3(), gadget_diss_2alpha(parse_cnf(FIG3_UNSAT_CNF)).graph, fig4()]
+    digest = hashlib.sha256()
+    for g in graphs:
+        for solve in (dissociation_number_exact, independence_number_exact,
+                      induced_matching_number_exact):
+            value, witness = solve(g, cutoff=g.n)
+            items = sorted(getattr(witness, "edges", witness))
+            digest.update(repr((value, items)).encode())
+    assert digest.hexdigest() == (
+        "237fa4550e7ca52f2dce7128d47a01c650a099eba43f36265410a7322fe7a1d6")
