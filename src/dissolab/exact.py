@@ -3,15 +3,21 @@ matching number, and the inequality-chain report tying them together.
 
 They are the ground truth the approximation, recognizer, and gadget modules
 are tested against, so they stay deliberately simple. Two branch-and-bound
-searches over bitmask sets do the work, both with max-degree branching,
-greedy inclusion of vertices that cannot hurt, and the trivial counting
-bound:
+searches over bitmask sets do the work, both with max-degree branching and
+greedy inclusion of vertices that cannot hurt. Each tries the counting bound
+(chosen plus undecided) first and a tighter bound only where that fails to
+prune. A bound prunes only subtrees that cannot strictly beat the incumbent,
+so it never changes which optimum is found:
 
 * ``_max_independent_set``, the one independent-set kernel, behind ``alpha``
   and, on the edge-conflict graph, ``nu_s``. Its leaf rule takes vertices of
   residual degree 0 or 1; its cycle rule, once every residual degree is 2,
-  takes the branch vertex without the exclude branch.
-* the ``diss`` search in ``dissociation_number_exact``.
+  takes the branch vertex without the exclude branch. Its bound is a greedy
+  clique cover.
+* the ``diss`` search in ``dissociation_number_exact``, bounded by stars
+  around the chosen vertices and by a packing of disjoint 3-vertex paths,
+  after the 3-path vertex cover view ``diss = n - psi_3`` (Bresar et al.,
+  2011).
 
 ``diss_via_induced_matchings`` enumerates maximal induced matchings and runs
 the kernel on each ``G - M``; it stays as the reference for ``diss``.
@@ -99,7 +105,10 @@ def dissociation_number_exact(
     chosen vertices carry at most one chosen neighbour, and pairing two
     chosen vertices excludes all their other neighbours. Residual-degree-0
     and residual-degree-1 vertices are taken greedily (safe by a direct
-    exchange argument).
+    exchange argument). A node is pruned when chosen plus undecided, less
+    all but one undecided neighbour of each unpaired chosen vertex, less
+    one per path u-v-w packed among the other undecided vertices, cannot
+    beat the best set found.
     """
     n = g.n
     if n > cutoff:
@@ -154,8 +163,40 @@ def dissociation_number_exact(
         if size > best_size:
             best_size = size
             best_mask = chosen
-        if size + undecided.bit_count() <= best_size or not undecided:
+        bound = size + undecided.bit_count()
+        if bound <= best_size or not undecided:
             return
+        # star bound: no undecided vertex has two chosen neighbours and a
+        # paired vertex has none, so the undecided neighbours of the free
+        # chosen vertices form disjoint sets, each admitting one vertex
+        stars = 0
+        w = free
+        while w:
+            bit = w & -w
+            w ^= bit
+            nu = adj[bit.bit_length() - 1] & undecided
+            if nu:
+                bound -= nu.bit_count() - 1
+                stars |= nu
+        if bound <= best_size:
+            return
+        # P3 bound: a dissociation set misses a vertex of every path u-v-w,
+        # so pack vertex-disjoint ones among the other undecided vertices
+        rest = undecided & ~stars
+        w = rest
+        while w:
+            bit = w & -w
+            w ^= bit
+            if not rest & bit:
+                continue
+            nb = adj[bit.bit_length() - 1] & rest
+            if nb & (nb - 1):
+                a = nb & -nb
+                nb ^= a
+                rest &= ~(bit | a | (nb & -nb))
+                bound -= 1
+                if bound <= best_size:
+                    return
         # branch vertex: max residual degree, lowest index on ties
         bv = -1
         bd = -1
@@ -225,6 +266,23 @@ def _max_independent_set(adj: tuple[int, ...], avail0: int) -> tuple[int, int]:
             best_mask = chosen
         if not avail or size + avail.bit_count() <= best_size:
             return
+        # clique cover bound: an independent set takes one vertex per clique
+        slack = best_size - size
+        cliques = 0
+        rest = avail
+        while rest:
+            cliques += 1
+            if cliques > slack:
+                break
+            clique = rest & -rest
+            cand = adj[clique.bit_length() - 1] & rest
+            while cand:
+                bit = cand & -cand
+                clique |= bit
+                cand &= adj[bit.bit_length() - 1]
+            rest &= ~clique
+        else:
+            return
         # branch vertex: max residual degree, lowest index on ties
         max_deg = 0
         bv = -1
@@ -265,15 +323,20 @@ def _edge_conflicts(g: Graph) -> tuple[list[tuple[int, int]], list[int]]:
     """Conflict masks for edges: sharing a vertex or joined by a host edge."""
     edges = list(g.edge_list)
     adj = g.adjacency_masks
-    k = len(edges)
-    ep = [(1 << u) | (1 << v) for u, v in edges]
-    reach = [(adj[u] | adj[v]) for u, v in edges]
-    conflict = [0] * k
-    for i in range(k):
-        for j in range(i + 1, k):
-            if ep[i] & ep[j] or reach[i] & ep[j]:
-                conflict[i] |= 1 << j
-                conflict[j] |= 1 << i
+    incident = [0] * g.n
+    for i, (u, v) in enumerate(edges):
+        incident[u] |= 1 << i
+        incident[v] |= 1 << i
+    conflict = []
+    for i, (u, v) in enumerate(edges):
+        # edge uv meets every edge touching N[u] | N[v], which is N(u) | N(v)
+        mask = 0
+        w = adj[u] | adj[v]
+        while w:
+            bit = w & -w
+            w ^= bit
+            mask |= incident[bit.bit_length() - 1]
+        conflict.append(mask & ~(1 << i))
     return edges, conflict
 
 
