@@ -261,7 +261,7 @@ def check_instance_file(path: str, *, cutoff: int = 40) -> Optional[str]:
     sidecar = pathlib.Path(path + ".matching")
     try:
         g = parse_edge_list(text)
-        _, predictions, roles = parse_gadget_metadata(text)
+        _, predictions, roles = parse_gadget_metadata(text, g.n)
         matching = parse_matching(sidecar.read_text(encoding="utf-8"), g) if sidecar.exists() else None
         return check_predictions(g, predictions, roles, matching, cutoff=cutoff)
     except ValueError as exc:

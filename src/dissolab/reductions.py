@@ -299,20 +299,34 @@ def render_gadget(gi: GadgetInstance, extra: Optional[Mapping[str, object]] = No
     return "\n".join(lines) + "\n"
 
 
-def parse_gadget_metadata(text: str) -> tuple[Optional[str], dict[str, str], dict[int, str]]:
-    """Extract (kind, predictions, roles) from a gadget file's comment lines."""
+def parse_gadget_metadata(
+    text: str, n: int
+) -> tuple[Optional[str], dict[str, str], dict[int, str]]:
+    """Extract (kind, predictions, roles) from the comment lines of a gadget
+    file on ``n`` vertices.
+
+    A role line whose vertex is not in 1..n, or whose ``orig:`` index is not
+    a non-negative integer, is a ParseError.
+    """
     kind: Optional[str] = None
     predictions: dict[str, str] = {}
     roles: dict[int, str] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        fields = raw.strip().split()
+        line = raw.strip()
+        fields = line.split()
         if len(fields) >= 3 and fields[0] == "c" and fields[1] == "kind":
             kind = fields[2]
         elif len(fields) >= 4 and fields[0] == "c" and fields[1] == "predict":
             predictions[fields[2]] = " ".join(fields[3:])
         elif len(fields) >= 4 and fields[0] == "c" and fields[1] == "role":
             try:
-                roles[int(fields[2]) - 1] = " ".join(fields[3:])
+                v = int(fields[2])
             except ValueError:
-                raise ParseError(line_no, f"malformed role line {raw.strip()!r}") from None
+                raise ParseError(line_no, f"malformed role line {line!r}") from None
+            if not 1 <= v <= n:
+                raise ParseError(line_no, f"role vertex out of range in {line!r}")
+            tag = " ".join(fields[3:])
+            if tag.startswith("orig:") and not tag[len("orig:"):].isdecimal():
+                raise ParseError(line_no, f"malformed orig index in {line!r}")
+            roles[v - 1] = tag
     return kind, predictions, roles

@@ -222,7 +222,7 @@ class TestGadget:
         got = kv(capsys.readouterr().out)
         assert got["order"] == "12"
         text = out.read_text()
-        kind, predictions, _ = parse_gadget_metadata(text)
+        kind, predictions, _ = parse_gadget_metadata(text, 12)
         assert kind == "fig3" and predictions["satisfiable"] == "True"
         assert parse_edge_list(text).n == 12
 
@@ -380,8 +380,15 @@ class TestCheck:
          ({"p3.dimacs": "c predict alpha 2\np edge 3 2\ne 1 2\ne 2 3\n",
            "p3.dimacs.matching": "m 1 x\n"}, "p3.dimacs: line 1: malformed matching line"),
          ({"p3.dimacs": "c predict alpha 2\nc role x foo\np edge 3 0\n"},
-          "p3.dimacs: line 2: malformed role line 'c role x foo'")],
-        ids=["graph-line", "sidecar-line", "role-line"],
+          "p3.dimacs: line 2: malformed role line 'c role x foo'"),
+         ({"p3.dimacs": "c predict alpha 3\nc role 0 orig:0\np edge 3 0\n"},
+          "p3.dimacs: line 2: role vertex out of range in 'c role 0 orig:0'"),
+         ({"p3.dimacs": "c predict alpha 3\nc role 4 orig:0\np edge 3 0\n"},
+          "p3.dimacs: line 2: role vertex out of range in 'c role 4 orig:0'"),
+         ({"p3.dimacs": "c predict alpha 3\nc role 1 orig:x\np edge 3 0\n"},
+          "p3.dimacs: line 2: malformed orig index in 'c role 1 orig:x'")],
+        ids=["graph-line", "sidecar-line", "role-line", "role-vertex-zero",
+             "role-vertex-above-n", "orig-index"],
     )
     def test_malformed_file_named_in_error(self, files, error, tmp_path, capsys):
         corpus = tmp_path / "corpus"

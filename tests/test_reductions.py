@@ -261,7 +261,7 @@ class TestSerialization:
         text = render_gadget(gi, {"satisfiable": True})
         g = parse_edge_list(text)
         assert g == gi.graph
-        kind, predictions, roles = parse_gadget_metadata(text)
+        kind, predictions, roles = parse_gadget_metadata(text, g.n)
         assert kind == "fig3"
         assert predictions["alpha"] == "3"
         assert predictions["satisfiable"] == "True"
