@@ -53,7 +53,7 @@ __all__ = [
 def check_chain(g: Graph, *, cutoff: int = 64) -> Optional[str]:
     """Inequality chain, witness validity, and the induced-matching detour."""
     try:
-        report = check_inequality_chain(g, cutoff=cutoff, nus_cutoff=cutoff)
+        report = check_inequality_chain(g, cutoff=cutoff)
     except InstanceTooLarge:
         raise
     except RuntimeError as exc:

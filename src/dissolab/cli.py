@@ -23,7 +23,7 @@ from .corpus import (
     random_cnf_corpus,
     random_graph_corpus,
 )
-from .exact import DISS_ALPHA_CUTOFF, SOLVERS, InstanceTooLarge, check_inequality_chain
+from .exact import EXACT_CUTOFF, SOLVERS, InstanceTooLarge, check_inequality_chain
 from .graph import Graph, NotBipartiteError, parse_edge_list, to_dot
 from .matching import maximum_matching, parse_matching
 from .recognizer import Extremal, SixClass, recognize_extremal
@@ -60,7 +60,7 @@ def positive_int(text: str) -> int:
 def _default_cutoff() -> int:
     value = os.environ.get(_ENV_CUTOFF)
     if value is None:
-        return DISS_ALPHA_CUTOFF
+        return EXACT_CUTOFF
     try:
         return positive_int(value)
     except ValueError:
@@ -109,7 +109,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     print(f"m={g.m}")
     report = None
     if wanted == set(_INVARIANTS):
-        report = check_inequality_chain(g, cutoff=args.cutoff, nus_cutoff=args.cutoff)
+        report = check_inequality_chain(g, cutoff=args.cutoff)
     for token, (key, witness_text) in _INVARIANTS.items():
         if token in wanted:
             value, witness = SOLVERS[key](g, args.cutoff) if report is None else (

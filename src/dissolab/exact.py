@@ -34,8 +34,7 @@ from .matching import Matching, is_induced_matching, matching_from_edges
 __all__ = [
     "InstanceTooLarge",
     "InvariantReport",
-    "DISS_ALPHA_CUTOFF",
-    "INDUCED_MATCHING_CUTOFF",
+    "EXACT_CUTOFF",
     "is_dissociation_set",
     "is_independent_set",
     "dissociation_number_exact",
@@ -47,8 +46,8 @@ __all__ = [
     "SOLVERS",
 ]
 
-DISS_ALPHA_CUTOFF = 30
-INDUCED_MATCHING_CUTOFF = 24
+# default vertex cutoff of every oracle
+EXACT_CUTOFF = 30
 
 
 class InstanceTooLarge(RuntimeError):
@@ -97,7 +96,7 @@ def _mask_to_set(mask: int) -> frozenset[int]:
 
 
 def dissociation_number_exact(
-    g: Graph, *, cutoff: int = DISS_ALPHA_CUTOFF
+    g: Graph, *, cutoff: int = EXACT_CUTOFF
 ) -> tuple[int, frozenset[int]]:
     """Exact diss(g) with a witness.
 
@@ -306,7 +305,7 @@ def _max_independent_set(adj: tuple[int, ...], avail0: int) -> tuple[int, int]:
 
 
 def independence_number_exact(
-    g: Graph, *, cutoff: int = DISS_ALPHA_CUTOFF
+    g: Graph, *, cutoff: int = EXACT_CUTOFF
 ) -> tuple[int, frozenset[int]]:
     """Exact independence number with a witness (branch and bound)."""
     n = g.n
@@ -341,7 +340,7 @@ def _edge_conflicts(g: Graph) -> tuple[list[tuple[int, int]], list[int]]:
 
 
 def induced_matching_number_exact(
-    g: Graph, *, cutoff: int = INDUCED_MATCHING_CUTOFF
+    g: Graph, *, cutoff: int = EXACT_CUTOFF
 ) -> tuple[int, Matching]:
     """Exact induced matching number with a witness.
 
@@ -362,7 +361,7 @@ def induced_matching_number_exact(
 
 
 def diss_via_induced_matchings(
-    g: Graph, *, cutoff: int = INDUCED_MATCHING_CUTOFF
+    g: Graph, *, cutoff: int = EXACT_CUTOFF
 ) -> int:
     """max over induced matchings M (empty included) of alpha(g - M).
 
@@ -436,12 +435,7 @@ class InvariantReport:
     alpha_plus_nus_eq_2alpha: bool
 
 
-def check_inequality_chain(
-    g: Graph,
-    *,
-    cutoff: int = DISS_ALPHA_CUTOFF,
-    nus_cutoff: int = INDUCED_MATCHING_CUTOFF,
-) -> InvariantReport:
+def check_inequality_chain(g: Graph, *, cutoff: int = EXACT_CUTOFF) -> InvariantReport:
     """Compute all three invariants and the equality flags between them.
 
     The chain max(alpha, 2 nu_s) <= diss <= alpha + nu_s <= 2 alpha is
@@ -450,7 +444,7 @@ def check_inequality_chain(
     """
     diss, dw = dissociation_number_exact(g, cutoff=cutoff)
     alpha, aw = independence_number_exact(g, cutoff=cutoff)
-    nu_s, mw = induced_matching_number_exact(g, cutoff=nus_cutoff)
+    nu_s, mw = induced_matching_number_exact(g, cutoff=cutoff)
     if not max(alpha, 2 * nu_s) <= diss <= alpha + nu_s <= 2 * alpha:
         raise RuntimeError(
             "max(alpha, 2 nu_s) <= diss <= alpha + nu_s <= 2 alpha fails for "

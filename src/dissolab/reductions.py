@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .graph import Graph, new_graph, ParseError, parse_header
 from .matching import Matching, matching_from_edges
 from .exact import (
-    DISS_ALPHA_CUTOFF,
+    EXACT_CUTOFF,
     dissociation_number_exact,
     independence_number_exact,
 )
@@ -244,7 +244,7 @@ def gadget_diss_alpha_plus_nus(g: Graph, k: int) -> GadgetInstance:
 
 
 def gadget_join_kn(
-    g: Graph, *, cutoff: int = DISS_ALPHA_CUTOFF
+    g: Graph, *, cutoff: int = EXACT_CUTOFF
 ) -> tuple[GadgetInstance, Matching]:
     """Join g to a clique of the same order; alpha and diss are preserved.
 

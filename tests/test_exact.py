@@ -182,7 +182,7 @@ class TestInducedMatchingNumber:
 
     def test_cutoff(self):
         with pytest.raises(InstanceTooLarge):
-            induced_matching_number_exact(new_graph(25, []))
+            induced_matching_number_exact(new_graph(31, []))
 
 
 class TestChainReport:
@@ -267,7 +267,7 @@ def test_matching_bruteforce_examples():
 
 def test_detour_cutoff():
     with pytest.raises(InstanceTooLarge):
-        diss_via_induced_matchings(new_graph(25, []))
+        diss_via_induced_matchings(new_graph(31, []))
 
 
 def test_independent_sets_of_g_minus_matching_stay_below_diss():
