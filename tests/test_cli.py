@@ -222,9 +222,10 @@ class TestGadget:
         got = kv(capsys.readouterr().out)
         assert got["order"] == "12"
         text = out.read_text()
-        kind, predictions, _ = parse_gadget_metadata(text, 12)
+        g = parse_edge_list(text)
+        kind, predictions, _ = parse_gadget_metadata(text, g.n)
         assert kind == "fig3" and predictions["satisfiable"] == "True"
-        assert parse_edge_list(text).n == 12
+        assert g.n == 12
 
     def test_fig4(self, tmp_path, capsys):
         out = tmp_path / "g4.dimacs"
