@@ -59,29 +59,20 @@ class InstanceTooLarge(RuntimeError):
 
 def is_dissociation_set(g: Graph, s: Iterable[int]) -> bool:
     """True iff every vertex of s has at most one neighbour inside s."""
-    mask = 0
-    for v in s:
-        mask |= 1 << v
-    adj = g.adjacency_masks
-    w = mask
-    while w:
-        b = w & -w
-        w ^= b
-        if (adj[b.bit_length() - 1] & mask).bit_count() > 1:
+    chosen = set(s)
+    adj = g.adjacency
+    for v in chosen:
+        if len(chosen.intersection(adj[v])) > 1:
             return False
     return True
 
 
 def is_independent_set(g: Graph, s: Iterable[int]) -> bool:
-    mask = 0
-    for v in s:
-        mask |= 1 << v
-    adj = g.adjacency_masks
-    w = mask
-    while w:
-        b = w & -w
-        w ^= b
-        if adj[b.bit_length() - 1] & mask:
+    """True iff no two vertices of s are adjacent."""
+    chosen = set(s)
+    adj = g.adjacency
+    for v in chosen:
+        if not chosen.isdisjoint(adj[v]):
             return False
     return True
 

@@ -90,6 +90,8 @@ class Graph:
 
     @cached_property
     def adjacency_masks(self) -> tuple[int, ...]:
+        """Each vertex's neighbours as an n-bit int, n²/8 bytes in all: only
+        the exact searches and the catalog, which stop at small n, read it."""
         masks = [0] * self.n
         for u, v in self.edges:
             masks[u] |= 1 << v

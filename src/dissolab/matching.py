@@ -1,13 +1,18 @@
 """Maximum bipartite matching, König covers, and bipartite independent sets.
 
-The matching search scans vertices in ascending index order and adjacency in
-the ascending order of ``Graph.adjacency``, so every result here is a
-deterministic function of the input graph. Sides are read from
-``Graph.side``.
+The matching search starts from a greedy matching by the Karp-Sipser rule
+(Karp & Sipser, 1981): while some free vertex has exactly one free neighbour,
+the lowest such vertex is matched to it; otherwise the lowest free vertex
+with a free neighbour is matched to its lowest free neighbour. Hopcroft-Karp
+then augments it to a maximum matching, scanning free vertices in ascending
+index order and adjacency in the ascending order of ``Graph.adjacency``. So
+every result here is a deterministic function of the input graph. Sides are
+read from ``Graph.side``.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
@@ -54,19 +59,16 @@ def is_matching(g: Graph, edges: Iterable[tuple[int, int]]) -> bool:
 
 
 def is_induced_matching(g: Graph, edges: Iterable[tuple[int, int]]) -> bool:
-    """True iff a matching and no host edge joins two distinct matched pairs."""
-    es = [_canonical_edge(u, v) for u, v in edges]
+    """True iff a matching and no host edge joins two distinct matched pairs:
+    every matched neighbour of a matched vertex is its partner."""
+    es = list(edges)
     if not is_matching(g, es):
         return False
-    for i in range(len(es)):
-        a, b = es[i]
-        for j in range(i + 1, len(es)):
-            c, d = es[j]
-            for x in (a, b):
-                for y in (c, d):
-                    if g.has_edge(x, y):
-                        return False
-    return True
+    partner: dict[int, int] = {}
+    for u, v in es:
+        partner[u], partner[v] = v, u
+    adj = g.adjacency
+    return all(w == partner[u] for u in partner for w in adj[u] if w in partner)
 
 
 def matching_from_edges(g: Graph, edges: Iterable[tuple[int, int]]) -> Matching:
@@ -119,12 +121,46 @@ def partner_map(m: Matching) -> dict[int, int]:
     return partner
 
 
+def _karp_sipser(adj: tuple[tuple[int, ...], ...], partner: list[int]) -> None:
+    """Fill the all-free ``partner`` with the greedy Karp-Sipser matching of
+    the module docstring. Its degree-1 step never loses a maximum matching,
+    so on forests and cycles the result is already maximum."""
+    free_degree = [len(nbrs) for nbrs in adj]
+    # heap of vertices that had one free neighbour; stale entries are skipped
+    ones = [v for v, d in enumerate(free_degree) if d == 1]
+    push, pop = heapq.heappush, heapq.heappop
+    lowest, n = 0, len(adj)
+    while True:
+        if ones:
+            u = pop(ones)
+            if partner[u] != -1 or free_degree[u] != 1:
+                continue
+        else:
+            while lowest < n and (partner[lowest] != -1 or free_degree[lowest] == 0):
+                lowest += 1
+            if lowest == n:
+                return
+            u = lowest
+        for v in adj[u]:  # u has a free neighbour, so the loop breaks
+            if partner[v] == -1:
+                break
+        partner[u], partner[v] = v, u
+        for x in (u, v):
+            for w in adj[x]:
+                if partner[w] == -1:
+                    free_degree[w] -= 1
+                    if free_degree[w] == 1:
+                        push(ones, w)
+
+
 def maximum_matching(g: Graph) -> Matching:
-    """Hopcroft-Karp maximum matching, pinned by ascending-index tie-breaks."""
+    """Hopcroft-Karp maximum matching from a Karp-Sipser start, pinned by
+    ascending-index tie-breaks."""
     n = g.n
     a_side = [v for v, s in enumerate(g.side) if s == 0]
     adj = g.adjacency
     partner = [-1] * n
+    _karp_sipser(adj, partner)
     NIL = n
     INF = n + 1
     dist = [0] * (n + 1)

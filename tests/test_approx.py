@@ -7,8 +7,11 @@ from dissolab.exact import (
     independence_number_exact,
     is_dissociation_set,
 )
-from dissolab.graph import NotBipartiteError, new_graph, remove_edges
+from dissolab.graph import Graph, NotBipartiteError, new_graph, remove_edges
+from dissolab.matching import matching_from_edges
 from dissolab.recognizer import Extremal, recognize_extremal
+
+from strategies import planted_pair
 
 
 def c6():
@@ -74,3 +77,20 @@ def test_bounds_and_recognizer_consistency_on_corpus():
         assert 4 * len(chosen) >= 3 * diss
         outcome = recognize_extremal(g, cert.matching)
         assert isinstance(outcome, Extremal) == (4 * len(chosen) == 3 * diss)
+
+
+def test_polynomial_paths_never_build_adjacency_masks(monkeypatch):
+    # the bitmask view takes n^2/8 bytes: 50 MB here, 100 GB at 10^6 vertices
+    g, planted, set_size = planted_pair(20_000, 2_000, 7)
+
+    def refuse(self):
+        raise RuntimeError("adjacency_masks built on a polynomial path")
+
+    monkeypatch.setattr(Graph, "adjacency_masks", property(refuse))
+    outcome = recognize_extremal(g, matching_from_edges(g, planted))
+    assert isinstance(outcome, Extremal) and len(outcome.max_dissociation_set) == set_size
+    chosen, cert = approx_dissociation_bipartite(g)
+    assert len(cert.matching.edges) == len(planted) and cert.alpha_g_minus_m == len(chosen)
+    # diss(g) is the planted set size, so the chain decides the outcome on M
+    outcome = recognize_extremal(g, cert.matching)
+    assert isinstance(outcome, Extremal) == (4 * len(chosen) == 3 * set_size)

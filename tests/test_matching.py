@@ -2,8 +2,9 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dissolab.exact import matching_number_bruteforce
+from dissolab.exact import is_dissociation_set, is_independent_set, matching_number_bruteforce
 from dissolab.graph import NotBipartiteError, new_graph
 from dissolab.matching import (
     MatchingNotMaximumError,
@@ -16,7 +17,7 @@ from dissolab.matching import (
     maximum_matching,
 )
 
-from strategies import bipartite_graphs
+from strategies import bipartite_graphs, graphs, planted_pair
 
 
 def c6():
@@ -37,6 +38,33 @@ class TestMaximumMatching:
         m = maximum_matching(g)
         assert len(m.edges) == n // 2
         assert not has_augmenting_path(g, m)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_relabelled_paths_and_cycles(self, seed):
+        # the greedy start alone is maximum here; Hopcroft-Karp must keep it so
+        rng = random.Random(seed)
+        edges, size, n = [], 0, 0
+        while n < 3000:
+            if rng.random() < 0.4:  # an even cycle, so the graph stays bipartite
+                k = 2 * rng.randrange(2, 20)
+                edges += [(n + i, n + (i + 1) % k) for i in range(k)]
+            else:
+                k = rng.randrange(1, 40)
+                edges += [(n + i, n + i + 1) for i in range(k - 1)]
+            size, n = size + k // 2, n + k
+        label = list(range(n))
+        rng.shuffle(label)
+        g = new_graph(n, [(label[u], label[v]) for u, v in edges])
+        m = maximum_matching(g)
+        assert len(m.edges) == size and not has_augmenting_path(g, m)
+        assert maximum_matching(new_graph(n, g.edges)) == m
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_planted_pairs_with_extra_edges(self, seed):
+        g, planted, _ = planted_pair(3000, 300 * seed, seed)
+        m = maximum_matching(g)
+        assert len(m.edges) == len(planted) and not has_augmenting_path(g, m)
+        assert maximum_matching(new_graph(g.n, g.edges)) == m
 
     def test_c6_size(self):
         g = c6()
@@ -157,6 +185,23 @@ class TestPredicates:
     def test_factory_validates(self):
         with pytest.raises(ValueError):
             matching_from_edges(c6(), [(0, 1), (1, 2)])
+
+    @given(graphs(max_n=8), st.lists(st.integers(min_value=0, max_value=7), max_size=10))
+    @settings(max_examples=300)
+    def test_set_checks_agree_with_pairwise_definitions(self, g, picks):
+        # picks may repeat a vertex or be empty
+        s = [v for v in picks if v < g.n]
+        distinct = set(s)
+        assert is_independent_set(g, s) == all(
+            not g.has_edge(u, v) for u in distinct for v in distinct if u < v)
+        assert is_dissociation_set(g, s) == all(
+            sum(g.has_edge(u, v) for v in distinct) <= 1 for u in distinct)
+        pairs = [e for e in zip(s[::2], s[1::2]) if e[0] != e[1]]
+        expected = is_matching(g, pairs) and all(
+            not g.has_edge(x, y) for i, (a, b) in enumerate(pairs)
+            for c, d in pairs[i + 1:] for x in (a, b) for y in (c, d))
+        assert is_induced_matching(g, pairs) == expected
+        assert is_induced_matching(g, pairs[::-1]) == expected
 
     def test_factory_induced_flag(self):
         # the factory accepts any matching; inducedness is a separate test
