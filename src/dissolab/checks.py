@@ -206,7 +206,8 @@ _VALUE = re.compile(r"(order|alpha|diss|nu_s)(_minus_matching|_original|)")
 
 
 def _original_graph(g: Graph, roles: Mapping[int, str]) -> Graph:
-    """The source graph: g induced on its ``orig:<v>`` vertices, v numbered by its role."""
+    """The source graph: g induced on its ``orig:<v>`` vertices, v numbered by
+    its role; ``parse_gadget_metadata`` makes the v of a file 0..k-1, each once."""
     source = {u: int(role[len("orig:"):]) for u, role in roles.items() if role.startswith("orig:")}
     return new_graph(len(source), [(source[u], source[v]) for u, v in g.edge_list
                                    if u in source and v in source])

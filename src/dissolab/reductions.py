@@ -305,12 +305,16 @@ def parse_gadget_metadata(
     """Extract (kind, predictions, roles) from the comment lines of a gadget
     file on ``n`` vertices.
 
-    A role line whose vertex is not in 1..n, or whose ``orig:`` index is not
-    a non-negative integer, is a ParseError.
+    A role line whose vertex is not in 1..n or already has a role is a
+    ParseError, and so is one whose ``orig:`` index is not an integer, is
+    repeated, or is not below the number of ``orig:`` roles: the indices
+    must number the source graph's vertices 0..k-1.
     """
     kind: Optional[str] = None
     predictions: dict[str, str] = {}
     roles: dict[int, str] = {}
+    # orig index -> (line number, line), in file order
+    origs: dict[int, tuple[int, str]] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         fields = line.split()
@@ -325,8 +329,18 @@ def parse_gadget_metadata(
                 raise ParseError(line_no, f"malformed role line {line!r}") from None
             if not 1 <= v <= n:
                 raise ParseError(line_no, f"role vertex out of range in {line!r}")
+            if v - 1 in roles:
+                raise ParseError(line_no, f"role vertex repeated in {line!r}")
             tag = " ".join(fields[3:])
-            if tag.startswith("orig:") and not tag[len("orig:"):].isdecimal():
-                raise ParseError(line_no, f"malformed orig index in {line!r}")
+            if tag.startswith("orig:"):
+                if not tag[len("orig:"):].isdecimal():
+                    raise ParseError(line_no, f"malformed orig index in {line!r}")
+                index = int(tag[len("orig:"):])
+                if index in origs:
+                    raise ParseError(line_no, f"repeated orig index in {line!r}")
+                origs[index] = (line_no, line)
             roles[v - 1] = tag
+    for index, (line_no, line) in origs.items():
+        if index >= len(origs):
+            raise ParseError(line_no, f"orig index out of range in {line!r}")
     return kind, predictions, roles

@@ -21,6 +21,11 @@ def c6_file(tmp_path):
     return write_graph(tmp_path / "c6.dimacs", g)
 
 
+# P3 with the orig: role lines of the gadget `gadget is` writes for it
+ORIG_ROLES = ("p edge 3 2\nc predict alpha 2\nc role 1 orig:0\nc role 2 orig:1\n"
+              "c role 3 orig:2\ne 1 2\ne 2 3\n")
+
+
 def kv(output):
     pairs = {}
     for line in output.strip().splitlines():
@@ -387,9 +392,17 @@ class TestCheck:
          ({"p3.dimacs": "c predict alpha 3\nc role 4 orig:0\np edge 3 0\n"},
           "p3.dimacs: line 2: role vertex out of range in 'c role 4 orig:0'"),
          ({"p3.dimacs": "c predict alpha 3\nc role 1 orig:x\np edge 3 0\n"},
-          "p3.dimacs: line 2: malformed orig index in 'c role 1 orig:x'")],
+          "p3.dimacs: line 2: malformed orig index in 'c role 1 orig:x'"),
+         # the source graph would be read from the wrong vertices
+         ({"p3.dimacs": ORIG_ROLES.replace("c role 3 orig:2", "c role 3 orig:0")},
+          "p3.dimacs: line 5: repeated orig index in 'c role 3 orig:0'"),
+         ({"p3.dimacs": ORIG_ROLES.replace("c role 1 orig:0", "c role 1 orig:7")},
+          "p3.dimacs: line 3: orig index out of range in 'c role 1 orig:7'"),
+         ({"p3.dimacs": ORIG_ROLES.replace("c role 3 orig:2", "c role 2 orig:2")},
+          "p3.dimacs: line 5: role vertex repeated in 'c role 2 orig:2'")],
         ids=["graph-line", "sidecar-line", "role-line", "role-vertex-zero",
-             "role-vertex-above-n", "orig-index"],
+             "role-vertex-above-n", "orig-index", "orig-index-repeated",
+             "orig-index-above-k", "role-vertex-repeated"],
     )
     def test_malformed_file_named_in_error(self, files, error, tmp_path, capsys):
         corpus = tmp_path / "corpus"
