@@ -64,9 +64,7 @@ def is_induced_matching(g: Graph, edges: Iterable[tuple[int, int]]) -> bool:
     es = list(edges)
     if not is_matching(g, es):
         return False
-    partner: dict[int, int] = {}
-    for u, v in es:
-        partner[u], partner[v] = v, u
+    partner = partner_map(Matching(frozenset(es)))
     adj = g.adjacency
     return all(w == partner[u] for u in partner for w in adj[u] if w in partner)
 
