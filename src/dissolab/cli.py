@@ -164,7 +164,7 @@ def cmd_recognize(args: argparse.Namespace) -> int:
         labeling = None
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(to_dot(g, labeling=labeling, highlight=[m.edges]))
+            handle.write(to_dot(g, labeling=labeling, highlight=m.edges))
         print(f"dot={args.dot}")
     return EXIT_OK
 

@@ -103,9 +103,6 @@ class Graph:
         """Each vertex's side, 0 for A and 1 for B; computed once by :func:`bipartition`."""
         return bipartition(self)
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def has_edge(self, u: int, v: int) -> bool:
         return _canonical_edge(u, v) in self.edges
 
@@ -249,23 +246,15 @@ def render_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-_DOT_STYLES = (
-    "style=bold, color=red",
-    "style=dashed, color=blue",
-    "style=dotted, color=darkgreen",
-    "style=solid, color=orange",
-)
-
-
 def to_dot(
     g: Graph,
     labeling: Optional[Mapping[int, object]] = None,
-    highlight: Optional[Sequence[Iterable[tuple[int, int]]]] = None,
+    highlight: Iterable[tuple[int, int]] = (),
 ) -> str:
     """Render ``g`` as DOT text.
 
     ``labeling`` maps vertices to a class name shown in the node label;
-    each edge set in ``highlight`` gets its own style.
+    the edges in ``highlight`` are drawn bold and red.
     """
     labels: dict[int, str] = {}
     if labeling is not None:
@@ -273,19 +262,14 @@ def to_dot(
             if not (0 <= v < g.n):
                 raise GraphConstructionError(f"labeling references unknown vertex {v}")
             labels[v] = getattr(cls, "value", str(cls))
-    style_of: dict[tuple[int, int], str] = {}
-    if highlight:
-        for idx, edge_set in enumerate(highlight):
-            style = _DOT_STYLES[idx % len(_DOT_STYLES)]
-            for u, v in edge_set:
-                style_of.setdefault(_canonical_edge(u, v), style)
+    bold = {_canonical_edge(u, v) for u, v in highlight}
     out = ["graph g {"]
     for v in range(g.n):
         text = f"{v} {labels[v]}" if v in labels else str(v)
         out.append(f'  {v} [label="{text}"];')
     for u, v in g.edge_list:
-        if (u, v) in style_of:
-            out.append(f"  {u} -- {v} [{style_of[(u, v)]}];")
+        if (u, v) in bold:
+            out.append(f"  {u} -- {v} [style=bold, color=red];")
         else:
             out.append(f"  {u} -- {v};")
     out.append("}")

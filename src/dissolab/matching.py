@@ -1,5 +1,9 @@
 """Maximum bipartite matching, König covers, and bipartite independent sets.
 
+One partner array (``partner_map``: each vertex's partner, -1 when free) and
+one alternating BFS (``_layers``) serve Hopcroft-Karp's phases, Berge's test
+``has_augmenting_path`` and the König cover.
+
 The matching search starts from a greedy matching by the Karp-Sipser rule
 (Karp & Sipser, 1981): while some free vertex has exactly one free neighbour,
 the lowest such vertex is matched to it; otherwise the lowest free vertex
@@ -64,17 +68,16 @@ def is_induced_matching(g: Graph, edges: Iterable[tuple[int, int]]) -> bool:
     es = list(edges)
     if not is_matching(g, es):
         return False
-    partner = partner_map(Matching(frozenset(es)))
+    partner = partner_map(g, Matching(frozenset(es)))
     adj = g.adjacency
-    return all(w == partner[u] for u in partner for w in adj[u] if w in partner)
+    return all(partner[w] in (-1, x) for e in es for x in e for w in adj[x])
 
 
 def matching_from_edges(g: Graph, edges: Iterable[tuple[int, int]]) -> Matching:
-    """Validate edges as a matching of g."""
-    es = frozenset(_canonical_edge(u, v) for u, v in edges)
-    if not is_matching(g, es):
-        raise ValueError("edge set is not a matching of the graph")
-    return Matching(es)
+    """Validate edges as a matching of g: ValueError if they are not one."""
+    m = Matching(frozenset(_canonical_edge(u, v) for u, v in edges))
+    partner_map(g, m)
+    return m
 
 
 def parse_matching(text: str, g: Graph) -> Matching:
@@ -110,12 +113,14 @@ def parse_matching(text: str, g: Graph) -> Matching:
     return Matching(frozenset(edges))
 
 
-def partner_map(m: Matching) -> dict[int, int]:
-    """Each matched vertex mapped to the other end of its matching edge."""
-    partner: dict[int, int] = {}
+def partner_map(g: Graph, m: Matching) -> list[int]:
+    """Each vertex's partner in m, -1 for a free vertex. Raises ValueError
+    when m is not a matching of g."""
+    partner = [-1] * g.n
     for u, v in m.edges:
-        partner[u] = v
-        partner[v] = u
+        if not g.has_edge(u, v) or partner[u] != -1 or partner[v] != -1:
+            raise ValueError("edge set is not a matching of the graph")
+        partner[u], partner[v] = v, u
     return partner
 
 
@@ -151,6 +156,35 @@ def _karp_sipser(adj: tuple[tuple[int, ...], ...], partner: list[int]) -> None:
                         push(ones, w)
 
 
+def _layers(
+    adj: tuple[tuple[int, ...], ...], a_side: list[int], partner: list[int], dist: list[int]
+) -> bool:
+    """Alternating BFS from the free side-A vertices; True iff it reaches a
+    free side-B vertex (an augmenting path exists). ``dist[u]`` becomes side-A
+    vertex u's layer, ``len(adj) + 1`` if unreached; layers past the first
+    free side-B vertex, ``dist[len(adj)]``, are not expanded."""
+    nil = len(adj)
+    inf = nil + 1
+    dq: deque[int] = deque()
+    for u in a_side:
+        if partner[u] == -1:
+            dist[u] = 0
+            dq.append(u)
+        else:
+            dist[u] = inf
+    dist[nil] = inf
+    while dq:
+        u = dq.popleft()
+        if dist[u] < dist[nil]:
+            for v in adj[u]:
+                w = partner[v] if partner[v] != -1 else nil
+                if dist[w] == inf:
+                    dist[w] = dist[u] + 1
+                    if w != nil:
+                        dq.append(w)
+    return dist[nil] != inf
+
+
 def maximum_matching(g: Graph) -> Matching:
     """Hopcroft-Karp maximum matching from a Karp-Sipser start, pinned by
     ascending-index tie-breaks."""
@@ -162,26 +196,6 @@ def maximum_matching(g: Graph) -> Matching:
     NIL = n
     INF = n + 1
     dist = [0] * (n + 1)
-
-    def bfs() -> bool:
-        dq: deque[int] = deque()
-        for u in a_side:
-            if partner[u] == -1:
-                dist[u] = 0
-                dq.append(u)
-            else:
-                dist[u] = INF
-        dist[NIL] = INF
-        while dq:
-            u = dq.popleft()
-            if dist[u] < dist[NIL]:
-                for v in adj[u]:
-                    w = partner[v] if partner[v] != -1 else NIL
-                    if dist[w] == INF:
-                        dist[w] = dist[u] + 1
-                        if w != NIL:
-                            dq.append(w)
-        return dist[NIL] != INF
 
     def dfs(root: int) -> None:
         # augmenting-path search along the BFS layers with an explicit stack:
@@ -207,7 +221,7 @@ def maximum_matching(g: Graph) -> Matching:
                 path.pop()
                 pos.pop()
 
-    while bfs():
+    while _layers(adj, a_side, partner, dist):
         for u in a_side:
             if partner[u] == -1:
                 dfs(u)
@@ -217,58 +231,35 @@ def maximum_matching(g: Graph) -> Matching:
     return matching_from_edges(g, edges)
 
 
-def _alternating_reachable(g: Graph, m: Matching) -> tuple[set[int], set[int], bool]:
-    """Alternating BFS from unmatched side-A vertices.
-
-    Returns (reached A vertices, reached B vertices, free B vertex reached),
-    the last flag meaning an augmenting path exists. Raises
-    NotBipartiteError for non-bipartite g, then ValueError when m is not a
-    matching of g.
-    """
-    side = g.side
-    if not is_matching(g, m.edges):
-        raise ValueError("edge set is not a matching of the graph")
-    partner = partner_map(m)
-    matched_edges = m.edges
-    reached_a = {u for u, s in enumerate(side) if s == 0 and u not in partner}
-    reached_b: set[int] = set()
-    found_free_b = False
-    stack = sorted(reached_a)
-    while stack:
-        u = stack.pop()
-        for v in g.adjacency[u]:
-            if _canonical_edge(u, v) in matched_edges or v in reached_b:
-                continue
-            reached_b.add(v)
-            w = partner.get(v)
-            if w is None:
-                found_free_b = True
-            elif w not in reached_a:
-                reached_a.add(w)
-                stack.append(w)
-    return reached_a, reached_b, found_free_b
-
-
 def has_augmenting_path(g: Graph, m: Matching) -> bool:
-    """True iff m is not a maximum matching of g (Berge)."""
-    return _alternating_reachable(g, m)[2]
+    """True iff m is not a maximum matching of g (Berge). Raises
+    NotBipartiteError for non-bipartite g, then ValueError when m is not a
+    matching of g."""
+    a_side = [v for v, s in enumerate(g.side) if s == 0]
+    return _layers(g.adjacency, a_side, partner_map(g, m), [0] * (g.n + 1))
 
 
 def koenig_cover(g: Graph, m: Matching) -> frozenset[int]:
-    """Vertex cover of size |m| from a maximum matching (König construction)."""
-    reached_a, reached_b, free_b = _alternating_reachable(g, m)
-    if free_b:
+    """Vertex cover of size |m| from a maximum matching (König construction):
+    the unreached side-A vertices and the neighbours of the reached ones."""
+    a_side = [v for v, s in enumerate(g.side) if s == 0]
+    adj = g.adjacency
+    dist = [0] * (g.n + 1)
+    if _layers(adj, a_side, partner_map(g, m), dist):
         raise MatchingNotMaximumError(
             "matching admits an augmenting path; not maximum"
         )
-    cover = frozenset(
-        v for v, s in enumerate(g.side) if s == 0 and v not in reached_a
-    ) | frozenset(reached_b)
+    cover: set[int] = set()
+    for u in a_side:
+        if dist[u] == g.n + 1:
+            cover.add(u)
+        else:
+            cover.update(adj[u])
     if len(cover) != len(m.edges):
         raise RuntimeError(
             f"König cover has {len(cover)} vertices for {len(m.edges)} matching edges"
         )
-    return cover
+    return frozenset(cover)
 
 
 def maximum_independent_set_bipartite(g: Graph) -> frozenset[int]:

@@ -22,7 +22,6 @@ from .graph import Graph, remove_edges
 from .matching import (
     Matching,
     has_augmenting_path,
-    is_matching,
     maximum_matching,
     partner_map,
 )
@@ -113,7 +112,6 @@ class NotExtremalReason(Enum):
     PATH_EDGE_VIOLATION = "PathEdgeViolation"
     TWO_SAT_UNSAT = "TwoSatUnsat"
     NOT_MAXIMUM_MATCHING = "NotMaximumMatching"
-    NOT_BIPARTITE = "NotBipartite"
 
 
 @dataclass(frozen=True)
@@ -143,12 +141,9 @@ def decompose_alternating(
     """
     if m.edges & m2.edges:
         raise ValueError("matchings overlap; they must be edge-disjoint")
-    for edges in (m.edges, m2.edges):
-        if not is_matching(g, edges):
-            raise ValueError("edge set is not a matching of the graph")
     n = g.n
-    pm = partner_map(m)
-    pm2 = partner_map(m2)
+    pm = partner_map(g, m)
+    pm2 = partner_map(g, m2)
     visited = [False] * n
     paths: list[PathComponent] = []
     cycles: list[CycleComponent] = []
@@ -159,8 +154,8 @@ def decompose_alternating(
         take_m = first_in_m
         cur = start
         while True:
-            nxt = (pm if take_m else pm2).get(cur)
-            if nxt is None or visited[nxt]:
+            nxt = (pm if take_m else pm2)[cur]
+            if nxt == -1 or visited[nxt]:
                 return seq
             seq.append(nxt)
             visited[nxt] = True
@@ -171,11 +166,11 @@ def decompose_alternating(
     for v in range(n):
         if visited[v]:
             continue
-        in_m = v in pm
-        if in_m and v in pm2:
+        in_m = pm[v] != -1
+        if in_m and pm2[v] != -1:
             continue
         seq = walk(v, in_m)
-        if not in_m and len(seq) > 1 and pm.get(seq[-1]) == seq[-2]:
+        if not in_m and len(seq) > 1 and pm[seq[-1]] == seq[-2]:
             seq.reverse()
         paths.append(PathComponent(tuple(seq)))
 
@@ -218,11 +213,11 @@ def label_path_components(
     lies in M, and takes ``_PATTERN`` of its first vertex's side from the
     start. Cycle vertices stay unlabeled here.
     """
-    pm2 = partner_map(m2)
+    pm2 = partner_map(g, m2)
     labels: dict[int, SixClass] = {}
     for path in d.paths:
         verts = path.vertices
-        if len(verts) == 1 or verts[0] in pm2:
+        if len(verts) == 1 or pm2[verts[0]] != -1:
             raise RuntimeError(
                 "path labeling reached with unvalidated component "
                 f"{verts}; length checks must run first"

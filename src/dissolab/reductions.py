@@ -136,6 +136,17 @@ def _literal_tag(lit: Literal) -> str:
     return f"{'' if positive else '~'}x{var + 1}"
 
 
+def _complementary_edges(occurrences: list[tuple[int, Literal]], block: int) -> list[tuple[int, int]]:
+    """Edges between complementary literal occurrences in different clause
+    blocks of ``block`` consecutive vertices."""
+    return [
+        (u, v)
+        for idx, (u, (var_u, pol_u)) in enumerate(occurrences)
+        for v, (var_v, pol_v) in occurrences[idx + 1:]
+        if var_u == var_v and pol_u != pol_v and u // block != v // block
+    ]
+
+
 def gadget_diss_2alpha(f: CnfFormula) -> GadgetInstance:
     """Clause-clique gadget: order 4m, alpha = m, diss = alpha + nu_s always."""
     m = len(f.clauses)
@@ -152,10 +163,7 @@ def gadget_diss_2alpha(f: CnfFormula) -> GadgetInstance:
         for a in range(4):
             for c in range(a + 1, 4):
                 edges.append((members[a], members[c]))
-    for idx, (u, (var_u, pol_u)) in enumerate(occurrences):
-        for v, (var_v, pol_v) in occurrences[idx + 1:]:
-            if var_u == var_v and pol_u != pol_v and u // 3 != v // 3:
-                edges.append((u, v))
+    edges += _complementary_edges(occurrences, 3)
     predicted = {
         "order": n,
         "alpha": m,
@@ -184,10 +192,7 @@ def gadget_diss_alpha(f: CnfFormula) -> GadgetInstance:
             for c in range(a + 1, 6):
                 if c != a + 3:
                     edges.append((block[a], block[c]))
-    for idx, (u, (var_u, pol_u)) in enumerate(occurrences):
-        for v, (var_v, pol_v) in occurrences[idx + 1:]:
-            if var_u == var_v and pol_u != pol_v and u // 6 != v // 6:
-                edges.append((u, v))
+    edges += _complementary_edges(occurrences, 6)
     predicted = {
         "order": n,
         "diss": 2 * m,

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dissolab.exact import is_dissociation_set, is_independent_set, matching_number_bruteforce
-from dissolab.graph import NotBipartiteError, new_graph
+from dissolab.graph import NotBipartiteError, new_graph, random_bipartite
 from dissolab.matching import (
+    Matching,
     MatchingNotMaximumError,
     has_augmenting_path,
     is_induced_matching,
@@ -127,6 +128,45 @@ class TestKoenigCover:
         small = matching_from_edges(g, [(0, 1)])
         with pytest.raises(MatchingNotMaximumError):
             koenig_cover(g, small)
+
+    def test_non_maximum_matchings(self):
+        # seeded graphs on up to 5 + 5 vertices, each with a random matching:
+        # edges in shuffled order, each kept with probability 0.6 while both
+        # ends are free, so both maximum and short matchings occur
+        short_seen = maximum_seen = 0
+        for seed in range(400):
+            rng = random.Random(seed)
+            g = random_bipartite(rng.randrange(1, 6), rng.randrange(1, 6), rng.random(), seed)
+            edges = sorted(g.edges)
+            rng.shuffle(edges)
+            kept: list[tuple[int, int]] = []
+            matched: set[int] = set()
+            for u, v in edges:
+                if u not in matched and v not in matched and rng.random() < 0.6:
+                    kept.append((u, v))
+                    matched.update((u, v))
+            m = matching_from_edges(g, kept)
+            short = len(m.edges) < matching_number_bruteforce(g)
+            assert has_augmenting_path(g, m) == short
+            if short:
+                short_seen += 1
+                with pytest.raises(MatchingNotMaximumError):
+                    koenig_cover(g, m)
+            else:
+                maximum_seen += 1
+                cover = koenig_cover(g, m)
+                assert len(cover) == len(m.edges)
+                assert all(u in cover or v in cover for u, v in g.edges)
+        assert short_seen > 50 and maximum_seen > 50
+
+    @pytest.mark.parametrize("check", [has_augmenting_path, koenig_cover])
+    def test_error_order(self, check):
+        # a non-bipartite graph is reported before a bad matching
+        fake = Matching(frozenset({(0, 2), (1, 2)}))
+        with pytest.raises(NotBipartiteError):
+            check(new_graph(3, [(0, 1), (1, 2), (0, 2)]), fake)
+        with pytest.raises(ValueError, match="not a matching"):
+            check(c6(), fake)
 
     @given(bipartite_graphs(max_side=5))
     @settings(max_examples=100)

@@ -6,7 +6,7 @@ from dissolab.exact import (
     is_dissociation_set,
 )
 from dissolab.graph import NotBipartiteError, new_graph, remove_edges
-from dissolab.matching import matching_from_edges, maximum_matching
+from dissolab.matching import Matching, matching_from_edges, maximum_matching
 from dissolab.recognizer import (
     Extremal,
     NotExtremal,
@@ -117,6 +117,12 @@ class TestDecompose:
         m = matching_from_edges(g, [(0, 1)])
         with pytest.raises(ValueError, match="overlap"):
             decompose_alternating(g, m, m)
+        # overlap is reported before the edge set is checked against g
+        fake = Matching(frozenset({(0, 2)}))
+        with pytest.raises(ValueError, match="overlap"):
+            decompose_alternating(g, fake, fake)
+        with pytest.raises(ValueError, match="not a matching"):
+            decompose_alternating(g, m, fake)
 
     def test_components_partition_vertices(self):
         g = new_graph(11, path_graph(6) + path_graph(5, 6))
@@ -375,8 +381,6 @@ class TestRecognizeExtremal:
 
     def test_invalid_matching_rejected(self):
         g = c6()
-        from dissolab.matching import Matching
-
         fake = Matching(frozenset({(0, 2)}))
         with pytest.raises(ValueError):
             recognize_extremal(g, fake)
