@@ -8,6 +8,7 @@ inputs, flags, and seed. Exit codes: 0 success, 1 property violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -312,7 +313,10 @@ def cmd_check(args: argparse.Namespace) -> int:
     return EXIT_VIOLATION if failures else EXIT_OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _build_parser(cutoff: int) -> argparse.ArgumentParser:
+    """The argument parser with ``cutoff`` as the default oracle cutoff;
+    built once per value, since ``main`` may run many times in one process."""
     parser = argparse.ArgumentParser(
         prog="dissolab",
         description=(
@@ -322,7 +326,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    cutoff = _default_cutoff()
 
     p_solve = sub.add_parser("solve", help="exact invariants of a graph file")
     p_solve.add_argument("path")
@@ -370,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(_default_cutoff()).parse_args(argv)
         return args.func(args)
     except InstanceTooLarge as exc:
         print(f"error=InstanceTooLarge detail={exc}", file=sys.stderr)

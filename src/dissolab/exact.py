@@ -19,6 +19,12 @@ so it never changes which optimum is found:
   after the 3-path vertex cover view ``diss = n - psi_3`` (Bresar et al.,
   2011).
 
+Both sweeps that apply the greedy rules are incremental: a vertex is
+examined again only after a neighbour has changed state, in the ascending
+order of a full pass. So they settle the same vertices, in the same order,
+as repeated full passes would, and give the same search tree with fewer
+vertex visits.
+
 ``diss_via_induced_matchings`` enumerates maximal induced matchings and runs
 the kernel on each ``G - M``; it stays as the reference for ``diss``.
 """
@@ -26,7 +32,7 @@ the kernel on each ``G - M``; it stays as the reference for ``diss``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .graph import Graph
 from .matching import Matching, is_induced_matching, matching_from_edges
@@ -86,6 +92,16 @@ def _mask_to_set(mask: int) -> frozenset[int]:
     return frozenset(out)
 
 
+def _union(masks: Sequence[int], mask: int) -> int:
+    """The union of ``masks[v]`` over the vertices v of ``mask``."""
+    out = 0
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        out |= masks[bit.bit_length() - 1]
+    return out
+
+
 def dissociation_number_exact(
     g: Graph, *, cutoff: int = EXACT_CUTOFF
 ) -> tuple[int, frozenset[int]]:
@@ -109,28 +125,29 @@ def dissociation_number_exact(
     best_size = -1
     best_mask = 0
 
-    def rec(undecided: int, chosen: int, free: int, size: int) -> None:
+    def rec(undecided: int, chosen: int, free: int, size: int, dirty: int) -> None:
         nonlocal best_size, best_mask
-        # sweep: settle vertices with residual degree <= 1
-        progress = True
-        while progress:
-            progress = False
-            w = undecided
+        # sweep: settle vertices with residual degree <= 1, in ascending
+        # passes over w. Invariant: an undecided vertex in neither w nor
+        # dirty has had no neighbour change state since it last failed to
+        # settle, so it would fail again and is skipped
+        w = dirty & undecided
+        while w:
+            dirty = 0
             while w:
                 bit = w & -w
                 w ^= bit
                 if not undecided & bit:
                     continue  # settled earlier in this pass
                 v = bit.bit_length() - 1
-                du = adj[v] & undecided
-                cn = adj[v] & chosen
+                touched = adj[v]
+                du = touched & undecided
+                cn = touched & chosen
                 if cn & (cn - 1):
                     # two chosen neighbours: v can never join
                     undecided ^= bit
-                    progress = True
                 elif du == 0:
                     undecided ^= bit
-                    progress = True
                     if cn == 0:
                         chosen |= bit
                         free |= bit
@@ -141,7 +158,9 @@ def dissociation_number_exact(
                         chosen |= bit
                         free &= ~cn
                         size += 1
-                        undecided &= ~adj[u]
+                        gone = undecided & adj[u]
+                        undecided ^= gone
+                        touched |= adj[u] | _union(adj, gone)
                     # else: neighbour already paired, v stays out
                 elif du & (du - 1) == 0 and cn == 0:
                     # residual leaf with no chosen neighbour: take it free
@@ -149,7 +168,13 @@ def dissociation_number_exact(
                     chosen |= bit
                     free |= bit
                     size += 1
-                    progress = True
+                else:
+                    continue
+                # later vertices join this pass, earlier ones the next
+                touched &= undecided
+                w |= touched & -bit
+                dirty |= touched & (bit - 1)
+            w = dirty & undecided
         if size > best_size:
             best_size = size
             best_mask = chosen
@@ -201,19 +226,23 @@ def dissociation_number_exact(
                 bv = v
         bit = 1 << bv
         cn = adj[bv] & chosen
+        undecided ^= bit
+        # each child revisits the neighbours of the vertices it decides
         if cn == 0:
-            rec(undecided ^ bit, chosen | bit, free | bit, size + 1)
+            rec(undecided, chosen | bit, free | bit, size + 1, adj[bv])
         elif cn & (cn - 1) == 0 and cn & free:
             u = cn.bit_length() - 1
+            gone = undecided & (adj[bv] | adj[u])
             rec(
-                undecided & ~bit & ~adj[bv] & ~adj[u],
+                undecided ^ gone,
                 chosen | bit,
                 free & ~cn,
                 size + 1,
+                adj[bv] | adj[u] | _union(adj, gone),
             )
-        rec(undecided ^ bit, chosen, free, size)
+        rec(undecided, chosen, free, size, adj[bv])
 
-    rec((1 << n) - 1, 0, 0, 0)
+    rec((1 << n) - 1, 0, 0, 0, (1 << n) - 1)
     witness = _mask_to_set(best_mask)
     if not is_dissociation_set(g, witness):
         raise RuntimeError("dissociation search returned a set that is not a dissociation set")
@@ -228,29 +257,27 @@ def _max_independent_set(adj: tuple[int, ...], avail0: int) -> tuple[int, int]:
     best_size = -1
     best_mask = 0
 
-    def rec(avail: int, chosen: int, size: int) -> None:
+    def rec(avail: int, chosen: int, size: int, dirty: int) -> None:
         nonlocal best_size, best_mask
-        progress = True
-        while progress:
-            progress = False
-            w = avail
-            while w:
-                bit = w & -w
-                w ^= bit
-                v = bit.bit_length() - 1
-                d = adj[v] & avail
-                if d == 0:
-                    avail ^= bit
-                    chosen |= bit
-                    size += 1
-                    progress = True
-                elif d & (d - 1) == 0:
-                    # leaf: taking it is always optimal
-                    avail &= ~(bit | d)
-                    chosen |= bit
-                    size += 1
-                    progress = True
-                    break
+        # sweep in ascending order over w: taking a vertex of degree 0
+        # changes no other degree, and taking a leaf changes only those of
+        # its partner's neighbours, so only they are rescanned
+        w = dirty & avail
+        while w:
+            bit = w & -w
+            w ^= bit
+            v = bit.bit_length() - 1
+            d = adj[v] & avail
+            if d == 0:
+                avail ^= bit
+                chosen |= bit
+                size += 1
+            elif d & (d - 1) == 0:
+                # leaf: taking it is always optimal
+                avail &= ~(bit | d)
+                chosen |= bit
+                size += 1
+                w = (w | adj[d.bit_length() - 1]) & avail
         if size > best_size:
             best_size = size
             best_mask = chosen
@@ -286,12 +313,15 @@ def _max_independent_set(adj: tuple[int, ...], avail0: int) -> tuple[int, int]:
                 max_deg = d
                 bv = v
         bit = 1 << bv
-        rec(avail & ~(bit | adj[bv]), chosen | bit, size + 1)
+        # the include branch rescans everything: on dense conflict graphs,
+        # collecting the neighbours of N(bv) costs more than the rescan
+        rest = avail & ~(bit | adj[bv])
+        rec(rest, chosen | bit, size + 1, rest)
         # all degrees 2: disjoint cycles, and any vertex lies in some maximum set
         if max_deg > 2:
-            rec(avail ^ bit, chosen, size)
+            rec(avail ^ bit, chosen, size, adj[bv])
 
-    rec(avail0, 0, 0)
+    rec(avail0, 0, 0, avail0)
     return best_size, best_mask
 
 
@@ -320,13 +350,7 @@ def _edge_conflicts(g: Graph) -> tuple[list[tuple[int, int]], list[int]]:
     conflict = []
     for i, (u, v) in enumerate(edges):
         # edge uv meets every edge touching N[u] | N[v], which is N(u) | N(v)
-        mask = 0
-        w = adj[u] | adj[v]
-        while w:
-            bit = w & -w
-            w ^= bit
-            mask |= incident[bit.bit_length() - 1]
-        conflict.append(mask & ~(1 << i))
+        conflict.append(_union(incident, adj[u] | adj[v]) & ~(1 << i))
     return edges, conflict
 
 

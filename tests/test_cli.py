@@ -76,6 +76,18 @@ class TestSolve:
             assert main(["solve", c6_file(tmp_path)]) == 2
             assert "DISSOLAB_CUTOFF" in capsys.readouterr().err
 
+    def test_env_cutoff_read_on_every_call(self, tmp_path, capsys, monkeypatch):
+        # one process, three calls: a parser kept between calls must not
+        # keep the cutoff of an earlier environment
+        path = write_graph(tmp_path / "big.dimacs", new_graph(40, []))
+        monkeypatch.setenv("DISSOLAB_CUTOFF", "40")
+        assert main(["solve", path]) == 0
+        monkeypatch.delenv("DISSOLAB_CUTOFF")
+        assert main(["solve", path]) == 3
+        monkeypatch.setenv("DISSOLAB_CUTOFF", "abc")
+        assert main(["approx", c6_file(tmp_path)]) == 2
+        assert "DISSOLAB_CUTOFF" in capsys.readouterr().err
+
     def test_invariant_subset(self, tmp_path, capsys):
         path = c6_file(tmp_path)
         assert main(["solve", path, "--invariants", "alpha"]) == 0
