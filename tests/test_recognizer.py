@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from dissolab.exact import (
@@ -19,8 +21,11 @@ from dissolab.recognizer import (
     label_path_components,
     recognize_extremal,
 )
+from dissolab.catalog import connected_bipartite_graphs
 from dissolab.corpus import random_bipartite_corpus
 from dissolab.twosat import solve_2sat
+
+from strategies import planted_pair
 
 
 def c6():
@@ -485,3 +490,27 @@ class TestRecognizeExtremal:
             if isinstance(recognize_extremal(g, m), Extremal):
                 extremal += 1
         assert checked > 50 and extremal > 10  # both outcomes well represented
+
+
+def _outcome_key(outcome):
+    if isinstance(outcome, Extremal):
+        members = [sorted(v for v, c in outcome.labeling.classes.items() if c is cls)
+                   for cls in SixClass]
+        return (outcome.labeling.ell, sorted(outcome.max_dissociation_set), members)
+    return (outcome.reason.value, outcome.detail)
+
+
+def test_outcomes_pinned():
+    # reason and detail of every rejection, and ell, set and classes of every
+    # extremal pair: a refactor of the stages must leave all of them as they are
+    pairs = [(g, maximum_matching(g)) for n in range(1, 9) for g in connected_bipartite_graphs(n)]
+    pairs += [(g, maximum_matching(g)) for g in random_bipartite_corpus(200, 16, 7)]
+    pairs += [(g, maximum_matching(g)) for g in map(_structured_instance, range(60))]
+    for seed in range(12):
+        g, planted, _ = planted_pair(60 + 20 * seed, 3 * seed, seed)
+        pairs += [(g, matching_from_edges(g, planted)), (g, maximum_matching(g))]
+    digest = hashlib.sha256()
+    for g, m in pairs:
+        digest.update(repr(_outcome_key(recognize_extremal(g, m))).encode())
+    assert digest.hexdigest() == (
+        "789ba994456562fd3b9023d5b3ece862097c4cacf45a428a102d2913e31cafc8")
