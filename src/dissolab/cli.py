@@ -227,6 +227,9 @@ class _Spec(NamedTuple):
     fields: tuple[str, ...]  # names of the integer fields after the kind
     generate: Callable[..., list]  # (*fields, seed) -> payloads
     check: Callable[[Any, int], Optional[str]]  # (payload, cutoff) -> failure detail
+    # (*fields) -> an order some instance reaches; over the cutoff, the spec
+    # exits 3 before anything is generated
+    least_order: Callable[..., int] = lambda *fields: 0
 
 
 # check spec kind -> _Spec. The lambdas look functions up at call time, so a
@@ -248,7 +251,9 @@ _TARGETS = {
                            lambda f, cutoff: checks.check_cnf_gadgets(f, cutoff=cutoff)),
     "isgadget": _Spec(("N", "K"), lambda n, k, seed: [
                           (g, j) for g in _catalog(all_graphs, n, 0) for j in range(1, k + 1)],
-                      lambda gk, cutoff: checks.check_is_gadget(*gk, cutoff=cutoff)),
+                      lambda gk, cutoff: checks.check_is_gadget(*gk, cutoff=cutoff),
+                      # padding keeps n >= 2, so every gadget for K has >= 2K + 2 vertices
+                      lambda n, k: 2 * k + 2),
     "join-random": _Spec(("COUNT", "N"), lambda *args: join_input_corpus(*args),
                          lambda g, cutoff: checks.check_join_gadget(g, cutoff=cutoff)),
 }
@@ -257,7 +262,7 @@ _CHECKS = {kind: spec.check for kind, spec in _TARGETS.items()}
 _CHECKS["file"] = lambda path, cutoff: checks.check_instance_file(path, cutoff=cutoff)
 
 
-def _expand_target(target: str, seed: int) -> list[tuple[str, str, object]]:
+def _expand_target(target: str, seed: int, cutoff: int) -> list[tuple[str, str, object]]:
     """Turn a generator spec or directory into (instance id, kind, payload)."""
     if os.path.isdir(target):
         out = []
@@ -272,7 +277,11 @@ def _expand_target(target: str, seed: int) -> list[tuple[str, str, object]]:
     if kind not in _TARGETS:
         raise ValueError(f"unknown check target {target!r}")
     spec = _TARGETS[kind]
-    payloads = spec.generate(*_spec_ints(target, fields, len(spec.fields)), seed)
+    ints = _spec_ints(target, fields, len(spec.fields))
+    order = spec.least_order(*ints)
+    if order > cutoff:
+        raise InstanceTooLarge(order, cutoff)
+    payloads = spec.generate(*ints, seed)
     return [(f"{target}#{i}", kind, p) for i, p in enumerate(payloads)]
 
 
@@ -288,7 +297,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     for target in args.targets:
         tasks = [
             (instance_id, kind, payload, args.cutoff)
-            for instance_id, kind, payload in _expand_target(target, args.seed)
+            for instance_id, kind, payload in _expand_target(target, args.seed, args.cutoff)
         ]
         workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
         if workers > 1:

@@ -10,13 +10,17 @@ rotations. The stray edges of G (those outside M + M') must land on a
 blocked class (A4/B4); a 2-SAT formula over the rotation choices decides
 whether they can. On success the four unblocked classes form a maximum
 dissociation set of size 4 * ell.
+
+``decompose_alternating`` is the only stage that reads M and M': the
+decomposition it returns carries the paths, the cycles and the stray edges,
+and every later stage reads only it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 from .graph import Graph, remove_edges
 from .matching import (
@@ -103,6 +107,8 @@ class CycleComponent:
 class AlternatingDecomposition:
     paths: tuple[PathComponent, ...]
     cycles: tuple[CycleComponent, ...]
+    # the edges of G outside M + M', in edge_list order
+    stray: tuple[tuple[int, int], ...]
 
 
 class NotExtremalReason(Enum):
@@ -132,7 +138,8 @@ RecognitionOutcome = Union[Extremal, NotExtremal]
 def decompose_alternating(
     g: Graph, m: Matching, m2: Matching
 ) -> AlternatingDecomposition:
-    """Split H = (V(g), m + m2) into alternating paths and cycles.
+    """Split H = (V(g), m + m2) into alternating paths and cycles, and list
+    the stray edges of g outside H.
 
     Both matchings touch each vertex at most once, so H has maximum degree
     two and its edges alternate between M and M'. Cycles start at their
@@ -184,7 +191,8 @@ def decompose_alternating(
         # from an odd i walk back: either way seq[i]'s M edge comes first
         cycles.append(CycleComponent(tuple(
             seq[i:] + seq[:i] if i % 2 == 0 else seq[i::-1] + seq[:i:-1])))
-    return AlternatingDecomposition(tuple(paths), tuple(cycles))
+    stray = tuple((u, v) for u, v in g.edge_list if pm[u] != v and pm2[u] != v)
+    return AlternatingDecomposition(tuple(paths), tuple(cycles), stray)
 
 
 def check_component_lengths(d: AlternatingDecomposition) -> Optional[NotExtremal]:
@@ -205,19 +213,18 @@ def check_component_lengths(d: AlternatingDecomposition) -> Optional[NotExtremal
 
 
 def label_path_components(
-    g: Graph, d: AlternatingDecomposition, m2: Matching
+    g: Graph, d: AlternatingDecomposition
 ) -> dict[int, SixClass]:
     """Fix the six-class positions of all path vertices.
 
-    A path is read from its endpoint not covered by M', so its first edge
-    lies in M, and takes ``_PATTERN`` of its first vertex's side from the
-    start. Cycle vertices stay unlabeled here.
+    A path of length 4 mod 6 starts at its endpoint not covered by M', so
+    its first edge lies in M, and takes ``_PATTERN`` of its first vertex's
+    side from the start. Cycle vertices stay unlabeled here.
     """
-    pm2 = partner_map(g, m2)
     labels: dict[int, SixClass] = {}
     for path in d.paths:
         verts = path.vertices
-        if len(verts) == 1 or pm2[verts[0]] != -1:
+        if path.length % 6 != 4:
             raise RuntimeError(
                 "path labeling reached with unvalidated component "
                 f"{verts}; length checks must run first"
@@ -228,17 +235,11 @@ def label_path_components(
     return labels
 
 
-def _stray_edges(g: Graph, m: Matching, m2: Matching) -> Iterator[tuple[int, int]]:
-    """The edges of g outside M + M', in edge_list order."""
-    used = m.edges | m2.edges
-    return (e for e in g.edge_list if e not in used)
-
-
 def check_path_path_edges(
-    g: Graph, m: Matching, m2: Matching, labels: Mapping[int, SixClass]
+    d: AlternatingDecomposition, labels: Mapping[int, SixClass]
 ) -> Optional[NotExtremal]:
     """Stray edges between two path vertices must touch A4 or B4."""
-    for u, v in _stray_edges(g, m, m2):
+    for u, v in d.stray:
         if u in labels and v in labels:
             if labels[u] not in _BLOCKED and labels[v] not in _BLOCKED:
                 return NotExtremal(
@@ -250,11 +251,7 @@ def check_path_path_edges(
 
 
 def build_2sat(
-    g: Graph,
-    d: AlternatingDecomposition,
-    m: Matching,
-    m2: Matching,
-    labels: Mapping[int, SixClass],
+    g: Graph, d: AlternatingDecomposition, labels: Mapping[int, SixClass]
 ) -> tuple[TwoSatFormula, dict[tuple[int, int], int]]:
     """Formula over rotation variables: 3 * i + r is true when cycle i takes
     rotation r of ``_SHIFTS``; ``var_map`` maps (i, r + 1) to it.
@@ -276,7 +273,7 @@ def build_2sat(
     for ci in range(len(d.cycles)):
         for r, s in ((0, 1), (1, 2), (0, 2)):
             clauses.append(((3 * ci + r, False), (3 * ci + s, False)))
-    for u, v in _stray_edges(g, m, m2):
+    for u, v in d.stray:
         ends = (u, v) if g.side[u] == 0 else (v, u)  # side-A literal first
         lits = tuple((blocking[w], True) for w in ends if w in blocking)
         # with one endpoint on a cycle, the clause is needed only while the
@@ -302,32 +299,28 @@ def _complete_labeling(
 
 
 def _validate_extremal(
-    g: Graph,
-    m: Matching,
-    m2: Matching,
-    d: AlternatingDecomposition,
-    classes: Mapping[int, SixClass],
-    ell: int,
-    chosen: frozenset[int],
-) -> None:
+    g: Graph, d: AlternatingDecomposition, classes: Mapping[int, SixClass]
+) -> tuple[int, frozenset[int]]:
+    """Check the completed labeling; return ell and the four unblocked
+    classes, the maximum dissociation set."""
     counts = {cls: 0 for cls in SixClass}
     for v, cls in classes.items():
         counts[cls] += 1
         if g.side[v] != (0 if cls.value[0] == "A" else 1):
             raise RuntimeError(f"class {cls.value} assigned across sides at {v}")
-    if not (
-        counts[SixClass.A1] == counts[SixClass.A2]
-        == counts[SixClass.B1] == counts[SixClass.B2] == ell
-    ):
+    ell = counts[SixClass.A1]
+    if not ell == counts[SixClass.A2] == counts[SixClass.B1] == counts[SixClass.B2]:
         raise RuntimeError("unbalanced six-class labeling")
+    chosen = frozenset(v for v, cls in classes.items() if cls in _IN_SET)
     if len(chosen) != 4 * ell or not is_dissociation_set(g, chosen):
         raise RuntimeError("labeled vertex set is not a valid dissociation set")
-    for u, v in _stray_edges(g, m, m2):
+    for u, v in d.stray:
         if classes[u] not in _BLOCKED and classes[v] not in _BLOCKED:
             raise RuntimeError(f"stray edge ({u}, {v}) misses A4 and B4")
     # matched-pair bookkeeping of the blocked classes
     if len(d.paths) != 2 * ell - (counts[SixClass.A4] + counts[SixClass.B4]):
         raise RuntimeError("path count disagrees with blocked-class sizes")
+    return ell, chosen
 
 
 def recognize_extremal(g: Graph, m: Matching) -> RecognitionOutcome:
@@ -354,11 +347,11 @@ def recognize_extremal(g: Graph, m: Matching) -> RecognitionOutcome:
     failure = check_component_lengths(d)
     if failure is not None:
         return failure
-    labels = label_path_components(g, d, m2)
-    failure = check_path_path_edges(g, m, m2, labels)
+    labels = label_path_components(g, d)
+    failure = check_path_path_edges(d, labels)
     if failure is not None:
         return failure
-    formula, _ = build_2sat(g, d, m, m2, labels)
+    formula, _ = build_2sat(g, d, labels)
     assignment = solve_2sat(formula)
     if assignment is None:
         return NotExtremal(
@@ -366,7 +359,5 @@ def recognize_extremal(g: Graph, m: Matching) -> RecognitionOutcome:
             "no consistent rotation of the cycle components exists",
         )
     classes = _complete_labeling(d, labels, assignment)
-    ell = sum(1 for cls in classes.values() if cls is SixClass.A1)
-    chosen = frozenset(v for v, cls in classes.items() if cls in _IN_SET)
-    _validate_extremal(g, m, m2, d, classes, ell, chosen)
+    ell, chosen = _validate_extremal(g, d, classes)
     return Extremal(SixLabeling(classes, ell), chosen)

@@ -63,20 +63,25 @@ class CnfFormula:
     clauses: tuple[tuple[Literal, Literal, Literal], ...]
 
 
+def _clause_fault(lits: Sequence[Literal], var_count: int) -> Optional[str]:
+    """Why ``lits`` is not a 3-CNF clause over ``var_count`` variables, or None."""
+    if len(lits) != 3:
+        return "must have exactly 3 literals"
+    if len({var for var, _ in lits}) != 3:
+        return "repeats a variable"
+    return next((f"has variable {var} out of range"
+                 for var, _ in lits if not 0 <= var < var_count), None)
+
+
 def cnf_formula(
     var_count: int, clauses: Iterable[Sequence[Literal]]
 ) -> CnfFormula:
     checked = []
     for clause in clauses:
         lits = tuple(clause)
-        if len(lits) != 3:
-            raise ValueError(f"clause {lits} must have exactly 3 literals")
-        variables = [var for var, _ in lits]
-        if len(set(variables)) != 3:
-            raise ValueError(f"clause {lits} repeats a variable")
-        for var in variables:
-            if not 0 <= var < var_count:
-                raise ValueError(f"variable {var} out of range")
+        fault = _clause_fault(lits, var_count)
+        if fault is not None:
+            raise ValueError(f"clause {lits} {fault}")
         checked.append(lits)
     return CnfFormula(var_count, tuple(checked))
 
@@ -85,7 +90,7 @@ def parse_cnf(text: str) -> CnfFormula:
     """DIMACS CNF: ``p cnf <vars> <clauses>`` then 0-terminated clauses."""
     var_count = -1
     declared = 0
-    clauses: list[list[Literal]] = []
+    clauses: list[tuple[Literal, ...]] = []
     current: list[Literal] = []
     last_line = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -107,7 +112,11 @@ def parse_cnf(text: str) -> CnfFormula:
             except ValueError:
                 raise ParseError(line_no, f"bad literal {token!r}") from None
             if lit == 0:
-                clauses.append(current)
+                fault = _clause_fault(current, var_count)
+                if fault is not None:
+                    dimacs = " ".join(str(v + 1 if pos else -v - 1) for v, pos in current)
+                    raise ParseError(line_no, f"clause '{dimacs} 0' {fault}")
+                clauses.append(tuple(current))
                 current = []
             else:
                 var = abs(lit) - 1
@@ -120,7 +129,7 @@ def parse_cnf(text: str) -> CnfFormula:
         raise ParseError(last_line or 1, "unterminated clause (missing 0)")
     if len(clauses) != declared:
         raise ParseError(last_line or 1, f"header declares {declared} clauses, found {len(clauses)}")
-    return cnf_formula(var_count, clauses)
+    return CnfFormula(var_count, tuple(clauses))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from dissolab import cli, graph
+from dissolab import checks, cli, graph
 from dissolab.cli import main
 from dissolab.graph import new_graph, parse_edge_list, remove_edges, render_edge_list
 from dissolab.reductions import parse_gadget_metadata
@@ -464,6 +464,20 @@ class TestCheck:
     def test_oversized_catalog_exit_code(self, target, capsys):
         assert main(["check", target]) == 3
         assert "InstanceTooLarge" in capsys.readouterr().err
+
+    def test_over_cutoff_is_gadget_exits_before_checking(self, monkeypatch, capsys):
+        # every IS gadget for k = 20 has at least 2 * 20 + 2 = 42 vertices
+        calls = []
+        real = checks.check_is_gadget
+
+        def check_is_gadget(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(checks, "check_is_gadget", check_is_gadget)
+        assert main(["check", "isgadget:1:20", "--cutoff", "40"]) == 3
+        assert calls == []
+        assert "instance has 42 vertices, cutoff is 40" in capsys.readouterr().err
 
     def test_unknown_target_rejected(self, capsys):
         assert main(["check", "nonsense:1"]) == 2

@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+import dissolab.recognizer as recognizer
 from dissolab.exact import (
     dissociation_number_exact,
     independence_number_exact,
@@ -151,6 +152,12 @@ class TestDecompose:
         assert g.side[1] == 1 and g.side[3] == 0
         assert [c.vertices for c in d.cycles] == [(3, 2, 6, 1, 4, 7)]
 
+    def test_stray_edges_in_edge_list_order(self):
+        # K33 as C6 plus its three chords; M + M' is the C6
+        g = new_graph(6, [(i, (i + 1) % 6) for i in range(6)] + [(2, 5), (1, 4), (0, 3)])
+        d = decompose_alternating(g, *c6_matchings(g))
+        assert d.stray == ((0, 3), (1, 4), (2, 5))
+
     @pytest.mark.parametrize("shift", range(6))
     def test_cycle_orientation_independent_of_labels(self, shift):
         # a 6-cycle relabeled by rotation: start at the lowest side-A vertex,
@@ -214,7 +221,7 @@ class TestPathLabeling:
     def test_a_start_pattern(self):
         g, m, m2 = p5_with_matchings()
         d = decompose_alternating(g, m, m2)
-        labels = label_path_components(g, d, m2)
+        labels = label_path_components(g, d)
         assert [labels[v].value for v in range(5)] == ["A1", "B1", "A4", "B2", "A2"]
 
     def test_b_start_mirrored_pattern(self):
@@ -224,7 +231,7 @@ class TestPathLabeling:
         m = matching_from_edges(g, [(0, 1), (2, 3)])
         m2 = matching_from_edges(g, [(0, 2), (3, 4)])
         d = decompose_alternating(g, m, m2)
-        labels = label_path_components(g, d, m2)
+        labels = label_path_components(g, d)
         order = d.paths[0].vertices
         assert order == (1, 0, 2, 3, 4)
         assert [labels[v].value for v in order] == ["B1", "A1", "B4", "A2", "B2"]
@@ -233,14 +240,14 @@ class TestPathLabeling:
         g = c6()
         m, m2 = c6_matchings(g)
         d = decompose_alternating(g, m, m2)
-        assert label_path_components(g, d, m2) == {}
+        assert label_path_components(g, d) == {}
 
     def test_unvalidated_component_raises(self):
         g = new_graph(1, [])
         empty = matching_from_edges(g, [])
         d = decompose_alternating(g, empty, empty)
         with pytest.raises(RuntimeError, match="unvalidated"):
-            label_path_components(g, d, empty)
+            label_path_components(g, d)
 
 
 class TestPathPathEdges:
@@ -250,26 +257,26 @@ class TestPathPathEdges:
         m = matching_from_edges(g, [(0, 1), (2, 3), (5, 6), (7, 8)])
         m2 = matching_from_edges(g, [(1, 2), (3, 4), (6, 7), (8, 9)])
         d = decompose_alternating(g, m, m2)
-        labels = label_path_components(g, d, m2)
-        return g, m, m2, labels
+        labels = label_path_components(g, d)
+        return d, labels
 
     def test_violation_reported_with_edge(self):
         # A1 of one path joined to B2 of the other
-        g, m, m2, labels = self.two_paths((0, 8))
-        failure = check_path_path_edges(g, m, m2, labels)
+        d, labels = self.two_paths((0, 8))
+        failure = check_path_path_edges(d, labels)
         assert failure is not None
         assert failure.reason is NotExtremalReason.PATH_EDGE_VIOLATION
         assert "(0, 8)" in failure.detail
 
     def test_edge_into_blocked_class_ok(self):
-        g, m, m2, labels = self.two_paths((0, 7))  # 7 lands in B4
+        d, labels = self.two_paths((0, 7))  # 7 lands in B4
         assert labels[7] is SixClass.B4
-        assert check_path_path_edges(g, m, m2, labels) is None
+        assert check_path_path_edges(d, labels) is None
 
     def test_vacuous_without_paths(self):
         g = c6()
         m, m2 = c6_matchings(g)
-        assert check_path_path_edges(g, m, m2, {}) is None
+        assert check_path_path_edges(decompose_alternating(g, m, m2), {}) is None
 
 
 class TestBuildTwoSat:
@@ -277,7 +284,7 @@ class TestBuildTwoSat:
         g = c6()
         m, m2 = c6_matchings(g)
         d = decompose_alternating(g, m, m2)
-        formula, var_map = build_2sat(g, d, m, m2, {})
+        formula, var_map = build_2sat(g, d, {})
         assert formula.var_count == 3
         assert len(formula.clauses) == 3
         assert set(var_map) == {(0, 1), (0, 2), (0, 3)}
@@ -293,7 +300,7 @@ class TestBuildTwoSat:
         m = matching_from_edges(g, [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11)])
         m2 = matching_from_edges(g, [(1, 2), (3, 4), (0, 5), (7, 8), (9, 10), (6, 11)])
         d = decompose_alternating(g, m, m2)
-        formula, var_map = build_2sat(g, d, m, m2, {})
+        formula, var_map = build_2sat(g, d, {})
         assert formula.var_count == 6
         binary = [cl for cl in formula.clauses if all(pol for _, pol in cl)]
         assert len(binary) == 1
@@ -308,9 +315,9 @@ class TestBuildTwoSat:
         g, m = rotated_instance()
         m2 = maximum_matching(remove_edges(g, m.edges))
         d = decompose_alternating(g, m, m2)
-        labels = label_path_components(g, d, m2)
+        labels = label_path_components(g, d)
         assert labels[8] is SixClass.A1
-        formula, var_map = build_2sat(g, d, m, m2, labels)
+        formula, var_map = build_2sat(g, d, labels)
         assert formula.clauses[3:] == (((var_map[(0, 3)], True),),)
         outcome = recognize_extremal(g, m)
         assert isinstance(outcome, Extremal)
@@ -326,13 +333,39 @@ class TestBuildTwoSat:
         m = matching_from_edges(g, [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)])
         m2 = matching_from_edges(g, [(1, 2), (3, 4), (0, 5), (7, 8), (9, 10)])
         d = decompose_alternating(g, m, m2)
-        labels = label_path_components(g, d, m2)
+        labels = label_path_components(g, d)
         assert labels[8] is SixClass.A4
-        formula, _ = build_2sat(g, d, m, m2, labels)
+        formula, _ = build_2sat(g, d, labels)
         assert len(formula.clauses) == 3  # at-most-one clauses only
 
 
 class TestRecognizeExtremal:
+    def test_partner_arrays_built_once(self, monkeypatch):
+        # the decomposition carries what later stages need of M and M', so
+        # only decompose_alternating turns them into partner arrays
+        built, second = [], []
+        real_partner_map, real_match = recognizer.partner_map, recognizer.maximum_matching
+
+        def partner_map(g, m):
+            built.append(m)
+            return real_partner_map(g, m)
+
+        def maximum_matching_spy(g):
+            second.append(real_match(g))
+            return second[-1]
+
+        monkeypatch.setattr(recognizer, "partner_map", partner_map)
+        monkeypatch.setattr(recognizer, "maximum_matching", maximum_matching_spy)
+        g, m = rotated_instance()  # one path, one cycle, stray edges
+        m2 = real_match(remove_edges(g, m.edges))
+        d = decompose_alternating(g, m, m2)
+        assert d.paths and d.cycles and g.m > len(m.edges) + len(m2.edges)
+        built.clear()
+        assert isinstance(recognize_extremal(g, m), Extremal)
+        assert len(second) == 1
+        assert sum(x is second[0] for x in built) == 1
+        assert sum(x is m for x in built) == 1
+
     def test_c6_fixture(self):
         g = c6()
         m = matching_from_edges(g, [(0, 1), (2, 3), (4, 5)])

@@ -63,6 +63,10 @@ class TestCnfValidation:
             ("p cnf 3 2\n1 2 3 0\n", "line 2: header declares 2 clauses, found 1"),
             ("p cnf 3 1\n1 2 3\n", "line 2: unterminated clause"),
             ("c no header\n\n", "line 2: missing header"),
+            # a clause breaking the 3-CNF rules names the line of its 0
+            ("p cnf 3 1\n1 1 2 0\n", "line 2: clause '1 1 2 0' repeats a variable"),
+            ("p cnf 4 1\n1 2 0\n", "line 2: clause '1 2 0' must have exactly 3 literals"),
+            ("p cnf 4 1\n1 -2\nc split\n2 0\n", "line 4: clause '1 -2 2 0' repeats a variable"),
         ],
     )
     def test_parse_errors_name_their_line(self, text, message):

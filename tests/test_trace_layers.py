@@ -41,7 +41,7 @@ def test_info_fields():
     assert len(m.edges) == 3
     assert parse_edge_list("p edge 2 1\ne 1 2\n").n == 2
     m2 = maximum_matching(new_graph(6, g.edges - m.edges))
-    formula, _ = build_2sat(g, decompose_alternating(g, m, m2), m, m2, {})
+    formula, _ = build_2sat(g, decompose_alternating(g, m, m2), {})
     assert len(formula.clauses) == 3
     small = new_graph(2, [(0, 1)])
     outcome = recognize_extremal(small, maximum_matching(small))
