@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 
 from dissolab import exact
 from dissolab.catalog import all_graphs, connected_graphs
-from dissolab.corpus import random_graph_corpus
+from dissolab.corpus import join_input_corpus, random_graph_corpus
 from dissolab.exact import (
     InstanceTooLarge,
     check_inequality_chain,
@@ -22,7 +22,13 @@ from dissolab.exact import (
 )
 from dissolab.matching import is_induced_matching
 from dissolab.graph import new_graph, random_graph
-from dissolab.reductions import gadget_diss_2alpha, gadget_diss_alpha, parse_cnf
+from dissolab.reductions import (
+    gadget_diss_2alpha,
+    gadget_diss_alpha,
+    gadget_diss_alpha_plus_nus,
+    gadget_join_kn,
+    parse_cnf,
+)
 
 from strategies import graphs
 
@@ -305,6 +311,13 @@ def fig4():
     return gadget_diss_alpha(parse_cnf(FIG4_CNF)).graph
 
 
+def is_gadget():
+    # the (k - 1)K2 block of this 34-vertex gadget is joined to all 11 padded
+    # vertices, so its edges conflict with every edge of the gadget
+    g = new_graph(5, [(0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
+    return gadget_diss_alpha_plus_nus(g, 1).graph
+
+
 def test_witnesses_pinned():
     # a search may prune only subtrees that cannot beat its incumbent, so a
     # tighter bound must leave every value and every witness as it is
@@ -352,14 +365,16 @@ def search_nodes(solve, g):
     [(dissociation_number_exact, fig3, 250),
      (induced_matching_number_exact, fig3, 150),
      (independence_number_exact, fig3, 25),
-     (induced_matching_number_exact, fig4, 90)],
-    ids=["diss-fig3", "nus-fig3", "alpha-fig3", "nus-fig4"],
+     (induced_matching_number_exact, fig4, 90),
+     (induced_matching_number_exact, is_gadget, 45)],
+    ids=["diss-fig3", "nus-fig3", "alpha-fig3", "nus-fig4", "nus-isgadget"],
 )
 def test_search_nodes_capped(solve, graph, cap):
     # the caps sit at about three times the node counts with the star, P3
-    # and clique-cover bounds (81, 46, 7 and 30); the counting bound alone
-    # needs 2249, 1453, 124 and 7784, so a lost bound fails here even though
-    # every value and witness stays the same
+    # and clique-cover bounds and the universal rule (81, 46, 7, 30 and 15);
+    # the counting bound alone needs 2249, 1453, 124 and 7784, and the IS
+    # gadget takes 281 without the universal rule, so a lost bound or rule
+    # fails here even though every value and witness stays the same
     assert search_nodes(solve, graph()) <= cap
 
 
@@ -386,3 +401,43 @@ def test_search_trees_pinned_on_sparse_graphs(solve, expected):
                 items = sorted(getattr(witness, "edges", witness))
                 digest.update(repr((value, items, nodes)).encode())
     assert digest.hexdigest() == expected
+
+
+@pytest.mark.parametrize(
+    "solve,expected",
+    [(independence_number_exact,
+      "06349a2b64cd8f5a95754c70a5aaf6e5688c674be0c5214aa18df1ec9d5beb57"),
+     (induced_matching_number_exact,
+      "2d5451100a542485edf50cf235ebf3bfcaa9bfebab13c784dc2bf5738f43d586")],
+    ids=["alpha", "nu_s"],
+)
+def test_witnesses_pinned_on_graphs_with_universal_vertices(solve, expected):
+    # the join edges of IS gadgets and join gadgets, and many edges of dense
+    # graphs, conflict with every other edge: the kernel meets universal
+    # vertices at the root or deep in the search, where a rule that drops
+    # them must leave the incumbent as the one-at-a-time branching leaves it
+    graphs = [gadget_diss_alpha_plus_nus(g, k).graph
+              for n in range(6) for g in all_graphs(n) for k in range(1, 5)]
+    graphs += [gadget_join_kn(g)[0].graph for g in join_input_corpus(40, 12, 3)]
+    graphs += [random_graph(n, p, seed)
+               for n in (12, 18, 24) for p in (0.5, 0.9) for seed in range(3)]
+    digest = hashlib.sha256()
+    for g in graphs:
+        value, witness = solve(g, cutoff=g.n)
+        digest.update(repr((value, sorted(getattr(witness, "edges", witness)))).encode())
+    assert digest.hexdigest() == expected
+
+
+def test_witnesses_pinned_on_sparse_graphs():
+    # the corpus of the search-tree pins without their node counts: a change
+    # that is meant to cut nodes re-records those, but must leave this
+    digest = hashlib.sha256()
+    for solve in (independence_number_exact, induced_matching_number_exact):
+        for n in (20, 36, 44):
+            for p in (0.05, 0.1):
+                for seed in range(6):
+                    value, witness = solve(random_graph(n, p, seed), cutoff=n)
+                    items = sorted(getattr(witness, "edges", witness))
+                    digest.update(repr((value, items)).encode())
+    assert digest.hexdigest() == (
+        "af250dff99cd3ea705a93421a82cf2682cca0e37c397b2d1fafce9d7936330be")
