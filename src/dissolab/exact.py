@@ -12,8 +12,11 @@ so it never changes which optimum is found:
 * ``_max_independent_set``, the one independent-set kernel, behind ``alpha``
   and, on the edge-conflict graph, ``nu_s``. Its leaf rule takes vertices of
   residual degree 0 or 1; its cycle rule, once every residual degree is 2,
-  takes the branch vertex without the exclude branch. Its bound is a greedy
-  clique cover.
+  takes the branch vertex without the exclude branch; its universal rule,
+  once the branch vertex is adjacent to every other vertex, records it as a
+  leaf and drops every such vertex in one step, where branching would
+  exclude them one at a time (Fomin, Grandoni & Kratsch, 2009). Its bound
+  is a greedy clique cover.
 * the ``diss`` search in ``dissociation_number_exact``, bounded by stars
   around the chosen vertices and by a packing of disjoint 3-vertex paths,
   after the 3-path vertex cover view ``diss = n - psi_3`` (Bresar et al.,
@@ -313,6 +316,32 @@ def _max_independent_set(adj: tuple[int, ...], avail0: int) -> tuple[int, int]:
                 max_deg = d
                 bv = v
         bit = 1 << bv
+        top = avail.bit_count() - 1
+        if max_deg == top:
+            # universal rule. bv is adjacent to every other vertex, and it is
+            # the lowest-index universal vertex: a non-universal vertex misses
+            # some vertex other than bv, so its degree is lower. Branching
+            # would take the include leaf {bv}, then run down the exclude
+            # chain through the other universal vertices U in ascending
+            # order; their include leaves have size + 1 too, so they never
+            # strictly beat the incumbent. Inside that chain a vertex can
+            # settle only as a leaf hanging off the last universal vertex,
+            # and such a vertex is isolated in avail - U, so it is taken
+            # either way. The chain thus ends at the node avail - U with
+            # everything dirty, and jumping there finds the same first
+            # strictly improving sets.
+            if size + 1 > best_size:
+                best_size = size + 1
+                best_mask = chosen | bit
+            rest = avail ^ bit
+            w = rest & -(bit << 1)
+            while w:
+                b = w & -w
+                w ^= b
+                if (adj[b.bit_length() - 1] & avail).bit_count() == top:
+                    rest ^= b
+            rec(rest, chosen, size, rest)
+            return
         # the include branch rescans everything: on dense conflict graphs,
         # collecting the neighbours of N(bv) costs more than the rescan
         rest = avail & ~(bit | adj[bv])
