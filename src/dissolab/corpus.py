@@ -34,7 +34,10 @@ def random_graph_corpus(count: int, max_n: int, seed: int) -> list[Graph]:
 
 
 def random_bipartite_corpus(count: int, max_n: int, seed: int) -> list[Graph]:
-    """Seeded bipartite graphs with n_a + n_b <= max_n."""
+    """Seeded bipartite graphs with n_a, n_b >= 1 and n_a + n_b cycling over
+    2..max_n."""
+    if max_n < 2:
+        raise ValueError(f"bipartite corpus needs max_n >= 2, got {max_n}")
     rng = SplitMix64(seed)
     out = []
     for i in range(count):

@@ -493,6 +493,14 @@ class TestCheck:
         assert main(["check", target]) == 2
         assert target in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target", ["recognizer-random:1:1", "approx-random:3:1"])
+    def test_bipartite_spec_with_one_vertex_rejected(self, target, capsys):
+        # a bipartite corpus graph has a vertex on each side, so N = 1 is
+        # invalid input; it used to end in a ZeroDivisionError traceback
+        assert main(["check", target]) == 2
+        assert "error=ValueError detail=bipartite corpus needs max_n >= 2, got 1" in (
+            capsys.readouterr().err)
+
     @pytest.mark.parametrize(
         "target,instances",
         [
