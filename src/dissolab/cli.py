@@ -237,16 +237,20 @@ class _Spec(NamedTuple):
 _TARGETS = {
     "chain-catalog": _Spec(("N",), lambda n, seed: _catalog(connected_graphs, n),
                            lambda g, cutoff: checks.check_chain(g, cutoff=cutoff)),
+    # sizes cycle over 1..N, or 2..N for bipartite graphs
     "chain-random": _Spec(("COUNT", "N"), lambda *args: random_graph_corpus(*args),
-                          lambda g, cutoff: checks.check_chain(g, cutoff=cutoff)),
+                          lambda g, cutoff: checks.check_chain(g, cutoff=cutoff),
+                          lambda count, n: min(count, n)),
     "matching-catalog": _Spec(("N",), lambda n, seed: _catalog(connected_bipartite_graphs, n),
                               lambda g, cutoff: checks.check_matching_oracle(g)),
     "recognizer-catalog": _Spec(("N",), lambda n, seed: _catalog(connected_bipartite_graphs, n),
                                 lambda g, cutoff: checks.check_recognizer(g, cutoff=cutoff)),
     "recognizer-random": _Spec(("COUNT", "N"), lambda *args: random_bipartite_corpus(*args),
-                               lambda g, cutoff: checks.check_recognizer(g, cutoff=cutoff)),
+                               lambda g, cutoff: checks.check_recognizer(g, cutoff=cutoff),
+                               lambda count, n: min(count + 1, n)),
     "approx-random": _Spec(("COUNT", "N"), lambda *args: random_bipartite_corpus(*args),
-                           lambda g, cutoff: checks.check_approx(g, cutoff=cutoff)),
+                           lambda g, cutoff: checks.check_approx(g, cutoff=cutoff),
+                           lambda count, n: min(count + 1, n)),
     "gadget-random": _Spec(("COUNT",), lambda count, seed: random_cnf_corpus(count, 5, 4, seed),
                            lambda f, cutoff: checks.check_cnf_gadgets(f, cutoff=cutoff)),
     "isgadget": _Spec(("N", "K"), lambda n, k, seed: [

@@ -479,6 +479,38 @@ class TestCheck:
         assert calls == []
         assert "instance has 42 vertices, cutoff is 40" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "target,check,generator,order",
+        [("chain-random:2000:60", "check_chain", "random_graph_corpus", 60),
+         ("chain-random:45:60", "check_chain", "random_graph_corpus", 45),
+         ("recognizer-random:50:41", "check_recognizer", "random_bipartite_corpus", 41),
+         ("approx-random:40:60", "check_approx", "random_bipartite_corpus", 41)],
+    )
+    def test_over_cutoff_random_spec_exits_before_generating(
+            self, target, check, generator, order, monkeypatch, capsys):
+        # sizes cycle over 1..N (2..N for bipartite graphs), so COUNT
+        # instances reach min(COUNT, N) vertices (min(COUNT + 1, N))
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return None
+
+        monkeypatch.setattr(checks, check, spy)
+        monkeypatch.setattr(cli, generator, spy)
+        assert main(["check", target, "--cutoff", "40"]) == 3
+        assert calls == []
+        assert f"instance has {order} vertices, cutoff is 40" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["chain-random", "recognizer-random", "approx-random"])
+    def test_random_spec_least_order_is_reached(self, kind):
+        # the bound is the largest order, so no spec under the cutoff exits 3
+        spec = cli._TARGETS[kind]
+        for count in range(1, 9):
+            for n in range(2, 9):
+                orders = [g.n for g in spec.generate(count, n, 5)]
+                assert max(orders) == spec.least_order(count, n)
+
     def test_unknown_target_rejected(self, capsys):
         assert main(["check", "nonsense:1"]) == 2
 
