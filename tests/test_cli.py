@@ -1,3 +1,4 @@
+import itertools
 import os
 import pathlib
 import subprocess
@@ -510,6 +511,18 @@ class TestCheck:
             for n in range(2, 9):
                 orders = [g.n for g in spec.generate(count, n, 5)]
                 assert max(orders) == spec.least_order(count, n)
+
+    @pytest.mark.parametrize(
+        "target",
+        [":".join([kind, *map(str, values)])
+         for kind, spec in cli._TARGETS.items()
+         for values in itertools.product((1, 2), repeat=len(spec.fields))],
+    )
+    def test_every_spec_keeps_the_exit_code_contract(self, target, capsys):
+        # the smallest fields of every spec kind: ok, invalid input or over
+        # the cutoff, but never a traceback (an exception out of main fails
+        # the test) and never a violation
+        assert main(["check", target]) in (0, 2, 3), capsys.readouterr()
 
     def test_unknown_target_rejected(self, capsys):
         assert main(["check", "nonsense:1"]) == 2
