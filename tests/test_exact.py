@@ -318,21 +318,29 @@ def is_gadget():
     return gadget_diss_alpha_plus_nus(g, 1).graph
 
 
-def test_witnesses_pinned():
+@pytest.mark.parametrize(
+    "solve,expected",
+    [(dissociation_number_exact,
+      "2e9e9bd543603d610fa683945c20d4004d3469d57046beaf4574ec2d383db742"),
+     (independence_number_exact,
+      "667b1d7e51672b87906b02c59e8999a839e77def2ae4aea644ab1076fef600c8"),
+     (induced_matching_number_exact,
+      "0a2236df0268262294520f449515a97f54a8191b59e3cc7864c62c7ad1fe76aa")],
+    ids=["diss", "alpha", "nu_s"],
+)
+def test_witnesses_pinned(solve, expected):
     # a search may prune only subtrees that cannot beat its incumbent, so a
-    # tighter bound must leave every value and every witness as it is
+    # tighter bound must leave every value and every witness as it is; one
+    # digest per solver, so that a change to one search re-records only its own
     graphs = random_graph_corpus(300, 22, 5)
     graphs += [g for n in range(1, 8) for g in connected_graphs(n)]
     graphs += [fig3(), gadget_diss_2alpha(parse_cnf(FIG3_UNSAT_CNF)).graph, fig4()]
     digest = hashlib.sha256()
     for g in graphs:
-        for solve in (dissociation_number_exact, independence_number_exact,
-                      induced_matching_number_exact):
-            value, witness = solve(g, cutoff=g.n)
-            items = sorted(getattr(witness, "edges", witness))
-            digest.update(repr((value, items)).encode())
-    assert digest.hexdigest() == (
-        "237fa4550e7ca52f2dce7128d47a01c650a099eba43f36265410a7322fe7a1d6")
+        value, witness = solve(g, cutoff=g.n)
+        items = sorted(getattr(witness, "edges", witness))
+        digest.update(repr((value, items)).encode())
+    assert digest.hexdigest() == expected
 
 
 def traced_solve(solve, g):
@@ -431,16 +439,22 @@ def test_witnesses_pinned_on_graphs_with_universal_vertices(solve, expected):
     assert digest.hexdigest() == expected
 
 
-def test_witnesses_pinned_on_sparse_graphs():
+@pytest.mark.parametrize(
+    "solve,expected",
+    [(independence_number_exact,
+      "8fde26ea5aee9f71818e165443a2be0c366c7b876ff07d33224c8f6333ed6bf4"),
+     (induced_matching_number_exact,
+      "8ff7da54a6f75dca223e9d953b29f58e628552740d5fa9bb897f617bec590fdc")],
+    ids=["alpha", "nu_s"],
+)
+def test_witnesses_pinned_on_sparse_graphs(solve, expected):
     # the corpus of the search-tree pins without their node counts: a change
     # that is meant to cut nodes re-records those, but must leave this
     digest = hashlib.sha256()
-    for solve in (independence_number_exact, induced_matching_number_exact):
-        for n in (20, 36, 44):
-            for p in (0.05, 0.1):
-                for seed in range(6):
-                    value, witness = solve(random_graph(n, p, seed), cutoff=n)
-                    items = sorted(getattr(witness, "edges", witness))
-                    digest.update(repr((value, items)).encode())
-    assert digest.hexdigest() == (
-        "af250dff99cd3ea705a93421a82cf2682cca0e37c397b2d1fafce9d7936330be")
+    for n in (20, 36, 44):
+        for p in (0.05, 0.1):
+            for seed in range(6):
+                value, witness = solve(random_graph(n, p, seed), cutoff=n)
+                items = sorted(getattr(witness, "edges", witness))
+                digest.update(repr((value, items)).encode())
+    assert digest.hexdigest() == expected
