@@ -225,7 +225,7 @@ def _catalog(build, max_n: int, first: int = 1) -> list:
 
 class _Spec(NamedTuple):
     fields: tuple[str, ...]  # names of the integer fields after the kind
-    generate: Callable[..., list]  # (*fields, seed) -> payloads
+    generate: Callable[..., list]  # (*fields, seed, cutoff) -> payloads
     check: Callable[[Any, int], Optional[str]]  # (payload, cutoff) -> failure detail
     # (*fields) -> an order some instance reaches; over the cutoff, the spec
     # exits 3 before anything is generated
@@ -235,25 +235,32 @@ class _Spec(NamedTuple):
 # check spec kind -> _Spec. The lambdas look functions up at call time, so a
 # rebinding of them (by a tracer, say) is seen; pool tasks carry the kind.
 _TARGETS = {
-    "chain-catalog": _Spec(("N",), lambda n, seed: _catalog(connected_graphs, n),
+    "chain-catalog": _Spec(("N",), lambda n, seed, cutoff: _catalog(connected_graphs, n),
                            lambda g, cutoff: checks.check_chain(g, cutoff=cutoff)),
     # sizes cycle over 1..N, or 2..N for bipartite graphs
-    "chain-random": _Spec(("COUNT", "N"), lambda *args: random_graph_corpus(*args),
+    "chain-random": _Spec(("COUNT", "N"),
+                          lambda count, n, seed, cutoff: random_graph_corpus(count, n, seed),
                           lambda g, cutoff: checks.check_chain(g, cutoff=cutoff),
                           lambda count, n: min(count, n)),
-    "matching-catalog": _Spec(("N",), lambda n, seed: _catalog(connected_bipartite_graphs, n),
+    "matching-catalog": _Spec(("N",),
+                              lambda n, seed, cutoff: _catalog(connected_bipartite_graphs, n),
                               lambda g, cutoff: checks.check_matching_oracle(g)),
-    "recognizer-catalog": _Spec(("N",), lambda n, seed: _catalog(connected_bipartite_graphs, n),
+    "recognizer-catalog": _Spec(("N",),
+                                lambda n, seed, cutoff: _catalog(connected_bipartite_graphs, n),
                                 lambda g, cutoff: checks.check_recognizer(g, cutoff=cutoff)),
-    "recognizer-random": _Spec(("COUNT", "N"), lambda *args: random_bipartite_corpus(*args),
+    "recognizer-random": _Spec(("COUNT", "N"),
+                               lambda count, n, seed, cutoff:
+                                   random_bipartite_corpus(count, n, seed),
                                lambda g, cutoff: checks.check_recognizer(g, cutoff=cutoff),
                                lambda count, n: min(count + 1, n)),
-    "approx-random": _Spec(("COUNT", "N"), lambda *args: random_bipartite_corpus(*args),
+    "approx-random": _Spec(("COUNT", "N"),
+                           lambda count, n, seed, cutoff: random_bipartite_corpus(count, n, seed),
                            lambda g, cutoff: checks.check_approx(g, cutoff=cutoff),
                            lambda count, n: min(count + 1, n)),
-    "gadget-random": _Spec(("COUNT",), lambda count, seed: random_cnf_corpus(count, 5, 4, seed),
+    "gadget-random": _Spec(("COUNT",),
+                           lambda count, seed, cutoff: random_cnf_corpus(count, 5, 4, seed),
                            lambda f, cutoff: checks.check_cnf_gadgets(f, cutoff=cutoff)),
-    "isgadget": _Spec(("N", "K"), lambda n, k, seed: [
+    "isgadget": _Spec(("N", "K"), lambda n, k, seed, cutoff: [
                           (g, j) for g in _catalog(all_graphs, n, 0) for j in range(1, k + 1)],
                       lambda gk, cutoff: checks.check_is_gadget(*gk, cutoff=cutoff),
                       # padding keeps n >= 2, so every gadget for K has >= 2K + 2 vertices
@@ -285,7 +292,7 @@ def _expand_target(target: str, seed: int, cutoff: int) -> list[tuple[str, str, 
     order = spec.least_order(*ints)
     if order > cutoff:
         raise InstanceTooLarge(order, cutoff)
-    payloads = spec.generate(*ints, seed)
+    payloads = spec.generate(*ints, seed, cutoff)
     return [(f"{target}#{i}", kind, p) for i, p in enumerate(payloads)]
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 from .graph import Graph, SplitMix64, random_bipartite, random_graph
 from .reductions import CnfFormula, cnf_formula
 from .twosat import TwoSatFormula
-from .exact import independence_number_exact
+from .exact import EXACT_CUTOFF, independence_number_exact
 
 __all__ = [
     "random_graph_corpus",
@@ -90,15 +90,17 @@ def random_2sat_corpus(count: int, max_vars: int, seed: int) -> list[TwoSatFormu
     return out
 
 
-def join_input_corpus(count: int, max_n: int, seed: int) -> list[Graph]:
-    """Seeded graphs with alpha >= 3 (oracle-checked), n <= max_n."""
+def join_input_corpus(
+    count: int, max_n: int, seed: int, cutoff: int = EXACT_CUTOFF
+) -> list[Graph]:
+    """Seeded graphs with alpha >= 3 (oracle-checked with ``cutoff``), n <= max_n."""
     rng = SplitMix64(seed)
     out: list[Graph] = []
     while len(out) < count:
         n = max(3, 1 + rng.next_below(max_n))
         p = _PROBABILITIES[rng.next_below(len(_PROBABILITIES))]
         g = random_graph(n, p, rng.next_u64())
-        alpha, _ = independence_number_exact(g)
+        alpha, _ = independence_number_exact(g, cutoff=cutoff)
         if alpha >= 3:
             out.append(g)
     return out

@@ -509,7 +509,7 @@ class TestCheck:
         spec = cli._TARGETS[kind]
         for count in range(1, 9):
             for n in range(2, 9):
-                orders = [g.n for g in spec.generate(count, n, 5)]
+                orders = [g.n for g in spec.generate(count, n, 5, 40)]
                 assert max(orders) == spec.least_order(count, n)
 
     @pytest.mark.parametrize(
@@ -523,6 +523,12 @@ class TestCheck:
         # the cutoff, but never a traceback (an exception out of main fails
         # the test) and never a violation
         assert main(["check", target]) in (0, 2, 3), capsys.readouterr()
+
+    def test_join_random_generates_under_the_given_cutoff(self, capsys):
+        # the first input of seed 1 has 31 vertices, and its alpha >= 3 test
+        # ran under the default cutoff of 30 whatever --cutoff said
+        assert main(["check", "join-random:3:35", "--cutoff", "80", "--seed", "1"]) == 0
+        assert "instances=3 failures=0" in capsys.readouterr().out
 
     def test_unknown_target_rejected(self, capsys):
         assert main(["check", "nonsense:1"]) == 2
