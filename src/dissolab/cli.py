@@ -25,7 +25,7 @@ from .corpus import (
     random_graph_corpus,
 )
 from .exact import EXACT_CUTOFF, SOLVERS, InstanceTooLarge, check_inequality_chain
-from .graph import Graph, NotBipartiteError, parse_edge_list, to_dot
+from .graph import MAX_VERTICES, Graph, NotBipartiteError, parse_edge_list, to_dot
 from .matching import maximum_matching, parse_matching
 from .recognizer import Extremal, SixClass, recognize_extremal
 from .reductions import (
@@ -33,6 +33,7 @@ from .reductions import (
     gadget_diss_alpha,
     gadget_diss_alpha_plus_nus,
     gadget_join_kn,
+    is_gadget_size,
     parse_cnf,
     render_gadget,
 )
@@ -184,7 +185,11 @@ def cmd_gadget(args: argparse.Namespace) -> int:
     elif args.kind == "is":
         if not args.graph or args.k is None:
             raise ValueError("kind is needs --graph and --k")
-        instance = gadget_diss_alpha_plus_nus(_read_graph(args.graph), args.k)
+        g = _read_graph(args.graph)
+        order = is_gadget_size(g.n, args.k)[2]
+        if order > MAX_VERTICES:
+            raise ValueError(f"gadget would have {order} vertices, above {MAX_VERTICES}")
+        instance = gadget_diss_alpha_plus_nus(g, args.k)
     elif args.kind == "join":
         if not args.graph:
             raise ValueError("kind join needs --graph")

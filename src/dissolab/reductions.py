@@ -45,6 +45,7 @@ __all__ = [
     "gadget_diss_2alpha",
     "gadget_diss_alpha",
     "gadget_diss_alpha_plus_nus",
+    "is_gadget_size",
     "gadget_join_kn",
     "render_gadget",
     "parse_gadget_metadata",
@@ -210,6 +211,14 @@ def gadget_diss_alpha(f: CnfFormula) -> GadgetInstance:
     return GadgetInstance(new_graph(n, edges), "fig4", predicted, roles)
 
 
+def is_gadget_size(n0: int, k: int) -> tuple[int, int, int]:
+    """The padded n and k of the Independent-Set gadget for an n0-vertex
+    graph and k, and its order 2n + 2(k - 1), known before anything is built."""
+    t = max(0, n0 - 2 * k + 3, 2 - n0)
+    n, kk = n0 + t, k + t
+    return n, kk, 2 * n + 2 * (kk - 1)
+
+
 def gadget_diss_alpha_plus_nus(g: Graph, k: int) -> GadgetInstance:
     """Independent-Set gadget with deterministic padding.
 
@@ -221,9 +230,7 @@ def gadget_diss_alpha_plus_nus(g: Graph, k: int) -> GadgetInstance:
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
     n0 = g.n
-    t = max(0, n0 - 2 * k + 3, 2 - n0)
-    n = n0 + t
-    kk = k + t
+    n, kk, order = is_gadget_size(n0, k)
     edges: list[tuple[int, int]] = list(g.edge_list)
     roles: dict[int, str] = {}
     for v in range(n0):
@@ -242,7 +249,6 @@ def gadget_diss_alpha_plus_nus(g: Graph, k: int) -> GadgetInstance:
     for v in range(n):
         for w in range(w_start, w_start + 2 * (kk - 1)):
             edges.append((v, w))
-    order = 2 * n + 2 * (kk - 1)
     predicted = {
         "order": order,
         "alpha": n + kk - 1,

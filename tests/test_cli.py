@@ -256,6 +256,22 @@ class TestGadget:
         assert main(["gadget", "is", "--graph", gpath, "--k", "2", "--out", str(out)]) == 0
         assert kv(capsys.readouterr().out)["order"] == "10"
 
+    @pytest.mark.parametrize("k", ["99999999999", "4999999"])
+    def test_oversized_is_gadget_rejected_before_building(self, k, tmp_path, monkeypatch,
+                                                          capsys):
+        # on a 3-vertex path the gadget has 2 * 3 + 2(k - 1) vertices: 10^7 + 2
+        # for k = 4999999, one above what a graph file may declare
+        calls = []
+        monkeypatch.setattr(cli, "gadget_diss_alpha_plus_nus",
+                            lambda *args: calls.append(args))
+        gpath = write_graph(tmp_path / "p3.dimacs", new_graph(3, [(0, 1), (1, 2)]))
+        out = tmp_path / "is.dimacs"
+        assert main(["gadget", "is", "--graph", gpath, "--k", k, "--out", str(out)]) == 2
+        assert calls == [] and not out.exists()
+        order = 6 + 2 * (int(k) - 1)
+        assert f"gadget would have {order} vertices, above {graph.MAX_VERTICES}" in (
+            capsys.readouterr().err)
+
     def test_join_writes_matching(self, tmp_path, capsys):
         gpath = write_graph(tmp_path / "e3.dimacs", new_graph(3, []))
         out = tmp_path / "join.dimacs"
