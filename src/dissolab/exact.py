@@ -2,34 +2,40 @@
 matching number, and the inequality-chain report tying them together.
 
 They are the ground truth the approximation, recognizer, and gadget modules
-are tested against, so they stay deliberately simple. Two branch-and-bound
-searches over bitmask sets do the work, both with max-degree branching and
-greedy inclusion of vertices that cannot hurt. Each tries the counting bound
-(chosen plus undecided) first and a tighter bound only where that fails to
-prune. A bound prunes only subtrees that cannot strictly beat the incumbent,
-so it never changes which optimum is found:
+are tested against, so they stay deliberately simple. Three branch-and-bound
+searches over bitmask sets do the work, all with max-degree branching and
+greedy rules for vertices whose fate is forced. Each tries the counting
+bound (chosen plus undecided) first and a tighter bound only where that
+fails to prune. A bound prunes only subtrees that cannot strictly beat the
+incumbent, so it never changes which optimum is found:
 
 * ``_max_independent_set``, the one independent-set kernel, behind ``alpha``
-  and, on the edge-conflict graph, ``nu_s``. Its leaf rule takes vertices of
-  residual degree 0 or 1; its cycle rule, once every residual degree is 2,
-  takes the branch vertex without the exclude branch; its universal rule,
-  once the branch vertex is adjacent to every other vertex, records it as a
-  leaf and drops every such vertex in one step, where branching would
-  exclude them one at a time (Fomin, Grandoni & Kratsch, 2009). Its bound
-  is a greedy clique cover.
+  and the ``diss`` detour. Its leaf rule takes vertices of residual degree
+  0 or 1; its cycle rule, once every residual degree is 2, takes the branch
+  vertex without the exclude branch; its universal rule, once the branch
+  vertex is adjacent to every other vertex, records it as a leaf and drops
+  every such vertex in one step, where branching would exclude them one at
+  a time (Fomin, Grandoni & Kratsch, 2009). Its bound is a greedy clique
+  cover.
 * the ``diss`` search in ``dissociation_number_exact``, bounded by stars
   around the chosen vertices and by a packing of disjoint 3-vertex paths,
   after the 3-path vertex cover view ``diss = n - psi_3`` (Bresar et al.,
   2011).
+* the ``nu_s`` search in ``induced_matching_number_exact``: the ``diss``
+  search restricted to sets in which every chosen vertex has exactly one
+  chosen neighbour, over the vertices of g rather than the edge-conflict
+  graph. On top of the ``diss`` bounds it bounds the pairs by a degree sum
+  and by a cover with cliques of vertices no two pairs can both touch.
 
-Both sweeps that apply the greedy rules are incremental: a vertex is
+The sweeps that apply the greedy rules are incremental: a vertex is
 examined again only after a neighbour has changed state, in the ascending
 order of a full pass. So they settle the same vertices, in the same order,
 as repeated full passes would, and give the same search tree with fewer
 vertex visits.
 
-``diss_via_induced_matchings`` enumerates maximal induced matchings and runs
-the kernel on each ``G - M``; it stays as the reference for ``diss``.
+``diss_via_induced_matchings`` enumerates maximal induced matchings, as
+independent sets of the edge-conflict graph (Cameron, 1989), and runs the
+kernel on each ``G - M``; it stays as the reference for ``diss``.
 """
 
 from __future__ import annotations
@@ -388,20 +394,222 @@ def induced_matching_number_exact(
 ) -> tuple[int, Matching]:
     """Exact induced matching number with a witness.
 
-    An induced matching of g is an independent set of its edge-conflict
-    graph, the square of the line graph (Cameron, 1989), so this is the
-    independent-set search with one node per edge of g.
+    An induced matching is a dissociation set in which every chosen vertex
+    has exactly one chosen neighbour, its partner: the 1-regular case of
+    Gupta, Raman & Saurabh (2012). So this is the ``diss`` search over the
+    vertices of g, with its state and branching, that records only sets in
+    which every chosen vertex is paired. A free chosen vertex must find its
+    partner among its undecided neighbours, and a residual leaf branches
+    into pairing with its neighbour or dropping that neighbour. The bounds,
+    in vertices, are the counting, star and 3-path bounds of ``diss``, then
+    two on the pairs among undecided vertices without a chosen neighbour: a
+    degree sum, and a cover by cliques of vertices no two pairs can both
+    touch.
     """
-    if g.n > cutoff:
-        raise InstanceTooLarge(g.n, cutoff)
-    edges, conflict = _edge_conflicts(g)
-    k = len(edges)
-    size, mask = _max_independent_set(tuple(conflict), (1 << k) - 1)
-    picked = [edges[i] for i in range(k) if (mask >> i) & 1]
-    matching = matching_from_edges(g, picked)
-    if not is_induced_matching(g, matching.edges):
+    n = g.n
+    if n > cutoff:
+        raise InstanceTooLarge(n, cutoff)
+    adj = g.adjacency_masks
+    # x and y are compatible when adjacent or when N(x) and N(y) nest: if a
+    # pair held x and another y, then y would be adjacent to x, or to x's
+    # partner in N(x) ⊆ N(y), or x to y's, and the matching not induced
+    compat = list(adj)
+    for x in range(n):
+        for y in range(x + 1, n):
+            common = adj[x] & adj[y]
+            if common == adj[x] or common == adj[y]:
+                compat[x] |= 1 << y
+                compat[y] |= 1 << x
+    best_size = 0
+    best_mask = 0
+
+    def rec(undecided: int, chosen: int, free: int, size: int, dirty: int) -> None:
+        nonlocal best_size, best_mask
+        # sweep, incremental as in the diss search, over the undecided and
+        # the free chosen vertices. Pairing two vertices drops every
+        # undecided neighbour of both, so no undecided vertex ever has a
+        # paired chosen neighbour
+        live = undecided | free
+        w = dirty & live
+        while w:
+            dirty = 0
+            while w:
+                bit = w & -w
+                w ^= bit
+                v = bit.bit_length() - 1
+                touched = adj[v]
+                du = touched & undecided
+                if free & bit:
+                    if du == 0:
+                        return  # v can never be paired
+                    if du & (du - 1):
+                        continue
+                    # one candidate partner x left: the pair is forced,
+                    # unless another chosen neighbour keeps x out
+                    x = du.bit_length() - 1
+                    if adj[x] & chosen != bit:
+                        return
+                    undecided ^= du
+                    chosen |= du
+                    free ^= bit
+                    size += 1
+                    gone = undecided & (touched | adj[x])
+                    undecided ^= gone
+                    touched |= adj[x] | _union(adj, gone)
+                elif not undecided & bit:
+                    continue  # settled earlier in this pass
+                else:
+                    cn = touched & chosen
+                    if cn & (cn - 1):
+                        undecided ^= bit  # two chosen neighbours
+                    elif du == 0:
+                        undecided ^= bit
+                        if cn:
+                            # its free chosen neighbour u is its only way
+                            # in, and u may as well take v as any partner
+                            chosen |= bit
+                            free ^= cn
+                            size += 1
+                            gone = undecided & adj[cn.bit_length() - 1]
+                            undecided ^= gone
+                            touched |= _union(adj, cn | gone)
+                        # else: no partner left, v stays out
+                    else:
+                        continue
+                # later vertices join this pass, earlier ones the next
+                live = undecided | free
+                touched &= live
+                w |= touched & -bit
+                dirty |= touched & (bit - 1)
+            w = dirty & live
+        if not free and size > best_size:
+            best_size = size
+            best_mask = chosen
+        # an induced matching has an even number of vertices, so a bound b
+        # on its size prunes once b <= best_size + 1
+        bound = size + undecided.bit_count()
+        if bound <= best_size + 1:
+            return
+        # star bound: each free vertex takes one of its undecided neighbours,
+        # and those sets are disjoint; the other undecided vertices form rest
+        stars = undecided & _union(adj, free)
+        rest = undecided ^ stars
+        spare = free.bit_count()
+        bound = size + spare + rest.bit_count()
+        if bound <= best_size + 1:
+            return
+        # P3 bound of the diss search, among the vertices of rest
+        left = rest
+        w = left
+        while w:
+            bit = w & -w
+            w ^= bit
+            if not left & bit:
+                continue
+            nb = adj[bit.bit_length() - 1] & left
+            if nb & (nb - 1):
+                a = nb & -nb
+                nb ^= a
+                left &= ~(bit | a | (nb & -nb))
+                bound -= 1
+                if bound <= best_size + 1:
+                    return
+        # pairs inside rest that would not beat the incumbent; a vertex of
+        # rest with no neighbour in rest can pair only with a star vertex,
+        # whose partner is already fixed, so it stays out of every set
+        room = (best_size - size - spare) >> 1
+        if room >= 0:
+            degrees = []
+            w = rest
+            while w:
+                bit = w & -w
+                w ^= bit
+                d = (adj[bit.bit_length() - 1] & rest).bit_count()
+                if d:
+                    degrees.append(d)
+                else:
+                    rest ^= bit
+            # degree-sum bound: room + 1 pairs need their 2(room + 1)
+            # degrees, less room + 1 for the pair edges, within the edges
+            # of rest
+            need = 2 * room + 2
+            if len(degrees) < need:
+                return
+            degrees.sort()
+            if sum(degrees[:need]) - room - 1 > sum(degrees) >> 1:
+                return
+            # pair-clique bound: each clique of compatible vertices is
+            # touched by at most one pair
+            cliques = 0
+            left = rest
+            while left:
+                cliques += 1
+                if cliques > room:
+                    break
+                clique = left & -left
+                cand = compat[clique.bit_length() - 1] & left
+                while cand:
+                    bit = cand & -cand
+                    clique |= bit
+                    cand &= compat[bit.bit_length() - 1]
+                left &= ~clique
+            else:
+                return
+        # branch vertex: a residual leaf of rest whose neighbour is in rest
+        # too, else max residual degree; lowest index on ties
+        bv = -1
+        bd = -1
+        leaf = 0
+        w = undecided
+        while w:
+            bit = w & -w
+            w ^= bit
+            v = bit.bit_length() - 1
+            nb = adj[v] & undecided
+            d = nb.bit_count()
+            if d == 1 and nb & rest and bit & rest:
+                leaf = bit
+                break
+            if d > bd:
+                bd = d
+                bv = v
+        if leaf:
+            # a set in which x has another partner can swap it for the leaf,
+            # so pair leaf-x or leave x out, and the sweep drops the leaf;
+            # when x is a leaf too, the edge is a component of its own and
+            # the pair is always taken
+            xb = adj[leaf.bit_length() - 1] & undecided
+            x = xb.bit_length() - 1
+            rest = undecided ^ leaf ^ xb
+            gone = rest & adj[x]
+            rec(rest ^ gone, chosen | leaf | xb, free, size + 2, _union(adj, gone | xb))
+            if gone:
+                rec(undecided ^ xb, chosen, free, size, adj[x])
+            return
+        bit = 1 << bv
+        cn = adj[bv] & chosen
+        undecided ^= bit
+        # each child revisits the neighbours of the vertices it decides
+        if cn == 0:
+            rec(undecided, chosen | bit, free | bit, size + 1, adj[bv] | bit)
+        else:
+            # the sweep left bv one chosen neighbour, and it is free
+            u = cn.bit_length() - 1
+            gone = undecided & (adj[bv] | adj[u])
+            rec(
+                undecided ^ gone,
+                chosen | bit,
+                free ^ cn,
+                size + 1,
+                _union(adj, bit | cn | gone),
+            )
+        rec(undecided, chosen, free, size, adj[bv])
+
+    rec((1 << n) - 1, 0, 0, 0, (1 << n) - 1)
+    picked = [(u, v) for u, v in g.edge_list if best_mask >> u & best_mask >> v & 1]
+    if 2 * len(picked) != best_size or not is_induced_matching(g, picked):
         raise RuntimeError("induced matching search returned a non-induced matching")
-    return size, matching
+    return best_size >> 1, matching_from_edges(g, picked)
 
 
 def diss_via_induced_matchings(

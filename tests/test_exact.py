@@ -11,6 +11,8 @@ from dissolab.catalog import all_graphs, connected_graphs
 from dissolab.corpus import join_input_corpus, random_graph_corpus
 from dissolab.exact import (
     InstanceTooLarge,
+    _edge_conflicts,
+    _max_independent_set,
     check_inequality_chain,
     diss_via_induced_matchings,
     dissociation_number_exact,
@@ -31,6 +33,10 @@ from dissolab.reductions import (
 )
 
 from strategies import graphs
+
+
+# edges x-p, x-z, y-z, z-q, q-r as 0-1, 0-2, 3-2, 2-4, 4-5
+NESTED_NEIGHBOURHOODS = new_graph(6, [(0, 1), (0, 2), (3, 2), (2, 4), (4, 5)])
 
 
 def c5():
@@ -190,6 +196,12 @@ class TestInducedMatchingNumber:
         with pytest.raises(InstanceTooLarge):
             induced_matching_number_exact(new_graph(31, []))
 
+    def test_nested_neighbourhoods(self):
+        # N(y) ⊆ N(x) with x, y non-adjacent, yet the only maximum induced
+        # matching uses x: a rule dropping x here would give 1
+        value, matching = induced_matching_number_exact(NESTED_NEIGHBOURHOODS)
+        assert value == 2 and matching.edges == {(0, 1), (4, 5)}
+
 
 class TestChainReport:
     def test_k2_flags(self):
@@ -318,6 +330,35 @@ def is_gadget():
     return gadget_diss_alpha_plus_nus(g, 1).graph
 
 
+def sparse_pin_graphs():
+    return [random_graph(n, p, seed)
+            for n in (20, 36, 44) for p in (0.05, 0.1) for seed in range(6)]
+
+
+@pytest.mark.parametrize(
+    "corpus",
+    [lambda: [g for n in range(1, 8) for g in connected_graphs(n)],
+     lambda: [g for n in range(7) for g in all_graphs(n)],
+     lambda: [gadget_diss_alpha_plus_nus(g, k).graph
+              for n in range(6) for g in all_graphs(n) for k in range(1, 5)],
+     lambda: [fig3(), gadget_diss_2alpha(parse_cnf(FIG3_UNSAT_CNF)).graph, fig4(),
+              is_gadget()],
+     sparse_pin_graphs,
+     lambda: [NESTED_NEIGHBOURHOODS]],
+    ids=["connected-n7", "all-n6", "is-gadgets", "fig-gadgets", "sparse", "nested"],
+)
+def test_nus_matches_kernel_on_edge_conflicts(corpus):
+    # an induced matching is an independent set of the edge-conflict graph
+    # (Cameron, 1989), so the independent-set kernel there is a reference
+    # for the search over the vertices of g that shares none of its rules
+    for g in corpus():
+        edges, conflict = _edge_conflicts(g)
+        expected = _max_independent_set(tuple(conflict), (1 << len(edges)) - 1)[0]
+        value, matching = induced_matching_number_exact(g, cutoff=g.n)
+        assert value == expected
+        assert len(matching.edges) == value and is_induced_matching(g, matching.edges)
+
+
 @pytest.mark.parametrize(
     "solve,expected",
     [(dissociation_number_exact,
@@ -378,11 +419,12 @@ def search_nodes(solve, g):
     ids=["diss-fig3", "nus-fig3", "alpha-fig3", "nus-fig4", "nus-isgadget"],
 )
 def test_search_nodes_capped(solve, graph, cap):
-    # the caps sit at about three times the node counts with the star, P3
-    # and clique-cover bounds and the universal rule (81, 43, 7, 28 and 15);
-    # the counting bound alone needs 2249, 1453, 124 and 7784, and the IS
-    # gadget takes 281 without the universal rule, so a lost bound or rule
-    # fails here even though every value and witness stays the same
+    # diss and alpha take 81 and 7 nodes, against 2249 and 124 with the
+    # counting bound alone. The nu_s search over the vertices of g takes 16,
+    # 29 and 15 (the edge-conflict kernel took 43, 28 and 15), against 1847,
+    # 4989 and 29 with the counting bound alone, and 165 on fig4 without
+    # the pair-clique bound. So a lost bound or rule fails here even though
+    # every value and witness stays the same
     assert search_nodes(solve, graph()) <= cap
 
 

@@ -40,3 +40,27 @@ def test_chain_violation_reported_under_optimize():
     optimize, detail = done.stdout.splitlines()
     assert optimize == "1"
     assert detail.startswith("chain violated:"), detail
+
+
+def test_bad_nus_witness_raises_under_optimize():
+    # the search over the vertices of g rebuilds its matching from a vertex
+    # set; a witness check that fails must still raise with asserts stripped
+    script = (
+        "import sys\n"
+        "import dissolab.exact as exact\n"
+        "from dissolab.graph import new_graph\n"
+        "exact.is_induced_matching = lambda g, edges: False\n"
+        "print(sys.flags.optimize)\n"
+        "try:\n"
+        "    exact.induced_matching_number_exact(new_graph(2, [(0, 1)]))\n"
+        "except RuntimeError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "1", "induced matching search returned a non-induced matching"]
