@@ -365,8 +365,10 @@ def test_nus_matches_kernel_on_edge_conflicts(corpus):
       "2e9e9bd543603d610fa683945c20d4004d3469d57046beaf4574ec2d383db742"),
      (independence_number_exact,
       "667b1d7e51672b87906b02c59e8999a839e77def2ae4aea644ab1076fef600c8"),
+     # re-recorded for the nu_s search over the vertices of g: same
+     # values, other optimal witnesses
      (induced_matching_number_exact,
-      "0a2236df0268262294520f449515a97f54a8191b59e3cc7864c62c7ad1fe76aa")],
+      "5584ce96b93d72cb7d3675d59623630c03c7af4855eac9b05f7b1d68326a6242")],
     ids=["diss", "alpha", "nu_s"],
 )
 def test_witnesses_pinned(solve, expected):
@@ -434,11 +436,11 @@ def test_search_nodes_capped(solve, graph, cap):
       "9534dd433682da935f2198fd8bd1396f884eb091da60b9269b0374cce141f0d5"),
      (independence_number_exact,
       "0ccfdfd42ee2a2a849ff9328fbceb895e2916077d69bea2709ca73605dafded6"),
-     # re-recorded for the universal rule, which skips exclude-chain nodes:
-     # 9607 nodes went to 9520, and every value and witness stayed, as
-     # test_witnesses_pinned_on_sparse_graphs checks
+     # re-recorded for the nu_s search over the vertices of g: 9520 nodes
+     # of the edge-conflict kernel went to 4495, values stayed, and
+     # witnesses moved as test_witnesses_pinned_on_sparse_graphs records
      (induced_matching_number_exact,
-      "1d6cd42947fa031d37a7d95d8457b5ec4ac5dde24dfad2476912613f977056b9")],
+      "33944a79167866dd52e52b4389beb7321e7a234506b4ff4b91272da0d1792f80")],
     ids=["diss", "alpha", "nu_s"],
 )
 def test_search_trees_pinned_on_sparse_graphs(solve, expected):
@@ -460,8 +462,10 @@ def test_search_trees_pinned_on_sparse_graphs(solve, expected):
     "solve,expected",
     [(independence_number_exact,
       "06349a2b64cd8f5a95754c70a5aaf6e5688c674be0c5214aa18df1ec9d5beb57"),
+     # re-recorded for the nu_s search over the vertices of g, which has no
+     # universal vertices to meet: same values, other optimal witnesses
      (induced_matching_number_exact,
-      "2d5451100a542485edf50cf235ebf3bfcaa9bfebab13c784dc2bf5738f43d586")],
+      "c599500bbc598fc177684211c2ca930f00132530f3fb6ec396bdeb0a1b5a5d46")],
     ids=["alpha", "nu_s"],
 )
 def test_witnesses_pinned_on_graphs_with_universal_vertices(solve, expected):
@@ -485,8 +489,10 @@ def test_witnesses_pinned_on_graphs_with_universal_vertices(solve, expected):
     "solve,expected",
     [(independence_number_exact,
       "8fde26ea5aee9f71818e165443a2be0c366c7b876ff07d33224c8f6333ed6bf4"),
+     # re-recorded for the nu_s search over the vertices of g: same
+     # values, other optimal witnesses
      (induced_matching_number_exact,
-      "8ff7da54a6f75dca223e9d953b29f58e628552740d5fa9bb897f617bec590fdc")],
+      "38e61062ae1361ac376fdd6b7c0c500bc276b73f55d74564f812b387f0df2fc3")],
     ids=["alpha", "nu_s"],
 )
 def test_witnesses_pinned_on_sparse_graphs(solve, expected):
