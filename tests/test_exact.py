@@ -196,6 +196,15 @@ class TestInducedMatchingNumber:
         with pytest.raises(InstanceTooLarge):
             induced_matching_number_exact(new_graph(31, []))
 
+    def test_never_builds_edge_conflicts(self, monkeypatch):
+        # the search runs on the vertices of g; only the detour and the
+        # reference below build the edge-conflict graph
+        def refuse(g):
+            raise RuntimeError("nu_s built the edge-conflict graph")
+
+        monkeypatch.setattr(exact, "_edge_conflicts", refuse)
+        assert induced_matching_number_exact(c6())[0] == 2
+
     def test_nested_neighbourhoods(self):
         # N(y) ⊆ N(x) with x, y non-adjacent, yet the only maximum induced
         # matching uses x: a rule dropping x here would give 1
