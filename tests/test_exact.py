@@ -458,12 +458,10 @@ def test_search_trees_pinned_on_sparse_graphs(solve, expected):
     # sweep that skips a vertex it should revisit can keep every value yet
     # move a witness or the number of nodes, so pin all three
     digest = hashlib.sha256()
-    for n in (20, 36, 44):
-        for p in (0.05, 0.1):
-            for seed in range(6):
-                (value, witness), nodes = traced_solve(solve, random_graph(n, p, seed))
-                items = sorted(getattr(witness, "edges", witness))
-                digest.update(repr((value, items, nodes)).encode())
+    for g in sparse_pin_graphs():
+        (value, witness), nodes = traced_solve(solve, g)
+        items = sorted(getattr(witness, "edges", witness))
+        digest.update(repr((value, items, nodes)).encode())
     assert digest.hexdigest() == expected
 
 
@@ -508,10 +506,8 @@ def test_witnesses_pinned_on_sparse_graphs(solve, expected):
     # the corpus of the search-tree pins without their node counts: a change
     # that is meant to cut nodes re-records those, but must leave this
     digest = hashlib.sha256()
-    for n in (20, 36, 44):
-        for p in (0.05, 0.1):
-            for seed in range(6):
-                value, witness = solve(random_graph(n, p, seed), cutoff=n)
-                items = sorted(getattr(witness, "edges", witness))
-                digest.update(repr((value, items)).encode())
+    for g in sparse_pin_graphs():
+        value, witness = solve(g, cutoff=g.n)
+        items = sorted(getattr(witness, "edges", witness))
+        digest.update(repr((value, items)).encode())
     assert digest.hexdigest() == expected
