@@ -580,9 +580,9 @@ def induced_matching_number_exact(
             # the pair is always taken
             xb = adj[leaf.bit_length() - 1] & undecided
             x = xb.bit_length() - 1
-            rest = undecided ^ leaf ^ xb
-            gone = rest & adj[x]
-            rec(rest ^ gone, chosen | leaf | xb, free, size + 2, _union(adj, gone | xb))
+            others = undecided ^ leaf ^ xb
+            gone = others & adj[x]
+            rec(others ^ gone, chosen | leaf | xb, free, size + 2, _union(adj, gone | xb))
             if gone:
                 rec(undecided ^ xb, chosen, free, size, adj[x])
             return
