@@ -344,6 +344,17 @@ def sparse_pin_graphs():
             for n in (20, 36, 44) for p in (0.05, 0.1) for seed in range(6)]
 
 
+def universal_pin_graphs():
+    # IS gadgets, join gadgets and dense graphs: the kernel meets vertices
+    # adjacent to every other one here, at the root or deep in the search
+    graphs = [gadget_diss_alpha_plus_nus(g, k).graph
+              for n in range(6) for g in all_graphs(n) for k in range(1, 5)]
+    graphs += [gadget_join_kn(g)[0].graph for g in join_input_corpus(40, 12, 3)]
+    graphs += [random_graph(n, p, seed)
+               for n in (12, 18, 24) for p in (0.5, 0.9) for seed in range(3)]
+    return graphs
+
+
 @pytest.mark.parametrize(
     "corpus",
     [lambda: [g for n in range(1, 8) for g in connected_graphs(n)],
@@ -480,13 +491,8 @@ def test_witnesses_pinned_on_graphs_with_universal_vertices(solve, expected):
     # graphs, conflict with every other edge: the kernel meets universal
     # vertices at the root or deep in the search, where a rule that drops
     # them must leave the incumbent as the one-at-a-time branching leaves it
-    graphs = [gadget_diss_alpha_plus_nus(g, k).graph
-              for n in range(6) for g in all_graphs(n) for k in range(1, 5)]
-    graphs += [gadget_join_kn(g)[0].graph for g in join_input_corpus(40, 12, 3)]
-    graphs += [random_graph(n, p, seed)
-               for n in (12, 18, 24) for p in (0.5, 0.9) for seed in range(3)]
     digest = hashlib.sha256()
-    for g in graphs:
+    for g in universal_pin_graphs():
         value, witness = solve(g, cutoff=g.n)
         digest.update(repr((value, sorted(getattr(witness, "edges", witness)))).encode())
     assert digest.hexdigest() == expected
@@ -510,4 +516,30 @@ def test_witnesses_pinned_on_sparse_graphs(solve, expected):
         value, witness = solve(g, cutoff=g.n)
         items = sorted(getattr(witness, "edges", witness))
         digest.update(repr((value, items)).encode())
+    assert digest.hexdigest() == expected
+
+
+@pytest.mark.parametrize(
+    "solve,expected",
+    [(dissociation_number_exact,
+      "32953792f7a285a6088aa894a7505211134021b5a40ec561d200228dc6a2b6d9"),
+     (independence_number_exact,
+      "32034e3235f6ae1609397a13e3ebee079894012c924b503d58c0108381d0fd38"),
+     (induced_matching_number_exact,
+      "4786a179dc1d8ae4e994a1d2303f06cfc1ffe1c2db9befc9ff3bb73c95ef29f0")],
+    ids=["diss", "alpha", "nu_s"],
+)
+def test_search_trees_pinned_on_gadgets(solve, expected):
+    # the search-tree pin of the clique-built graphs: the fig3, fig4 and IS
+    # test gadgets and the corpus of the universal-vertex pin, 274 graphs
+    # on which diss, alpha and nu_s take 9758, 646 and 3988 nodes. A rewrite
+    # of a bound or a branch rule that is meant to change nothing must
+    # leave every value, witness and node count here as it is
+    graphs = [fig3(), gadget_diss_2alpha(parse_cnf(FIG3_UNSAT_CNF)).graph, fig4(),
+              is_gadget()]
+    digest = hashlib.sha256()
+    for g in graphs + universal_pin_graphs():
+        (value, witness), nodes = traced_solve(solve, g)
+        items = sorted(getattr(witness, "edges", witness))
+        digest.update(repr((value, items, nodes)).encode())
     assert digest.hexdigest() == expected
