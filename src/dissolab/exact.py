@@ -3,11 +3,14 @@ matching number, and the inequality-chain report tying them together.
 
 They are the ground truth the approximation, recognizer, and gadget modules
 are tested against, so they stay deliberately simple. Three branch-and-bound
-searches over bitmask sets do the work, all with max-degree branching and
-greedy rules for vertices whose fate is forced. Each tries the counting
-bound (chosen plus undecided) first and a tighter bound only where that
-fails to prune. A bound prunes only subtrees that cannot strictly beat the
-incumbent, so it never changes which optimum is found:
+searches over bitmask sets do the work, all with greedy rules for vertices
+whose fate is forced. Each tries the counting bound (chosen plus undecided)
+first and a tighter bound only where that fails to prune. A bound prunes
+only subtrees that cannot strictly beat the incumbent, so it never changes
+which optimum is found. Three steps are written once and shared:
+``_star_p3_bound`` (the ``diss`` and ``nu_s`` searches), ``_clique_cover_fits``
+(the kernel and the ``nu_s`` pair cliques) and ``_max_degree_vertex``, the
+branch choice of the ``diss`` search and the kernel (lowest index on ties):
 
 * ``_max_independent_set``, the one independent-set kernel, behind ``alpha``
   and the ``diss`` detour. Its leaf rule takes vertices of residual degree
@@ -24,8 +27,9 @@ incumbent, so it never changes which optimum is found:
 * the ``nu_s`` search in ``induced_matching_number_exact``: the ``diss``
   search restricted to sets in which every chosen vertex has exactly one
   chosen neighbour, over the vertices of g rather than the edge-conflict
-  graph. On top of the ``diss`` bounds it bounds the pairs by a degree sum
-  and by a cover with cliques of vertices no two pairs can both touch.
+  graph. It branches on a residual leaf where it finds one. On top of the
+  ``diss`` bounds it bounds the pairs by a degree sum and by a greedy cover
+  with cliques of vertices no two pairs can both touch.
 
 The sweeps that apply the greedy rules are incremental: a vertex is
 examined again only after a neighbour has changed state, in the ascending
@@ -111,6 +115,84 @@ def _union(masks: Sequence[int], mask: int) -> int:
     return out
 
 
+def _star_p3_bound(
+    adj: Sequence[int], undecided: int, free: int, bound: int, floor: int
+) -> tuple[int, int]:
+    """Tighten the counting ``bound`` by stars and 3-vertex paths.
+
+    Needs that no undecided vertex has two chosen neighbours and that no
+    vertex of ``free`` (the unpaired chosen ones) has a chosen one. Then the
+    undecided neighbours of the vertices of free form disjoint stars, each
+    admitting one vertex, and a dissociation set misses a vertex of every
+    path u-v-w, so paths are packed vertex-disjoint among the other
+    undecided vertices. Stops once the bound is at most ``floor``. Returns
+    the bound and the undecided vertices outside the stars.
+    """
+    stars = 0
+    w = free
+    while w:
+        bit = w & -w
+        w ^= bit
+        nu = adj[bit.bit_length() - 1] & undecided
+        if nu:
+            bound -= nu.bit_count() - 1
+            stars |= nu
+    rest = undecided ^ stars
+    if bound <= floor:
+        return bound, rest
+    left = w = rest
+    while w:
+        bit = w & -w
+        w ^= bit
+        if not left & bit:
+            continue
+        nb = adj[bit.bit_length() - 1] & left
+        if nb & (nb - 1):
+            a = nb & -nb
+            nb ^= a
+            left &= ~(bit | a | (nb & -nb))
+            bound -= 1
+            if bound <= floor:
+                break
+    return bound, rest
+
+
+def _clique_cover_fits(adj: Sequence[int], mask: int, limit: int) -> bool:
+    """True iff a greedy cover of ``mask`` by cliques of ``adj`` needs at
+    most ``limit`` cliques: each grows from its lowest vertex, adding the
+    lowest vertex adjacent to all of it."""
+    cliques = 0
+    while mask:
+        cliques += 1
+        if cliques > limit:
+            return False
+        clique = mask & -mask
+        cand = adj[clique.bit_length() - 1] & mask
+        while cand:
+            bit = cand & -cand
+            clique |= bit
+            cand &= adj[bit.bit_length() - 1]
+        mask &= ~clique
+    return True
+
+
+def _max_degree_vertex(adj: Sequence[int], mask: int) -> tuple[int, int]:
+    """The vertex of ``mask`` with the most neighbours in ``mask``, lowest
+    index on ties, and that degree."""
+    bv = -1
+    bd = -1
+    w = mask
+    while w:
+        bit = w & -w
+        w ^= bit
+        v = bit.bit_length() - 1
+        d = (adj[v] & mask).bit_count()
+        if d > bd:
+            bd = d
+            bv = v
+    return bv, bd
+
+
 def dissociation_number_exact(
     g: Graph, *, cutoff: int = EXACT_CUTOFF
 ) -> tuple[int, frozenset[int]]:
@@ -134,7 +216,7 @@ def dissociation_number_exact(
     best_size = -1
     best_mask = 0
 
-    def rec(undecided: int, chosen: int, free: int, size: int, dirty: int) -> None:
+    def rec(undecided: int, chosen: int, free: int, dirty: int) -> None:
         nonlocal best_size, best_mask
         # sweep: settle vertices with residual degree <= 1, in ascending
         # passes over w. Invariant: an undecided vertex in neither w nor
@@ -160,13 +242,11 @@ def dissociation_number_exact(
                     if cn == 0:
                         chosen |= bit
                         free |= bit
-                        size += 1
                     elif cn & free:
                         # pair v with its chosen neighbour
                         u = cn.bit_length() - 1
                         chosen |= bit
                         free &= ~cn
-                        size += 1
                         gone = undecided & adj[u]
                         undecided ^= gone
                         touched |= adj[u] | _union(adj, gone)
@@ -176,7 +256,6 @@ def dissociation_number_exact(
                     undecided ^= bit
                     chosen |= bit
                     free |= bit
-                    size += 1
                 else:
                     continue
                 # later vertices join this pass, earlier ones the next
@@ -184,61 +263,25 @@ def dissociation_number_exact(
                 w |= touched & -bit
                 dirty |= touched & (bit - 1)
             w = dirty & undecided
+        size = chosen.bit_count()
         if size > best_size:
             best_size = size
             best_mask = chosen
         bound = size + undecided.bit_count()
-        if bound <= best_size or not undecided:
-            return
-        # star bound: no undecided vertex has two chosen neighbours and a
-        # paired vertex has none, so the undecided neighbours of the free
-        # chosen vertices form disjoint sets, each admitting one vertex
-        stars = 0
-        w = free
-        while w:
-            bit = w & -w
-            w ^= bit
-            nu = adj[bit.bit_length() - 1] & undecided
-            if nu:
-                bound -= nu.bit_count() - 1
-                stars |= nu
         if bound <= best_size:
             return
-        # P3 bound: a dissociation set misses a vertex of every path u-v-w,
-        # so pack vertex-disjoint ones among the other undecided vertices
-        rest = undecided & ~stars
-        w = rest
-        while w:
-            bit = w & -w
-            w ^= bit
-            if not rest & bit:
-                continue
-            nb = adj[bit.bit_length() - 1] & rest
-            if nb & (nb - 1):
-                a = nb & -nb
-                nb ^= a
-                rest &= ~(bit | a | (nb & -nb))
-                bound -= 1
-                if bound <= best_size:
-                    return
-        # branch vertex: max residual degree, lowest index on ties
-        bv = -1
-        bd = -1
-        w = undecided
-        while w:
-            bit = w & -w
-            w ^= bit
-            v = bit.bit_length() - 1
-            d = (adj[v] & undecided).bit_count()
-            if d > bd:
-                bd = d
-                bv = v
+        # the sweep leaves no undecided vertex two chosen neighbours, and
+        # pairing drops the undecided neighbours of both partners
+        bound, _ = _star_p3_bound(adj, undecided, free, bound, best_size)
+        if bound <= best_size:
+            return
+        bv, _ = _max_degree_vertex(adj, undecided)
         bit = 1 << bv
         cn = adj[bv] & chosen
         undecided ^= bit
         # each child revisits the neighbours of the vertices it decides
         if cn == 0:
-            rec(undecided, chosen | bit, free | bit, size + 1, adj[bv])
+            rec(undecided, chosen | bit, free | bit, adj[bv])
         elif cn & (cn - 1) == 0 and cn & free:
             u = cn.bit_length() - 1
             gone = undecided & (adj[bv] | adj[u])
@@ -246,12 +289,11 @@ def dissociation_number_exact(
                 undecided ^ gone,
                 chosen | bit,
                 free & ~cn,
-                size + 1,
                 adj[bv] | adj[u] | _union(adj, gone),
             )
-        rec(undecided, chosen, free, size, adj[bv])
+        rec(undecided, chosen, free, adj[bv])
 
-    rec((1 << n) - 1, 0, 0, 0, (1 << n) - 1)
+    rec((1 << n) - 1, 0, 0, (1 << n) - 1)
     witness = _mask_to_set(best_mask)
     if not is_dissociation_set(g, witness):
         raise RuntimeError("dissociation search returned a set that is not a dissociation set")
@@ -266,7 +308,7 @@ def _max_independent_set(adj: tuple[int, ...], avail0: int) -> tuple[int, int]:
     best_size = -1
     best_mask = 0
 
-    def rec(avail: int, chosen: int, size: int, dirty: int) -> None:
+    def rec(avail: int, chosen: int, dirty: int) -> None:
         nonlocal best_size, best_mask
         # sweep in ascending order over w: taking a vertex of degree 0
         # changes no other degree, and taking a leaf changes only those of
@@ -280,47 +322,21 @@ def _max_independent_set(adj: tuple[int, ...], avail0: int) -> tuple[int, int]:
             if d == 0:
                 avail ^= bit
                 chosen |= bit
-                size += 1
             elif d & (d - 1) == 0:
                 # leaf: taking it is always optimal
                 avail &= ~(bit | d)
                 chosen |= bit
-                size += 1
                 w = (w | adj[d.bit_length() - 1]) & avail
+        size = chosen.bit_count()
         if size > best_size:
             best_size = size
             best_mask = chosen
-        if not avail or size + avail.bit_count() <= best_size:
+        if size + avail.bit_count() <= best_size:
             return
         # clique cover bound: an independent set takes one vertex per clique
-        slack = best_size - size
-        cliques = 0
-        rest = avail
-        while rest:
-            cliques += 1
-            if cliques > slack:
-                break
-            clique = rest & -rest
-            cand = adj[clique.bit_length() - 1] & rest
-            while cand:
-                bit = cand & -cand
-                clique |= bit
-                cand &= adj[bit.bit_length() - 1]
-            rest &= ~clique
-        else:
+        if _clique_cover_fits(adj, avail, best_size - size):
             return
-        # branch vertex: max residual degree, lowest index on ties
-        max_deg = 0
-        bv = -1
-        w = avail
-        while w:
-            bit = w & -w
-            w ^= bit
-            v = bit.bit_length() - 1
-            d = (adj[v] & avail).bit_count()
-            if d > max_deg:
-                max_deg = d
-                bv = v
+        bv, max_deg = _max_degree_vertex(adj, avail)
         bit = 1 << bv
         top = avail.bit_count() - 1
         if max_deg == top:
@@ -346,17 +362,18 @@ def _max_independent_set(adj: tuple[int, ...], avail0: int) -> tuple[int, int]:
                 w ^= b
                 if (adj[b.bit_length() - 1] & avail).bit_count() == top:
                     rest ^= b
-            rec(rest, chosen, size, rest)
+            rec(rest, chosen, rest)
             return
-        # the include branch rescans everything: on dense conflict graphs,
-        # collecting the neighbours of N(bv) costs more than the rescan
+        # the include branch rescans everything: rescanning only the
+        # neighbours of N(bv) gives the same tree, yet made alpha on
+        # G(n, p) with n = 26-36 about a quarter slower
         rest = avail & ~(bit | adj[bv])
-        rec(rest, chosen | bit, size + 1, rest)
+        rec(rest, chosen | bit, rest)
         # all degrees 2: disjoint cycles, and any vertex lies in some maximum set
         if max_deg > 2:
-            rec(avail ^ bit, chosen, size, adj[bv])
+            rec(avail ^ bit, chosen, adj[bv])
 
-    rec(avail0, 0, 0, avail0)
+    rec(avail0, 0, avail0)
     return best_size, best_mask
 
 
@@ -423,7 +440,7 @@ def induced_matching_number_exact(
     best_size = 0
     best_mask = 0
 
-    def rec(undecided: int, chosen: int, free: int, size: int, dirty: int) -> None:
+    def rec(undecided: int, chosen: int, free: int, dirty: int) -> None:
         nonlocal best_size, best_mask
         # sweep, incremental as in the diss search, over the undecided and
         # the free chosen vertices. Pairing two vertices drops every
@@ -452,7 +469,6 @@ def induced_matching_number_exact(
                     undecided ^= du
                     chosen |= du
                     free ^= bit
-                    size += 1
                     gone = undecided & (touched | adj[x])
                     undecided ^= gone
                     touched |= adj[x] | _union(adj, gone)
@@ -469,7 +485,6 @@ def induced_matching_number_exact(
                             # in, and u may as well take v as any partner
                             chosen |= bit
                             free ^= cn
-                            size += 1
                             gone = undecided & adj[cn.bit_length() - 1]
                             undecided ^= gone
                             touched |= _union(adj, cn | gone)
@@ -482,6 +497,7 @@ def induced_matching_number_exact(
                 w |= touched & -bit
                 dirty |= touched & (bit - 1)
             w = dirty & live
+        size = chosen.bit_count()
         if not free and size > best_size:
             best_size = size
             best_mask = chosen
@@ -490,34 +506,17 @@ def induced_matching_number_exact(
         bound = size + undecided.bit_count()
         if bound <= best_size + 1:
             return
-        # star bound: each free vertex takes one of its undecided neighbours,
-        # and those sets are disjoint; the other undecided vertices form rest
-        stars = undecided & _union(adj, free)
-        rest = undecided ^ stars
-        spare = free.bit_count()
-        bound = size + spare + rest.bit_count()
+        # the star and P3 bounds of the diss search. The sweep leaves every
+        # free vertex an undecided neighbour, and no undecided vertex two
+        # chosen ones, so each free vertex adds exactly one vertex of its
+        # star: the undecided vertices outside the stars form rest
+        bound, rest = _star_p3_bound(adj, undecided, free, bound, best_size + 1)
         if bound <= best_size + 1:
             return
-        # P3 bound of the diss search, among the vertices of rest
-        left = rest
-        w = left
-        while w:
-            bit = w & -w
-            w ^= bit
-            if not left & bit:
-                continue
-            nb = adj[bit.bit_length() - 1] & left
-            if nb & (nb - 1):
-                a = nb & -nb
-                nb ^= a
-                left &= ~(bit | a | (nb & -nb))
-                bound -= 1
-                if bound <= best_size + 1:
-                    return
         # pairs inside rest that would not beat the incumbent; a vertex of
         # rest with no neighbour in rest can pair only with a star vertex,
         # whose partner is already fixed, so it stays out of every set
-        room = (best_size - size - spare) >> 1
+        room = (best_size - size - free.bit_count()) >> 1
         if room >= 0:
             degrees = []
             w = rest
@@ -540,20 +539,7 @@ def induced_matching_number_exact(
                 return
             # pair-clique bound: each clique of compatible vertices is
             # touched by at most one pair
-            cliques = 0
-            left = rest
-            while left:
-                cliques += 1
-                if cliques > room:
-                    break
-                clique = left & -left
-                cand = compat[clique.bit_length() - 1] & left
-                while cand:
-                    bit = cand & -cand
-                    clique |= bit
-                    cand &= compat[bit.bit_length() - 1]
-                left &= ~clique
-            else:
+            if _clique_cover_fits(compat, rest, room):
                 return
         # branch vertex: a residual leaf of rest whose neighbour is in rest
         # too, else max residual degree; lowest index on ties
@@ -582,16 +568,16 @@ def induced_matching_number_exact(
             x = xb.bit_length() - 1
             others = undecided ^ leaf ^ xb
             gone = others & adj[x]
-            rec(others ^ gone, chosen | leaf | xb, free, size + 2, _union(adj, gone | xb))
+            rec(others ^ gone, chosen | leaf | xb, free, _union(adj, gone | xb))
             if gone:
-                rec(undecided ^ xb, chosen, free, size, adj[x])
+                rec(undecided ^ xb, chosen, free, adj[x])
             return
         bit = 1 << bv
         cn = adj[bv] & chosen
         undecided ^= bit
         # each child revisits the neighbours of the vertices it decides
         if cn == 0:
-            rec(undecided, chosen | bit, free | bit, size + 1, adj[bv] | bit)
+            rec(undecided, chosen | bit, free | bit, adj[bv] | bit)
         else:
             # the sweep left bv one chosen neighbour, and it is free
             u = cn.bit_length() - 1
@@ -600,12 +586,11 @@ def induced_matching_number_exact(
                 undecided ^ gone,
                 chosen | bit,
                 free ^ cn,
-                size + 1,
                 _union(adj, bit | cn | gone),
             )
-        rec(undecided, chosen, free, size, adj[bv])
+        rec(undecided, chosen, free, adj[bv])
 
-    rec((1 << n) - 1, 0, 0, 0, (1 << n) - 1)
+    rec((1 << n) - 1, 0, 0, (1 << n) - 1)
     picked = [(u, v) for u, v in g.edge_list if best_mask >> u & best_mask >> v & 1]
     if 2 * len(picked) != best_size or not is_induced_matching(g, picked):
         raise RuntimeError("induced matching search returned a non-induced matching")
