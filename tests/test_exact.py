@@ -333,10 +333,15 @@ def fig4():
 
 
 def is_gadget():
-    # the (k - 1)K2 block of this 34-vertex gadget is joined to all 11 padded
-    # vertices, so its edges conflict with every edge of the gadget
+    # 34 vertices: the 11 padded vertices, each with a pendant, are joined
+    # to all 12 vertices of the (k - 1)K2 block
     g = new_graph(5, [(0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
     return gadget_diss_alpha_plus_nus(g, 1).graph
+
+
+def join_p9():
+    # the 9-vertex path joined to K9: every clique vertex is universal
+    return gadget_join_kn(new_graph(9, [(i, i + 1) for i in range(8)]))[0].graph
 
 
 def sparse_pin_graphs():
@@ -437,16 +442,19 @@ def search_nodes(solve, g):
      (induced_matching_number_exact, fig3, 150),
      (independence_number_exact, fig3, 25),
      (induced_matching_number_exact, fig4, 90),
-     (induced_matching_number_exact, is_gadget, 45)],
-    ids=["diss-fig3", "nus-fig3", "alpha-fig3", "nus-fig4", "nus-isgadget"],
+     (induced_matching_number_exact, is_gadget, 45),
+     (independence_number_exact, join_p9, 6)],
+    ids=["diss-fig3", "nus-fig3", "alpha-fig3", "nus-fig4", "nus-isgadget", "alpha-join"],
 )
 def test_search_nodes_capped(solve, graph, cap):
-    # diss and alpha take 81 and 7 nodes, against 2249 and 124 with the
-    # counting bound alone. The nu_s search over the vertices of g takes 16,
-    # 29 and 15 (the edge-conflict kernel took 43, 28 and 15), against 1847,
-    # 4989 and 29 with the counting bound alone, and 165 on fig4 without
-    # the pair-clique bound. So a lost bound or rule fails here even though
-    # every value and witness stays the same
+    # diss and alpha take 81 and 7 nodes on fig3, against 2249 and 124 with
+    # the counting bound alone, and alpha takes 2 on join_p9, against 19
+    # without the kernel's universal rule. The nu_s search over the vertices
+    # of g takes 16, 29 and 15 (the edge-conflict kernel took 43, 28 and
+    # 15), against 1847, 4989 and 29 with the counting bound alone, and 165
+    # on fig4 without the pair-clique bound. So a lost bound or rule fails
+    # here even though every value and witness stays the same; only
+    # nus-isgadget, whose 29 nodes stay within its cap, guards no rule
     assert search_nodes(solve, graph()) <= cap
 
 

@@ -42,17 +42,27 @@ def test_chain_violation_reported_under_optimize():
     assert detail.startswith("chain violated:"), detail
 
 
-def test_bad_nus_witness_raises_under_optimize():
-    # the search over the vertices of g rebuilds its matching from a vertex
-    # set; a witness check that fails must still raise with asserts stripped
+@pytest.mark.parametrize(
+    "check,solve,message",
+    [("is_dissociation_set", "dissociation_number_exact",
+      "dissociation search returned a set that is not a dissociation set"),
+     ("is_independent_set", "independence_number_exact",
+      "independent set search returned a set that is not independent"),
+     ("is_induced_matching", "induced_matching_number_exact",
+      "induced matching search returned a non-induced matching")],
+    ids=["diss", "alpha", "nu_s"],
+)
+def test_bad_witness_raises_under_optimize(check, solve, message):
+    # each oracle checks its witness before it returns; a check that fails
+    # must still raise with asserts stripped
     script = (
         "import sys\n"
         "import dissolab.exact as exact\n"
         "from dissolab.graph import new_graph\n"
-        "exact.is_induced_matching = lambda g, edges: False\n"
+        f"exact.{check} = lambda g, s: False\n"
         "print(sys.flags.optimize)\n"
         "try:\n"
-        "    exact.induced_matching_number_exact(new_graph(2, [(0, 1)]))\n"
+        f"    exact.{solve}(new_graph(2, [(0, 1)]))\n"
         "except RuntimeError as exc:\n"
         "    print(exc)\n"
     )
@@ -62,5 +72,4 @@ def test_bad_nus_witness_raises_under_optimize():
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == [
-        "1", "induced matching search returned a non-induced matching"]
+    assert done.stdout.splitlines() == ["1", message]
