@@ -350,8 +350,7 @@ def sparse_pin_graphs():
 
 
 def universal_pin_graphs():
-    # IS gadgets, join gadgets and dense graphs: the kernel meets vertices
-    # adjacent to every other one here, at the root or deep in the search
+    # the 212 IS gadgets, 40 join gadgets and 18 dense graphs
     graphs = [gadget_diss_alpha_plus_nus(g, k).graph
               for n in range(6) for g in all_graphs(n) for k in range(1, 5)]
     graphs += [gadget_join_kn(g)[0].graph for g in join_input_corpus(40, 12, 3)]
@@ -495,10 +494,10 @@ def test_search_trees_pinned_on_sparse_graphs(solve, expected):
     ids=["alpha", "nu_s"],
 )
 def test_witnesses_pinned_on_graphs_with_universal_vertices(solve, expected):
-    # the join edges of IS gadgets and join gadgets, and many edges of dense
-    # graphs, conflict with every other edge: the kernel meets universal
-    # vertices at the root or deep in the search, where a rule that drops
-    # them must leave the incumbent as the one-at-a-time branching leaves it
+    # on IS gadgets, join gadgets and dense graphs the kernel meets vertices
+    # adjacent to every other one, at the root or deep in the search, where
+    # a rule that drops them must leave the incumbent as the one-at-a-time
+    # branching leaves it
     digest = hashlib.sha256()
     for g in universal_pin_graphs():
         value, witness = solve(g, cutoff=g.n)
