@@ -139,6 +139,22 @@ class TestDissociationBounds:
         value, witness = dissociation_number_exact(g)
         assert value == naive_diss(g) == len(witness)
 
+    @pytest.mark.parametrize(
+        "corpus",
+        [lambda: [g for n in range(1, 8) for g in connected_graphs(n)],
+         lambda: [random_graph(n, p, 100 * n + seed) for n in range(4, 13)
+                  for p in (0.2, 0.4, 0.6, 0.8) for seed in range(3)]],
+        ids=["connected-n7", "gnp-n12"],
+    )
+    def test_root_bound_never_below_diss(self, corpus):
+        # at the root nothing is chosen and nothing is settled, so the bound
+        # is n less the packing alone, and no set it packs may admit fewer
+        # vertices of a dissociation set than it is credited with
+        for g in corpus():
+            everything = (1 << g.n) - 1
+            bound, _ = exact._star_p3_bound(g.adjacency_masks, everything, 0, g.n, -1)
+            assert bound >= naive_diss(g)
+
 
 class TestIndependenceNumber:
     def test_c6(self):
@@ -344,6 +360,13 @@ def join_p9():
     return gadget_join_kn(new_graph(9, [(i, i + 1) for i in range(8)]))[0].graph
 
 
+def gadget_pin_graphs():
+    # the fig3, unsatisfiable fig3, fig4 and IS test gadgets and the corpus
+    # of the universal-vertex pin
+    return [fig3(), gadget_diss_2alpha(parse_cnf(FIG3_UNSAT_CNF)).graph, fig4(),
+            is_gadget()] + universal_pin_graphs()
+
+
 def sparse_pin_graphs():
     return [random_graph(n, p, seed)
             for n in (20, 36, 44) for p in (0.05, 0.1) for seed in range(6)]
@@ -440,15 +463,19 @@ def search_nodes(solve, g):
     [(dissociation_number_exact, fig3, 250),
      (induced_matching_number_exact, fig3, 150),
      (independence_number_exact, fig3, 25),
+     (dissociation_number_exact, fig4, 1500),
      (induced_matching_number_exact, fig4, 90),
      (induced_matching_number_exact, is_gadget, 45),
      (independence_number_exact, join_p9, 6)],
-    ids=["diss-fig3", "nus-fig3", "alpha-fig3", "nus-fig4", "nus-isgadget", "alpha-join"],
+    ids=["diss-fig3", "nus-fig3", "alpha-fig3", "diss-fig4", "nus-fig4", "nus-isgadget",
+         "alpha-join"],
 )
 def test_search_nodes_capped(solve, graph, cap):
     # diss and alpha take 81 and 7 nodes on fig3, against 2249 and 124 with
     # the counting bound alone, and alpha takes 2 on join_p9, against 19
-    # without the kernel's universal rule. The nu_s search over the vertices
+    # without the kernel's universal rule. diss takes 973 on fig4, against
+    # 4003 when only 3-vertex paths are packed: each clause block, K6 less a
+    # perfect matching, admits 2 vertices of a dissociation set, not 4. The nu_s search over the vertices
     # of g takes 16, 29 and 15 (the edge-conflict kernel took 43, 28 and
     # 15), against 1847, 4989 and 29 with the counting bound alone, and 165
     # on fig4 without the pair-clique bound. So a lost bound or rule fails
@@ -542,11 +569,20 @@ def test_search_trees_pinned_on_gadgets(solve, expected):
     # on which diss, alpha and nu_s take 9758, 646 and 3988 nodes. A rewrite
     # of a bound or a branch rule that is meant to change nothing must
     # leave every value, witness and node count here as it is
-    graphs = [fig3(), gadget_diss_2alpha(parse_cnf(FIG3_UNSAT_CNF)).graph, fig4(),
-              is_gadget()]
     digest = hashlib.sha256()
-    for g in graphs + universal_pin_graphs():
+    for g in gadget_pin_graphs():
         (value, witness), nodes = traced_solve(solve, g)
         items = sorted(getattr(witness, "edges", witness))
         digest.update(repr((value, items, nodes)).encode())
     assert digest.hexdigest() == expected
+
+
+def test_diss_witnesses_pinned_on_gadgets():
+    # the corpus of the gadget search-tree pin without its node counts, for
+    # diss, whose witnesses there no other pin covers: a bound that is meant
+    # to cut nodes re-records that pin, but must leave this one
+    digest = hashlib.sha256()
+    for g in gadget_pin_graphs():
+        value, witness = dissociation_number_exact(g, cutoff=g.n)
+        digest.update(repr((value, sorted(witness))).encode())
+    assert digest.hexdigest() == "434202d7d42fcc891b9dac0b6cac2b73b32dd4e194a3b8a7185e7f52988dedaf"
