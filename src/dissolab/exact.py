@@ -7,10 +7,10 @@ searches over bitmask sets do the work, all with greedy rules for vertices
 whose fate is forced. Each tries the counting bound (chosen plus undecided)
 first and a tighter bound only where that fails to prune. A bound prunes
 only subtrees that cannot strictly beat the incumbent, so it never changes
-which optimum is found. Three steps are written once and shared:
-``_star_p3_bound`` (the ``diss`` and ``nu_s`` searches), ``_clique_cover_fits``
-(the kernel and the ``nu_s`` pair cliques) and ``_max_degree_vertex``, the
-branch choice of the ``diss`` search and the kernel (lowest index on ties):
+which optimum is found. Two steps are written once and shared:
+``_star_pack_bound`` (the ``diss`` and ``nu_s`` searches) and
+``_max_degree_vertex``, the branch choice of the ``diss`` search and the
+kernel (lowest index on ties):
 
 * ``_max_independent_set``, the one independent-set kernel, behind ``alpha``
   and the ``diss`` detour. Its leaf rule takes vertices of residual degree
@@ -21,15 +21,17 @@ branch choice of the ``diss`` search and the kernel (lowest index on ties):
   a time (Fomin, Grandoni & Kratsch, 2009). Its bound is a greedy clique
   cover.
 * the ``diss`` search in ``dissociation_number_exact``, bounded by stars
-  around the chosen vertices and by a packing of disjoint 3-vertex paths,
-  after the 3-path vertex cover view ``diss = n - psi_3`` (Bresar et al.,
-  2011).
+  around the chosen vertices and by a packing of disjoint vertex sets whose
+  non-edges form a matching, each admitting two vertices of a dissociation
+  set: 3-vertex paths, and the K6 less a perfect matching of each fig4
+  clause block. This is the 3-path vertex cover view ``diss = n - psi_3``
+  (Bresar et al., 2011): such a set of s vertices needs s - 2 of them in
+  the cover.
 * the ``nu_s`` search in ``induced_matching_number_exact``: the ``diss``
   search restricted to sets in which every chosen vertex has exactly one
   chosen neighbour, over the vertices of g rather than the edge-conflict
   graph. It branches on a residual leaf where it finds one. On top of the
-  ``diss`` bounds it bounds the pairs by a degree sum and by a greedy cover
-  with cliques of vertices no two pairs can both touch.
+  ``diss`` bounds it bounds the pairs by a degree sum.
 
 The sweeps that apply the greedy rules are incremental: a vertex is
 examined again only after a neighbour has changed state, in the ascending
@@ -115,18 +117,23 @@ def _union(masks: Sequence[int], mask: int) -> int:
     return out
 
 
-def _star_p3_bound(
+def _star_pack_bound(
     adj: Sequence[int], undecided: int, free: int, bound: int, floor: int
 ) -> tuple[int, int]:
-    """Tighten the counting ``bound`` by stars and 3-vertex paths.
+    """Tighten the counting ``bound`` by stars and packed vertex sets.
 
     Needs that no undecided vertex has two chosen neighbours and that no
     vertex of ``free`` (the unpaired chosen ones) has a chosen one. Then the
     undecided neighbours of the vertices of free form disjoint stars, each
-    admitting one vertex, and a dissociation set misses a vertex of every
-    path u-v-w, so paths are packed vertex-disjoint among the other
-    undecided vertices. Stops once the bound is at most ``floor``. Returns
-    the bound and the undecided vertices outside the stars.
+    admitting one vertex. Among the other undecided vertices, disjoint sets
+    S whose non-edges form a matching are packed: any three vertices of S
+    span at least two edges, so a dissociation set takes at most 2 of S,
+    and S subtracts |S| - 2. Each S starts from the lowest vertex v left
+    with two neighbours left, and its two lowest ones a and c, and grows by
+    the lowest vertex adjacent to all of S, else by the lowest one that
+    misses exactly one member, which misses no other member. Stops once the
+    bound is at most ``floor``. Returns the bound and the undecided
+    vertices outside the stars.
     """
     stars = 0
     w = free
@@ -146,12 +153,42 @@ def _star_p3_bound(
         w ^= bit
         if not left & bit:
             continue
-        nb = adj[bit.bit_length() - 1] & left
+        nv = adj[bit.bit_length() - 1]
+        nb = nv & left
         if nb & (nb - 1):
             a = nb & -nb
             nb ^= a
-            left &= ~(bit | a | (nb & -nb))
+            c = nb & -nb
+            members = bit | a | c
+            left ^= members
             bound -= 1
+            na = adj[a.bit_length() - 1]
+            nc = adj[c.bit_length() - 1]
+            # near: the vertices that may join, which miss at most one
+            # member, and only one that misses no other member (when a and
+            # c miss each other, only v); full: those adjacent to every member
+            if na & c:
+                near = (nv & (na | nc) | na & nc) & left
+            else:
+                near = na & nc & left
+            full = near & nv & na & nc
+            while near:
+                if full:
+                    # x misses no member, so what else of full misses x
+                    # still misses only one
+                    x = full & -full
+                    nx = adj[x.bit_length() - 1]
+                    near = (near & nx | full) ^ x
+                    full &= nx
+                else:
+                    # x and the member it misses now miss each other, so no
+                    # other vertex may miss either
+                    x = near & -near
+                    nx = adj[x.bit_length() - 1]
+                    near &= nx & adj[(members & ~nx).bit_length() - 1]
+                members |= x
+                left ^= x
+                bound -= 1
             if bound <= floor:
                 break
     return bound, rest
@@ -204,8 +241,10 @@ def dissociation_number_exact(
     and residual-degree-1 vertices are taken greedily (safe by a direct
     exchange argument). A node is pruned when chosen plus undecided, less
     all but one undecided neighbour of each unpaired chosen vertex, less
-    one per path u-v-w packed among the other undecided vertices, cannot
-    beat the best set found.
+    all but two vertices of each set packed among the other undecided
+    vertices, cannot beat the best set found. A packed set has non-edges
+    that form a matching, so any three of its vertices span a 3-vertex
+    path or a triangle.
     """
     n = g.n
     if n > cutoff:
@@ -272,7 +311,7 @@ def dissociation_number_exact(
             return
         # the sweep leaves no undecided vertex two chosen neighbours, and
         # pairing drops the undecided neighbours of both partners
-        bound, _ = _star_p3_bound(adj, undecided, free, bound, best_size)
+        bound, _ = _star_pack_bound(adj, undecided, free, bound, best_size)
         if bound <= best_size:
             return
         bv, _ = _max_degree_vertex(adj, undecided)
@@ -418,25 +457,14 @@ def induced_matching_number_exact(
     which every chosen vertex is paired. A free chosen vertex must find its
     partner among its undecided neighbours, and a residual leaf branches
     into pairing with its neighbour or dropping that neighbour. The bounds,
-    in vertices, are the counting, star and 3-path bounds of ``diss``, then
-    two on the pairs among undecided vertices without a chosen neighbour: a
-    degree sum, and a cover by cliques of vertices no two pairs can both
-    touch.
+    in vertices, are the counting, star and packing bounds of ``diss``,
+    then a degree sum on the pairs among undecided vertices without a
+    chosen neighbour.
     """
     n = g.n
     if n > cutoff:
         raise InstanceTooLarge(n, cutoff)
     adj = g.adjacency_masks
-    # x and y are compatible when adjacent or when N(x) and N(y) nest: if a
-    # pair held x and another y, then y would be adjacent to x, or to x's
-    # partner in N(x) ⊆ N(y), or x to y's, and the matching not induced
-    compat = list(adj)
-    for x in range(n):
-        for y in range(x + 1, n):
-            common = adj[x] & adj[y]
-            if common == adj[x] or common == adj[y]:
-                compat[x] |= 1 << y
-                compat[y] |= 1 << x
     best_size = 0
     best_mask = 0
 
@@ -506,11 +534,11 @@ def induced_matching_number_exact(
         bound = size + undecided.bit_count()
         if bound <= best_size + 1:
             return
-        # the star and P3 bounds of the diss search. The sweep leaves every
-        # free vertex an undecided neighbour, and no undecided vertex two
-        # chosen ones, so each free vertex adds exactly one vertex of its
-        # star: the undecided vertices outside the stars form rest
-        bound, rest = _star_p3_bound(adj, undecided, free, bound, best_size + 1)
+        # the star and packing bounds of the diss search. The sweep leaves
+        # every free vertex an undecided neighbour, and no undecided vertex
+        # two chosen ones, so each free vertex adds exactly one vertex of
+        # its star: the undecided vertices outside the stars form rest
+        bound, rest = _star_pack_bound(adj, undecided, free, bound, best_size + 1)
         if bound <= best_size + 1:
             return
         # pairs inside rest that would not beat the incumbent; a vertex of
@@ -536,10 +564,6 @@ def induced_matching_number_exact(
                 return
             degrees.sort()
             if sum(degrees[:need]) - room - 1 > sum(degrees) >> 1:
-                return
-            # pair-clique bound: each clique of compatible vertices is
-            # touched by at most one pair
-            if _clique_cover_fits(compat, rest, room):
                 return
         # branch vertex: a residual leaf of rest whose neighbour is in rest
         # too, else max residual degree; lowest index on ties

@@ -152,7 +152,7 @@ class TestDissociationBounds:
         # vertices of a dissociation set than it is credited with
         for g in corpus():
             everything = (1 << g.n) - 1
-            bound, _ = exact._star_p3_bound(g.adjacency_masks, everything, 0, g.n, -1)
+            bound, _ = exact._star_pack_bound(g.adjacency_masks, everything, 0, g.n, -1)
             assert bound >= naive_diss(g)
 
 
@@ -471,30 +471,32 @@ def search_nodes(solve, g):
          "alpha-join"],
 )
 def test_search_nodes_capped(solve, graph, cap):
-    # diss and alpha take 81 and 7 nodes on fig3, against 2249 and 124 with
+    # diss and alpha take 49 and 7 nodes on fig3, against 2249 and 124 with
     # the counting bound alone, and alpha takes 2 on join_p9, against 19
     # without the kernel's universal rule. diss takes 973 on fig4, against
     # 4003 when only 3-vertex paths are packed: each clause block, K6 less a
-    # perfect matching, admits 2 vertices of a dissociation set, not 4. The nu_s search over the vertices
-    # of g takes 16, 29 and 15 (the edge-conflict kernel took 43, 28 and
-    # 15), against 1847, 4989 and 29 with the counting bound alone, and 165
-    # on fig4 without the pair-clique bound. So a lost bound or rule fails
-    # here even though every value and witness stays the same; only
-    # nus-isgadget, whose 29 nodes stay within its cap, guards no rule
+    # perfect matching, admits 2 vertices of a dissociation set, not 4. The
+    # nu_s search over the vertices of g takes 16, 29 and 21, against 1847,
+    # 4989 and 29 with the counting bound alone, and 165 on fig4 when only
+    # 3-vertex paths are packed, so nus-fig4 guards the packing too. So a
+    # lost bound or rule fails here even though every value and witness
+    # stays the same; only nus-isgadget, whose 29 nodes stay within its cap,
+    # guards no rule
     assert search_nodes(solve, graph()) <= cap
 
 
 @pytest.mark.parametrize(
     "solve,expected",
+    # diss and nu_s re-recorded for the bound that packs sets whose
+    # non-edges form a matching, not only 3-vertex paths, and for the nu_s
+    # search without its pair-clique bound: same values and witnesses, diss
+    # 20410 -> 20308 nodes, nu_s 4495 -> 4061
     [(dissociation_number_exact,
-      "9534dd433682da935f2198fd8bd1396f884eb091da60b9269b0374cce141f0d5"),
+      "becba313dfc27dcd81c95ac77a7b234588cf4cb496d9e0bb9cac1df139e605b8"),
      (independence_number_exact,
       "0ccfdfd42ee2a2a849ff9328fbceb895e2916077d69bea2709ca73605dafded6"),
-     # re-recorded for the nu_s search over the vertices of g: 9520 nodes
-     # of the edge-conflict kernel went to 4495, values stayed, and
-     # witnesses moved as test_witnesses_pinned_on_sparse_graphs records
      (induced_matching_number_exact,
-      "33944a79167866dd52e52b4389beb7321e7a234506b4ff4b91272da0d1792f80")],
+      "7f7186803daae3d8e247adfe8e99665447936db3cf60266888213bc4fb53908c")],
     ids=["diss", "alpha", "nu_s"],
 )
 def test_search_trees_pinned_on_sparse_graphs(solve, expected):
@@ -555,18 +557,20 @@ def test_witnesses_pinned_on_sparse_graphs(solve, expected):
 
 @pytest.mark.parametrize(
     "solve,expected",
+    # diss and nu_s re-recorded as on sparse graphs: same values and
+    # witnesses, diss 9758 -> 6504 nodes, nu_s 3988 -> 4676
     [(dissociation_number_exact,
-      "32953792f7a285a6088aa894a7505211134021b5a40ec561d200228dc6a2b6d9"),
+      "3d9be7c33de9433675aaeecbc7cfaad8b2a5ef280e56e8e3021f478e72b71f65"),
      (independence_number_exact,
       "32034e3235f6ae1609397a13e3ebee079894012c924b503d58c0108381d0fd38"),
      (induced_matching_number_exact,
-      "4786a179dc1d8ae4e994a1d2303f06cfc1ffe1c2db9befc9ff3bb73c95ef29f0")],
+      "b65592a756aee9604232a6b1000c884c80c5e5ee105c3747d4a5c97f04f03bd4")],
     ids=["diss", "alpha", "nu_s"],
 )
 def test_search_trees_pinned_on_gadgets(solve, expected):
     # the search-tree pin of the clique-built graphs: the fig3, fig4 and IS
     # test gadgets and the corpus of the universal-vertex pin, 274 graphs
-    # on which diss, alpha and nu_s take 9758, 646 and 3988 nodes. A rewrite
+    # on which diss, alpha and nu_s take 6504, 646 and 4676 nodes. A rewrite
     # of a bound or a branch rule that is meant to change nothing must
     # leave every value, witness and node count here as it is
     digest = hashlib.sha256()
