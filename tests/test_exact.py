@@ -333,9 +333,10 @@ def test_independent_sets_of_g_minus_matching_stay_below_diss():
 
 
 # fig3 gadgets: a satisfiable formula (24 vertices) and all eight sign
-# patterns over three variables (32 vertices); a fig4 gadget (24 vertices)
+# patterns over three variables (32 vertices); fig4 gadgets: a satisfiable
+# formula (24 vertices) and the eight sign patterns (48 vertices)
 FIG3_CNF = "p cnf 5 6\n1 2 3 0\n-1 4 5 0\n2 -3 -4 0\n-2 3 5 0\n1 -4 -5 0\n-1 -2 4 0\n"
-FIG3_UNSAT_CNF = "p cnf 3 8\n" + "".join(
+UNSAT_CNF = "p cnf 3 8\n" + "".join(
     f"{'-' * (s & 1)}1 {'-' * (s >> 1 & 1)}2 {'-' * (s >> 2 & 1)}3 0\n" for s in range(8))
 FIG4_CNF = "p cnf 4 4\n1 2 3 0\n-1 2 4 0\n1 -3 -4 0\n-2 3 4 0\n"
 
@@ -346,6 +347,10 @@ def fig3():
 
 def fig4():
     return gadget_diss_alpha(parse_cnf(FIG4_CNF)).graph
+
+
+def fig4_unsat():
+    return gadget_diss_alpha(parse_cnf(UNSAT_CNF)).graph
 
 
 def is_gadget():
@@ -363,7 +368,7 @@ def join_p9():
 def gadget_pin_graphs():
     # the fig3, unsatisfiable fig3, fig4 and IS test gadgets and the corpus
     # of the universal-vertex pin
-    return [fig3(), gadget_diss_2alpha(parse_cnf(FIG3_UNSAT_CNF)).graph, fig4(),
+    return [fig3(), gadget_diss_2alpha(parse_cnf(UNSAT_CNF)).graph, fig4(),
             is_gadget()] + universal_pin_graphs()
 
 
@@ -388,7 +393,7 @@ def universal_pin_graphs():
      lambda: [g for n in range(7) for g in all_graphs(n)],
      lambda: [gadget_diss_alpha_plus_nus(g, k).graph
               for n in range(6) for g in all_graphs(n) for k in range(1, 5)],
-     lambda: [fig3(), gadget_diss_2alpha(parse_cnf(FIG3_UNSAT_CNF)).graph, fig4(),
+     lambda: [fig3(), gadget_diss_2alpha(parse_cnf(UNSAT_CNF)).graph, fig4(),
               is_gadget()],
      sparse_pin_graphs,
      lambda: [NESTED_NEIGHBOURHOODS]],
@@ -424,7 +429,7 @@ def test_witnesses_pinned(solve, expected):
     # digest per solver, so that a change to one search re-records only its own
     graphs = random_graph_corpus(300, 22, 5)
     graphs += [g for n in range(1, 8) for g in connected_graphs(n)]
-    graphs += [fig3(), gadget_diss_2alpha(parse_cnf(FIG3_UNSAT_CNF)).graph, fig4()]
+    graphs += [fig3(), gadget_diss_2alpha(parse_cnf(UNSAT_CNF)).graph, fig4()]
     digest = hashlib.sha256()
     for g in graphs:
         value, witness = solve(g, cutoff=g.n)
@@ -460,28 +465,30 @@ def search_nodes(solve, g):
 
 @pytest.mark.parametrize(
     "solve,graph,cap",
-    [(dissociation_number_exact, fig3, 250),
+    [(dissociation_number_exact, fig3, 5),
      (induced_matching_number_exact, fig3, 150),
      (independence_number_exact, fig3, 25),
-     (dissociation_number_exact, fig4, 1500),
+     (dissociation_number_exact, fig4, 5),
+     (dissociation_number_exact, fig4_unsat, 5),
      (induced_matching_number_exact, fig4, 90),
      (induced_matching_number_exact, is_gadget, 45),
      (independence_number_exact, join_p9, 6)],
-    ids=["diss-fig3", "nus-fig3", "alpha-fig3", "diss-fig4", "nus-fig4", "nus-isgadget",
-         "alpha-join"],
+    ids=["diss-fig3", "nus-fig3", "alpha-fig3", "diss-fig4", "diss-fig4-unsat", "nus-fig4",
+         "nus-isgadget", "alpha-join"],
 )
 def test_search_nodes_capped(solve, graph, cap):
-    # diss and alpha take 49 and 7 nodes on fig3, against 2249 and 124 with
-    # the counting bound alone, and alpha takes 2 on join_p9, against 19
-    # without the kernel's universal rule. diss takes 973 on fig4, against
-    # 4003 when only 3-vertex paths are packed: each clause block, K6 less a
-    # perfect matching, admits 2 vertices of a dissociation set, not 4. The
-    # nu_s search over the vertices of g takes 16, 29 and 21, against 1847,
-    # 4989 and 29 with the counting bound alone, and 165 on fig4 when only
-    # 3-vertex paths are packed, so nus-fig4 guards the packing too. So a
-    # lost bound or rule fails here even though every value and witness
-    # stays the same; only nus-isgadget, whose 29 nodes stay within its cap,
-    # guards no rule
+    # diss takes 1 node on fig3, fig4 and the unsatisfiable fig4: the greedy
+    # incumbent already holds an optimum there, and the root bound proves it.
+    # Started from an empty incumbent the search takes 49, 973 and 673,111
+    # nodes, reaching its first optimum late in depth-first order, so the
+    # three diss caps guard the greedy incumbent. alpha takes 7 nodes on
+    # fig3, against 124 with the counting bound alone, and 2 on join_p9,
+    # against 19 without the kernel's universal rule. The nu_s search over
+    # the vertices of g takes 16, 29 and 21, against 1847, 4989 and 29 with
+    # the counting bound alone, and 165 on fig4 when only 3-vertex paths are
+    # packed, so nus-fig4 guards the packing. So a lost bound or rule fails
+    # here even though every value and witness stays the same; only
+    # nus-isgadget, whose 29 nodes stay within its cap, guards no rule
     assert search_nodes(solve, graph()) <= cap
 
 

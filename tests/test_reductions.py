@@ -36,6 +36,17 @@ def example_formula():
     )
 
 
+def unsatisfiable_formula():
+    # all eight sign patterns over three variables
+    clauses = [
+        [(0, a), (1, b), (2, c)]
+        for a in (True, False)
+        for b in (True, False)
+        for c in (True, False)
+    ]
+    return cnf_formula(3, clauses)
+
+
 class TestCnfValidation:
     def test_wrong_width(self):
         with pytest.raises(ValueError, match="exactly 3"):
@@ -117,14 +128,7 @@ class TestClauseCliqueGadget:
         assert cross == []
 
     def test_unsatisfiable_formula_breaks_equalities(self):
-        # all eight sign patterns over three variables: unsatisfiable
-        clauses = [
-            [(0, a), (1, b), (2, c)]
-            for a in (True, False)
-            for b in (True, False)
-            for c in (True, False)
-        ]
-        f = cnf_formula(3, clauses)
+        f = unsatisfiable_formula()
         assert not cnf_satisfiable(f.var_count, f.clauses)
         g = gadget_diss_2alpha(f).graph
         assert g.n == 32
@@ -160,6 +164,15 @@ class TestDoubledClauseGadget:
 
     def test_empty_formula(self):
         assert gadget_diss_alpha(cnf_formula(0, [])).graph.n == 0
+
+    def test_unsatisfiable_formula_breaks_equality(self):
+        # the "only if" side: each of the 8 clause blocks still admits 2
+        # vertices of a dissociation set, but no independent set takes 2
+        # from every block
+        g = gadget_diss_alpha(unsatisfiable_formula()).graph
+        assert g.n == 48
+        assert dissociation_number_exact(g, cutoff=48)[0] == 16
+        assert independence_number_exact(g, cutoff=48)[0] == 15
 
 
 class TestCnfGadgetBiconditionals:
