@@ -6,8 +6,11 @@ are tested against, so they stay deliberately simple. Three branch-and-bound
 searches over bitmask sets do the work, all with greedy rules for vertices
 whose fate is forced. Each tries the counting bound (chosen plus undecided)
 first and a tighter bound only where that fails to prune. A bound prunes
-only subtrees that cannot strictly beat the incumbent, so it never changes
-which optimum is found. Two steps are written once and shared:
+only subtrees that cannot strictly beat the incumbent, and a search records
+only strictly larger sets. The ``diss`` search starts from the greedy
+dissociation set of ``_greedy_dissociation``, so its witness is that set
+unless the search finds a strictly larger one; the other two start from
+the empty set. Two steps are written once and shared:
 ``_star_pack_bound`` (the ``diss`` and ``nu_s`` searches) and
 ``_max_degree_vertex``, the branch choice of the ``diss`` search and the
 kernel (lowest index on ties):
@@ -20,13 +23,14 @@ kernel (lowest index on ties):
   every such vertex in one step, where branching would exclude them one at
   a time (Fomin, Grandoni & Kratsch, 2009). Its bound is a greedy clique
   cover.
-* the ``diss`` search in ``dissociation_number_exact``, bounded by stars
-  around the chosen vertices and by a packing of disjoint vertex sets whose
-  non-edges form a matching, each admitting two vertices of a dissociation
-  set: 3-vertex paths, and the K6 less a perfect matching of each fig4
-  clause block. This is the 3-path vertex cover view ``diss = n - psi_3``
-  (Bresar et al., 2011): such a set of s vertices needs s - 2 of them in
-  the cover.
+* the ``diss`` search in ``dissociation_number_exact``, started from a
+  maximal dissociation set taken greedily by least residual degree, and
+  bounded by stars around the chosen vertices and by a packing of disjoint
+  vertex sets whose non-edges form a matching, each admitting two vertices
+  of a dissociation set: 3-vertex paths, and the K6 less a perfect matching
+  of each fig4 clause block. This is the 3-path vertex cover view
+  ``diss = n - psi_3`` (Bresar et al., 2011): such a set of s vertices
+  needs s - 2 of them in the cover.
 * the ``nu_s`` search in ``induced_matching_number_exact``: the ``diss``
   search restricted to sets in which every chosen vertex has exactly one
   chosen neighbour, over the vertices of g rather than the edge-conflict
@@ -194,25 +198,6 @@ def _star_pack_bound(
     return bound, rest
 
 
-def _clique_cover_fits(adj: Sequence[int], mask: int, limit: int) -> bool:
-    """True iff a greedy cover of ``mask`` by cliques of ``adj`` needs at
-    most ``limit`` cliques: each grows from its lowest vertex, adding the
-    lowest vertex adjacent to all of it."""
-    cliques = 0
-    while mask:
-        cliques += 1
-        if cliques > limit:
-            return False
-        clique = mask & -mask
-        cand = adj[clique.bit_length() - 1] & mask
-        while cand:
-            bit = cand & -cand
-            clique |= bit
-            cand &= adj[bit.bit_length() - 1]
-        mask &= ~clique
-    return True
-
-
 def _max_degree_vertex(adj: Sequence[int], mask: int) -> tuple[int, int]:
     """The vertex of ``mask`` with the most neighbours in ``mask``, lowest
     index on ties, and that degree."""
@@ -230,21 +215,69 @@ def _max_degree_vertex(adj: Sequence[int], mask: int) -> tuple[int, int]:
     return bv, bd
 
 
+def _greedy_dissociation(adj: Sequence[int], n: int) -> tuple[int, int]:
+    """A maximal dissociation set of the graph on vertices 0..n-1, as
+    (size, mask).
+
+    Repeatedly takes the undecided vertex with the fewest undecided
+    neighbours, lowest index on ties. If it has a chosen neighbour, the two
+    pair and every undecided neighbour of both is dropped; otherwise it
+    stays free and each undecided neighbour that now has two chosen
+    neighbours is dropped. So an undecided vertex has at most one chosen
+    neighbour, and that one is free, and a dropped vertex can never join.
+    """
+    undecided = (1 << n) - 1
+    chosen = 0
+    while undecided:
+        bv = -1
+        bd = n
+        w = undecided
+        while w:
+            bit = w & -w
+            w ^= bit
+            v = bit.bit_length() - 1
+            d = (adj[v] & undecided).bit_count()
+            if d < bd:
+                bd = d
+                bv = v
+                if not d:
+                    break
+        bit = 1 << bv
+        undecided ^= bit
+        cn = adj[bv] & chosen
+        chosen |= bit
+        if cn:
+            undecided &= ~(adj[bv] | adj[cn.bit_length() - 1])
+            continue
+        w = adj[bv] & undecided
+        while w:
+            b = w & -w
+            w ^= b
+            cn = adj[b.bit_length() - 1] & chosen
+            if cn & (cn - 1):
+                undecided ^= b
+    return chosen.bit_count(), chosen
+
+
 def dissociation_number_exact(
     g: Graph, *, cutoff: int = EXACT_CUTOFF
 ) -> tuple[int, frozenset[int]]:
     """Exact diss(g) with a witness.
 
-    Branches on a maximum-residual-degree vertex (lowest index on ties);
-    chosen vertices carry at most one chosen neighbour, and pairing two
-    chosen vertices excludes all their other neighbours. Residual-degree-0
-    and residual-degree-1 vertices are taken greedily (safe by a direct
-    exchange argument). A node is pruned when chosen plus undecided, less
-    all but one undecided neighbour of each unpaired chosen vertex, less
-    all but two vertices of each set packed among the other undecided
-    vertices, cannot beat the best set found. A packed set has non-edges
-    that form a matching, so any three of its vertices span a 3-vertex
-    path or a triangle.
+    The incumbent starts as the greedy set of ``_greedy_dissociation``,
+    and only a strictly larger set replaces it, so the witness is the
+    greedy set unless the search finds a larger one. Where the root bound
+    already meets the greedy value, as on the fig4 gadgets, the search
+    takes one node. Branches on a maximum-residual-degree vertex (lowest
+    index on ties); chosen vertices carry at most one chosen neighbour, and
+    pairing two chosen vertices excludes all their other neighbours.
+    Residual-degree-0 and residual-degree-1 vertices are taken greedily
+    (safe by a direct exchange argument). A node is pruned when chosen
+    plus undecided, less all but one undecided neighbour of each unpaired
+    chosen vertex, less all but two vertices of each set packed among the
+    other undecided vertices, cannot beat the best set found. A packed set
+    has non-edges that form a matching, so any three of its vertices span a
+    3-vertex path or a triangle.
     """
     n = g.n
     if n > cutoff:
@@ -252,8 +285,7 @@ def dissociation_number_exact(
     if n == 0:
         return 0, frozenset()
     adj = g.adjacency_masks
-    best_size = -1
-    best_mask = 0
+    best_size, best_mask = _greedy_dissociation(adj, n)
 
     def rec(undecided: int, chosen: int, free: int, dirty: int) -> None:
         nonlocal best_size, best_mask
@@ -372,8 +404,22 @@ def _max_independent_set(adj: tuple[int, ...], avail0: int) -> tuple[int, int]:
             best_mask = chosen
         if size + avail.bit_count() <= best_size:
             return
-        # clique cover bound: an independent set takes one vertex per clique
-        if _clique_cover_fits(adj, avail, best_size - size):
+        # clique cover bound: an independent set takes one vertex per clique,
+        # so prune once avail is covered by best_size - size cliques. Each
+        # grows from the lowest uncovered vertex, adding the lowest vertex
+        # adjacent to all of it
+        room = best_size - size
+        uncovered = avail
+        while uncovered and room:
+            room -= 1
+            clique = uncovered & -uncovered
+            cand = adj[clique.bit_length() - 1] & uncovered
+            while cand:
+                bit = cand & -cand
+                clique |= bit
+                cand &= adj[bit.bit_length() - 1]
+            uncovered &= ~clique
+        if not uncovered:
             return
         bv, max_deg = _max_degree_vertex(adj, avail)
         bit = 1 << bv

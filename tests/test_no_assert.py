@@ -73,3 +73,16 @@ def test_bad_witness_raises_under_optimize(check, solve, message):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == ["1", message]
+
+
+def test_greedy_dissociation_checked_under_optimize():
+    # pytest rewrites the asserts of test modules, so they still check the
+    # greedy incumbent of the diss search with the library's asserts stripped
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         str(SRC.parent / "tests" / "test_exact.py") + "::TestGreedyDissociation"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "2 passed" in done.stdout, done.stdout
