@@ -506,14 +506,14 @@ def test_search_nodes_capped(solve, graph, cap):
     # nodes, reaching its first optimum late in depth-first order, so the
     # three diss caps guard the greedy incumbent; with it, but with only
     # 3-vertex paths packed, fig3 and fig4 take 73 and 4003, so they guard
-    # the packing too. alpha takes 7 nodes on
-    # fig3, against 124 with the counting bound alone, and 2 on join_p9,
-    # against 19 without the kernel's universal rule. The nu_s search over
-    # the vertices of g takes 16, 29 and 21, against 1847, 4989 and 29 with
-    # the counting bound alone, and 165 on fig4 when only 3-vertex paths are
-    # packed, so nus-fig4 guards the packing. So a lost bound or rule fails
-    # here even though every value and witness stays the same; only
-    # nus-isgadget, whose 29 nodes stay within its cap, guards no rule
+    # the packing too. alpha takes 7 nodes on fig3, against 124 with the
+    # counting bound alone, and 2 on join_p9, against 19 without the
+    # kernel's universal rule. The nu_s search over the vertices of g takes
+    # 16, 29 and 21, against 1847, 4989 and 29 with the counting bound
+    # alone, and 165 on fig4 when only 3-vertex paths are packed, so
+    # nus-fig4 guards the packing. So a lost bound or rule fails here even
+    # though every value and witness stays the same; only nus-isgadget,
+    # whose 29 nodes stay within its cap, guards no rule
     assert search_nodes(solve, graph()) <= cap
 
 
