@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,7 @@ from dissolab.catalog import (
     connected_graphs,
 )
 from dissolab.exact import InstanceTooLarge
-from dissolab.graph import NotBipartiteError, new_graph
+from dissolab.graph import NotBipartiteError, new_graph, random_graph
 
 from strategies import graphs
 
@@ -27,6 +28,9 @@ CATALOG_DIGESTS = {
     "bipartite_catalog_10": "0f6e9d1d31cfbcfb3e5390691948ed1ccdadbbaa515aef13674f3ede05add84c",
     "all_catalog_6": "63013370c384d63a6342398b2aa2b8b8d847334577c8f336702fbd6ca0549fad",
 }
+# sha256 over "<n> <rows>" lines of canonical_form on form_corpus(): pins the
+# forms themselves, not only which classes a catalog holds
+FORM_DIGEST = "a690f0cedf7a6578da9a47c377a6b050c3cb1d2bf80ea808b5e9c2d0d7146910"
 
 
 def is_connected(g):
@@ -144,6 +148,25 @@ def test_catalog_digest(name, request):
     else:
         listed = request.getfixturevalue(name)
     assert catalog_digest(listed) == CATALOG_DIGESTS[name]
+
+
+def form_corpus():
+    """2000 seeded G(n, p) with n in 1..11 and p in 0.05..0.95, then every
+    connected 7-vertex graph under a seeded relabelling."""
+    for i in range(2000):
+        yield random_graph(1 + i % 11, (1 + (i // 11) % 19) / 20, i)
+    for i, g in enumerate(connected_graphs(7)):
+        perm = list(range(g.n))
+        random.Random(i).shuffle(perm)
+        yield permuted(g, perm)
+
+
+def test_canonical_form_digest():
+    h = hashlib.sha256()
+    for g in form_corpus():
+        n, rows = canonical_form(g)
+        h.update(f"{n} {' '.join(map(str, rows))}\n".encode())
+    assert h.hexdigest() == FORM_DIGEST
 
 
 @pytest.mark.parametrize("n", range(0, 6))
