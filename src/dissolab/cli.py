@@ -25,7 +25,7 @@ from .corpus import (
     random_graph_corpus,
 )
 from .exact import EXACT_CUTOFF, SOLVERS, InstanceTooLarge, check_inequality_chain
-from .graph import MAX_VERTICES, Graph, NotBipartiteError, parse_edge_list, to_dot
+from .graph import MAX_EDGES, MAX_VERTICES, Graph, NotBipartiteError, parse_edge_list, to_dot
 from .matching import maximum_matching, parse_matching
 from .recognizer import Extremal, SixClass, recognize_extremal
 from .reductions import (
@@ -186,9 +186,11 @@ def cmd_gadget(args: argparse.Namespace) -> int:
         if not args.graph or args.k is None:
             raise ValueError("kind is needs --graph and --k")
         g = _read_graph(args.graph)
-        order = is_gadget_size(g.n, args.k)[2]
+        _, _, order, edges = is_gadget_size(g.n, g.m, args.k)
         if order > MAX_VERTICES:
             raise ValueError(f"gadget would have {order} vertices, above {MAX_VERTICES}")
+        if edges > MAX_EDGES:
+            raise ValueError(f"gadget would have {edges} edges, above {MAX_EDGES}")
         instance = gadget_diss_alpha_plus_nus(g, args.k)
     elif args.kind == "join":
         if not args.graph:

@@ -34,6 +34,9 @@ _MASK64 = (1 << 64) - 1
 # largest vertex count a header may declare: far above the 10^5-vertex inputs
 # the polynomial paths serve, far below what would exhaust memory
 MAX_VERTICES = 10**7
+# largest edge count a generator may build: a padded Independent-Set gadget
+# stays far below MAX_VERTICES while its join grows as n * k
+MAX_EDGES = 10**6
 
 
 class GraphConstructionError(ValueError):

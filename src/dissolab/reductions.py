@@ -211,12 +211,13 @@ def gadget_diss_alpha(f: CnfFormula) -> GadgetInstance:
     return GadgetInstance(new_graph(n, edges), "fig4", predicted, roles)
 
 
-def is_gadget_size(n0: int, k: int) -> tuple[int, int, int]:
-    """The padded n and k of the Independent-Set gadget for an n0-vertex
-    graph and k, and its order 2n + 2(k - 1), known before anything is built."""
+def is_gadget_size(n0: int, m0: int, k: int) -> tuple[int, int, int, int]:
+    """The padded n and k of the Independent-Set gadget for a graph with n0
+    vertices and m0 edges and k, its order 2n + 2(k - 1) and its edge count
+    m0 + n + (k - 1) + 2n(k - 1), known before anything is built."""
     t = max(0, n0 - 2 * k + 3, 2 - n0)
     n, kk = n0 + t, k + t
-    return n, kk, 2 * n + 2 * (kk - 1)
+    return n, kk, 2 * n + 2 * (kk - 1), m0 + n + (kk - 1) + 2 * n * (kk - 1)
 
 
 def gadget_diss_alpha_plus_nus(g: Graph, k: int) -> GadgetInstance:
@@ -230,7 +231,7 @@ def gadget_diss_alpha_plus_nus(g: Graph, k: int) -> GadgetInstance:
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
     n0 = g.n
-    n, kk, order = is_gadget_size(n0, k)
+    n, kk, order, _ = is_gadget_size(n0, g.m, k)
     edges: list[tuple[int, int]] = list(g.edge_list)
     roles: dict[int, str] = {}
     for v in range(n0):

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -270,6 +271,19 @@ class TestGadget:
         assert calls == [] and not out.exists()
         order = 6 + 2 * (int(k) - 1)
         assert f"gadget would have {order} vertices, above {graph.MAX_VERTICES}" in (
+            capsys.readouterr().err)
+
+    def test_is_gadget_with_too_many_edges_rejected_before_building(self, tmp_path, capsys):
+        # P3 padded to k = 10^6 stays far below MAX_VERTICES, but its join
+        # alone has 2 * 3 * (k - 1) edges: building it took 40 s and 2.2 GB
+        gpath = write_graph(tmp_path / "p3.dimacs", new_graph(3, [(0, 1), (1, 2)]))
+        out = tmp_path / "is.dimacs"
+        start = time.perf_counter()
+        code = main(["gadget", "is", "--graph", gpath, "--k", "1000000", "--out", str(out)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and not out.exists()
+        edges = 2 + 3 + 999999 + 6 * 999999
+        assert f"gadget would have {edges} edges, above {graph.MAX_EDGES}" in (
             capsys.readouterr().err)
 
     def test_join_writes_matching(self, tmp_path, capsys):
