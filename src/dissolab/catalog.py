@@ -20,7 +20,15 @@ children were generated.
 
 The canonical form is the lexicographically smallest adjacency bitstring over
 the orderings explored by color refinement with individualization (twin
-vertices are collapsed, so highly symmetric graphs stay cheap).
+vertices are collapsed, so highly symmetric graphs stay cheap). Refinement
+ends in an equitable partition: all vertices of a cell have equally many
+neighbours in each cell. After the search individualizes a vertex v, it
+refines only what v can split (after McKay & Piperno, "Practical graph
+isomorphism, II", J. Symb. Comput. 2014). The first round is known without
+signatures: each cell splits into the non-neighbours and the neighbours of v.
+Full refinement goes on from that round only when it splits more than v off
+its cell. Every node sees the colour ranks that refining from scratch gives,
+so the forms, and the catalogs sorted by them, do not depend on the shortcut.
 """
 
 from __future__ import annotations
@@ -39,9 +47,17 @@ __all__ = [
 ]
 
 
+def _dense_ranks(keys: list[int]) -> list[int]:
+    ranking = {key: i for i, key in enumerate(sorted(set(keys)))}
+    return [ranking[key] for key in keys]
+
+
 def _refine(n: int, adj: tuple[int, ...], colors: list[int]) -> list[int]:
     # 1-dimensional color refinement; color values are ranks of sorted
     # (color, neighbour-color multiset) signatures, hence label-invariant.
+    # Ranks sort by the old colour first, so no round reorders two cells.
+    # It stops at a fixed point, an equitable partition in dense ranks; a
+    # discrete partition is one, so the round that reaches it is the last.
     while True:
         sigs = []
         for v in range(n):
@@ -55,9 +71,37 @@ def _refine(n: int, adj: tuple[int, ...], colors: list[int]) -> list[int]:
             sigs.append((colors[v], tuple(neigh)))
         ranking = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new = [ranking[s] for s in sigs]
-        if new == colors:
-            return colors
+        if new == colors or len(ranking) == n:
+            return new
         colors = new
+
+
+def _individualize(n: int, adj: tuple[int, ...], colors: list[int], v: int) -> list[int]:
+    """The colouring ``_refine`` reaches from ``colors`` with v given a
+    colour above all others; ``colors`` must be a fixed point of ``_refine``.
+
+    The first round needs no signatures. ``colors`` is equitable, so the
+    vertices of a cell share one neighbour-colour multiset, and the only
+    change to it is v's colour, seen by v's neighbours. So each cell splits
+    into the non-neighbours of v, then the neighbours: in a neighbour's sorted
+    multiset one entry of v's old colour becomes the top colour, so where the
+    two first differ the neighbour's entry is larger. v sorts after every
+    cell. The round's ranks are the dense ranks of 2c + [u ~ v], with 2n for v.
+
+    If the round only takes v off its cell, or leaves the partition discrete,
+    it is equitable and so a fixed point: every other cell is all adjacent or
+    all not adjacent to v, so its vertices see {v}, and what is left of v's
+    cell, equally often. Otherwise the split cells can split others, and
+    ``_refine`` goes on from the round.
+    """
+    a = adj[v]
+    keys = [2 * c + (a >> u & 1) for u, c in enumerate(colors)]
+    keys[v] = 2 * n
+    new = _dense_ranks(keys)
+    # new[v] is the top rank: one less than the number of cells
+    if new[v] in (n - 1, max(colors) + (colors.count(colors[v]) > 1)):
+        return new
+    return _refine(n, adj, new)
 
 
 def _row_bits(adj_v: int, order: list[int]) -> int:
@@ -86,10 +130,11 @@ def _canonical_rows(g: Graph) -> tuple[int, ...]:
             best = list(rows)
 
     def complete_discrete(order: list[int], rows: list[int], better: bool,
-                          remaining: list[int], colors: list[int]) -> None:
-        # all remaining cells are singletons: one forced extension
+                          colors: list[int]) -> None:
+        # all cells are singletons: one forced extension, the vertices not
+        # yet ordered (the lowest colours) in colour order
         nonlocal best
-        ext = sorted(remaining, key=lambda v: colors[v])
+        ext = sorted(range(n), key=colors.__getitem__)[:n - len(order)]
         added = 0
         pruned = False
         for v in ext:
@@ -110,18 +155,16 @@ def _canonical_rows(g: Graph) -> tuple[int, ...]:
             del order[-added:]
             del rows[-added:]
 
-    def search(order: list[int], rows: list[int], better: bool,
-               remaining: set[int], colors: list[int]) -> None:
+    def search(order: list[int], rows: list[int], better: bool, colors: list[int]) -> None:
+        # colors are dense ranks, and the ordered vertices hold the top ones:
+        # individualizing gives v the top rank, and neither that step nor
+        # _refine reorders two cells. So colour 0 is the first cell of the
+        # vertices not yet ordered, and a top colour of n - 1 means discrete.
         nonlocal best
-        if not remaining:
-            finish(rows, better)
+        if n - 1 in colors:
+            complete_discrete(order, rows, better, colors)
             return
-        color_count = len({colors[v] for v in remaining})
-        if color_count == len(remaining):
-            complete_discrete(order, rows, better, list(remaining), colors)
-            return
-        cmin = min(colors[v] for v in remaining)
-        cell = sorted(v for v in remaining if colors[v] == cmin)
+        cell = [v for v in range(n) if colors[v] == 0]
         # collapse twins: a transposition of u,v with equal neighbourhoods
         # (ignoring each other) is an automorphism fixing everything else
         kept: list[int] = []
@@ -145,17 +188,13 @@ def _canonical_rows(g: Graph) -> tuple[int, ...]:
                     child_better = True
             order.append(v)
             rows.append(row)
-            remaining.discard(v)
-            child_colors = list(colors)
-            child_colors[v] = n + len(order)
-            child_colors = _refine(n, adj, child_colors)
-            search(order, rows, child_better, remaining, child_colors)
-            remaining.add(v)
+            search(order, rows, child_better, _individualize(n, adj, colors, v))
             order.pop()
             rows.pop()
 
-    colors = _refine(n, adj, [0] * n)
-    search([], [], False, set(range(n)), colors)
+    # the first round from all colours equal ranks the vertices by degree
+    colors = _refine(n, adj, _dense_ranks([a.bit_count() for a in adj]))
+    search([], [], False, colors)
     if best is None:
         raise RuntimeError("canonical search finished without a labeling")
     return tuple(best)

@@ -230,6 +230,57 @@ def test_cold_build_canonizes_few_children_per_class(monkeypatch):
     assert len(calls) <= 2.5 * kept
 
 
+def test_cold_build_makes_few_full_refinements(monkeypatch):
+    # counts calls, not time: refining every individualization from scratch
+    # made 8498 calls here, and the direct first round leaves 2471
+    calls = []
+    refine = catalog._refine
+
+    def counting(n, adj, colors):
+        calls.append(n)
+        return refine(n, adj, colors)
+
+    monkeypatch.setattr(catalog, "_cache", {("connected", 1): [new_graph(1, [])]})
+    monkeypatch.setattr(catalog, "_refine", counting)
+    connected_graphs(7)
+    assert len(calls) <= 4000
+
+
+def refinement_corpus():
+    """Connected catalog graphs with n <= 7, then 300 seeded G(n, p) with n
+    up to 12."""
+    yield from (g for n in range(1, 8) for g in connected_graphs(n))
+    for i in range(300):
+        yield random_graph(2 + i % 11, (1 + (i // 11) % 9) / 10, 1000 + i)
+
+
+def test_degree_ranks_start_the_root_refinement():
+    for g in refinement_corpus():
+        n, adj = g.n, g.adjacency_masks
+        degree_ranks = catalog._dense_ranks([a.bit_count() for a in adj])
+        assert catalog._refine(n, adj, degree_ranks) == catalog._refine(n, adj, [0] * n)
+
+
+def test_individualize_equals_refining_the_individualized_colouring():
+    # along a seeded random individualization path to a discrete colouring,
+    # individualize every vertex at every step, not only those of the cell
+    # the canonical search branches on
+    for i, g in enumerate(refinement_corpus()):
+        rnd = random.Random(i)
+        n, adj = g.n, g.adjacency_masks
+        colors = catalog._refine(n, adj, [0] * n)
+        for depth in range(n):
+            for v in range(n):
+                individualized = list(colors)
+                individualized[v] = n + depth
+                assert (catalog._individualize(n, adj, colors, v)
+                        == catalog._refine(n, adj, individualized))
+            open_cells = [v for v in range(n) if colors.count(colors[v]) > 1]
+            if not open_cells:
+                break
+            colors = catalog._individualize(n, adj, colors, rnd.choice(open_cells))
+
+
 def test_catalog_members_have_their_property():
     for g in connected_graphs(6):
         assert is_connected(g)
