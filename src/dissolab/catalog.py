@@ -88,18 +88,20 @@ def _individualize(n: int, adj: tuple[int, ...], colors: list[int], v: int) -> l
     two first differ the neighbour's entry is larger. v sorts after every
     cell. The round's ranks are the dense ranks of 2c + [u ~ v], with 2n for v.
 
-    If the round only takes v off its cell, or leaves the partition discrete,
-    it is equitable and so a fixed point: every other cell is all adjacent or
-    all not adjacent to v, so its vertices see {v}, and what is left of v's
-    cell, equally often. Otherwise the split cells can split others, and
-    ``_refine`` goes on from the round.
+    If the round adds at most one cell, or leaves the partition discrete, it
+    is equitable and so a fixed point. A v alone in its cell splits nothing,
+    since every cell sees all of it or none. Otherwise one new cell means v
+    only left its cell: every other cell is all adjacent or all not adjacent
+    to v, so its vertices see {v}, and what is left of v's cell, equally
+    often. More new cells can split others, and ``_refine`` goes on from the
+    round.
     """
     a = adj[v]
     keys = [2 * c + (a >> u & 1) for u, c in enumerate(colors)]
     keys[v] = 2 * n
     new = _dense_ranks(keys)
-    # new[v] is the top rank: one less than the number of cells
-    if new[v] in (n - 1, max(colors) + (colors.count(colors[v]) > 1)):
+    # new[v] is the top rank, one less than the number of cells
+    if new[v] <= max(colors) + 1 or new[v] == n - 1:
         return new
     return _refine(n, adj, new)
 

@@ -232,7 +232,9 @@ def test_cold_build_canonizes_few_children_per_class(monkeypatch):
 
 def test_cold_build_makes_few_full_refinements(monkeypatch):
     # counts calls, not time: refining every individualization from scratch
-    # made 8498 calls here, and the direct first round leaves 2471
+    # made 8498 calls here, and the direct first round leaves 2471. Sending
+    # any one of its three returned cases (v alone in its cell, only v split
+    # off, discrete) on to _refine gives 3189 to 5670
     calls = []
     refine = catalog._refine
 
@@ -243,7 +245,7 @@ def test_cold_build_makes_few_full_refinements(monkeypatch):
     monkeypatch.setattr(catalog, "_cache", {("connected", 1): [new_graph(1, [])]})
     monkeypatch.setattr(catalog, "_refine", counting)
     connected_graphs(7)
-    assert len(calls) <= 4000
+    assert len(calls) <= 3000
 
 
 def refinement_corpus():
