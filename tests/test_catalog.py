@@ -277,10 +277,10 @@ def test_individualize_equals_refining_the_individualized_colouring():
                 individualized[v] = n + depth
                 assert (catalog._individualize(n, adj, colors, v)
                         == catalog._refine(n, adj, individualized))
-            open_cells = [v for v in range(n) if colors.count(colors[v]) > 1]
-            if not open_cells:
+            not_alone = [v for v in range(n) if colors.count(colors[v]) > 1]
+            if not not_alone:
                 break
-            colors = catalog._individualize(n, adj, colors, rnd.choice(open_cells))
+            colors = catalog._individualize(n, adj, colors, rnd.choice(not_alone))
 
 
 def test_catalog_members_have_their_property():
