@@ -126,11 +126,6 @@ def _canonical_rows(g: Graph) -> tuple[int, ...]:
     adj = g.adjacency_masks
     best: list[int] | None = None
 
-    def finish(rows: list[int], better: bool) -> None:
-        nonlocal best
-        if better or best is None:
-            best = list(rows)
-
     def complete_discrete(order: list[int], rows: list[int], better: bool,
                           colors: list[int]) -> None:
         # all cells are singletons: one forced extension, the vertices not
@@ -151,8 +146,8 @@ def _canonical_rows(g: Graph) -> tuple[int, ...]:
             order.append(v)
             rows.append(row)
             added += 1
-        if not pruned:
-            finish(rows, better)
+        if not pruned and (better or best is None):
+            best = list(rows)
         if added:
             del order[-added:]
             del rows[-added:]
@@ -162,7 +157,6 @@ def _canonical_rows(g: Graph) -> tuple[int, ...]:
         # individualizing gives v the top rank, and neither that step nor
         # _refine reorders two cells. So colour 0 is the first cell of the
         # vertices not yet ordered, and a top colour of n - 1 means discrete.
-        nonlocal best
         if n - 1 in colors:
             complete_discrete(order, rows, better, colors)
             return
