@@ -381,6 +381,10 @@ def is_gadget():
     return gadget_diss_alpha_plus_nus(g, 1).graph
 
 
+def sparse_g60():
+    return random_graph(60, 0.1, 1)
+
+
 def join_p9():
     # the 9-vertex path joined to K9: every clique vertex is universal
     return gadget_join_kn(new_graph(9, [(i, i + 1) for i in range(8)]))[0].graph
@@ -494,10 +498,12 @@ def search_nodes(solve, g):
      (dissociation_number_exact, fig4, 5),
      (dissociation_number_exact, fig4_unsat, 5),
      (induced_matching_number_exact, fig4, 90),
+     (dissociation_number_exact, is_gadget, 5),
      (induced_matching_number_exact, is_gadget, 45),
+     (dissociation_number_exact, sparse_g60, 8000),
      (independence_number_exact, join_p9, 6)],
     ids=["diss-fig3", "nus-fig3", "alpha-fig3", "diss-fig4", "diss-fig4-unsat", "nus-fig4",
-         "nus-isgadget", "alpha-join"],
+         "diss-isgadget", "nus-isgadget", "diss-g60", "alpha-join"],
 )
 def test_search_nodes_capped(solve, graph, cap):
     # diss takes 1 node on fig3, fig4 and the unsatisfiable fig4: the greedy
