@@ -24,7 +24,7 @@ kernel (lowest index on ties):
   a time (Fomin, Grandoni & Kratsch, 2009). Its bound is a greedy clique
   cover.
 * the ``diss`` search in ``dissociation_number_exact``, started from a
-  maximal dissociation set taken greedily by least residual degree, and
+  maximal dissociation set taken first fit in ascending degree order, and
   bounded by stars around the chosen vertices and by a packing of disjoint
   vertex sets whose non-edges form a matching, each admitting two vertices
   of a dissociation set: 3-vertex paths, and the K6 less a perfect matching
@@ -219,43 +219,18 @@ def _greedy_dissociation(adj: Sequence[int], n: int) -> tuple[int, int]:
     """A maximal dissociation set of the graph on vertices 0..n-1, as
     (size, mask).
 
-    Repeatedly takes the undecided vertex with the fewest undecided
-    neighbours, lowest index on ties. If it has a chosen neighbour, the two
-    pair and every undecided neighbour of both is dropped; otherwise it
-    stays free and each undecided neighbour that now has two chosen
-    neighbours is dropped. So an undecided vertex has at most one chosen
-    neighbour, and that one is free, and a dropped vertex can never join.
+    One first-fit pass in ascending (degree, index) order: v joins when it
+    has no chosen neighbour, or one chosen neighbour that has none. A vertex
+    that fails to join fails for good, since the chosen set only grows, so
+    the set is maximal. Degree order takes pendants first: on an IS gadget
+    it takes every pendant, then the (k - 1)K2 block, which is optimal, so
+    the search there only proves it in a few nodes.
     """
-    undecided = (1 << n) - 1
     chosen = 0
-    while undecided:
-        bv = -1
-        bd = n
-        w = undecided
-        while w:
-            bit = w & -w
-            w ^= bit
-            v = bit.bit_length() - 1
-            d = (adj[v] & undecided).bit_count()
-            if d < bd:
-                bd = d
-                bv = v
-                if not d:
-                    break
-        bit = 1 << bv
-        undecided ^= bit
-        cn = adj[bv] & chosen
-        chosen |= bit
-        if cn:
-            undecided &= ~(adj[bv] | adj[cn.bit_length() - 1])
-            continue
-        w = adj[bv] & undecided
-        while w:
-            b = w & -w
-            w ^= b
-            cn = adj[b.bit_length() - 1] & chosen
-            if cn & (cn - 1):
-                undecided ^= b
+    for v in sorted(range(n), key=lambda v: adj[v].bit_count()):
+        cn = adj[v] & chosen
+        if not cn or not cn & (cn - 1) and not adj[cn.bit_length() - 1] & chosen:
+            chosen |= 1 << v
     return chosen.bit_count(), chosen
 
 
@@ -271,13 +246,15 @@ def dissociation_number_exact(
     takes one node. Branches on a maximum-residual-degree vertex (lowest
     index on ties); chosen vertices carry at most one chosen neighbour, and
     pairing two chosen vertices excludes all their other neighbours.
-    Residual-degree-0 and residual-degree-1 vertices are taken greedily
-    (safe by a direct exchange argument). A node is pruned when chosen
-    plus undecided, less all but one undecided neighbour of each unpaired
-    chosen vertex, less all but two vertices of each set packed among the
-    other undecided vertices, cannot beat the best set found. A packed set
-    has non-edges that form a matching, so any three of its vertices span a
-    3-vertex path or a triangle.
+    Vertices with no undecided neighbour are settled at once (safe by a
+    direct exchange argument). A residual leaf is not: taken, it would
+    leave its neighbour a one-vertex star, which the bound credits nothing,
+    where undecided it can end a packed 3-vertex path. A node is pruned
+    when chosen plus undecided, less all but one undecided neighbour of
+    each unpaired chosen vertex, less all but two vertices of each set
+    packed among the other undecided vertices, cannot beat the best set
+    found. A packed set has non-edges that form a matching, so any three of
+    its vertices span a 3-vertex path or a triangle.
     """
     n = g.n
     if n > cutoff:
@@ -289,10 +266,10 @@ def dissociation_number_exact(
 
     def rec(undecided: int, chosen: int, free: int, dirty: int) -> None:
         nonlocal best_size, best_mask
-        # sweep: settle vertices with residual degree <= 1, in ascending
-        # passes over w. Invariant: an undecided vertex in neither w nor
-        # dirty has had no neighbour change state since it last failed to
-        # settle, so it would fail again and is skipped
+        # sweep: settle vertices with two chosen neighbours or no undecided
+        # one, in ascending passes over w. Invariant: an undecided vertex in
+        # neither w nor dirty has had no neighbour change state since it
+        # last failed to settle, so it would fail again and is skipped
         w = dirty & undecided
         while w:
             dirty = 0
@@ -322,11 +299,6 @@ def dissociation_number_exact(
                         undecided ^= gone
                         touched |= adj[u] | _union(adj, gone)
                     # else: neighbour already paired, v stays out
-                elif du & (du - 1) == 0 and cn == 0:
-                    # residual leaf with no chosen neighbour: take it free
-                    undecided ^= bit
-                    chosen |= bit
-                    free |= bit
                 else:
                     continue
                 # later vertices join this pass, earlier ones the next

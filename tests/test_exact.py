@@ -438,10 +438,11 @@ def test_nus_matches_kernel_on_edge_conflicts(corpus):
 
 @pytest.mark.parametrize(
     "solve,expected",
-    # diss re-recorded for the search started from the greedy incumbent:
-    # same values, 489 of the 1299 witnesses moved, 16509 -> 8569 nodes
+    # diss re-recorded for the first-fit greedy incumbent and the sweep
+    # without its residual-leaf rule: same values, 142 of the 1299
+    # witnesses moved, 8569 -> 7069 nodes
     [(dissociation_number_exact,
-      "9a8a4012df064c02c4b282b99409c37ed0d33c071c81e9239a41a5219b10525c"),
+      "4b04d227965f0803b65ff849295eaaee0128a51271ce22172e09aba6d63a77fa"),
      (independence_number_exact,
       "667b1d7e51672b87906b02c59e8999a839e77def2ae4aea644ab1076fef600c8"),
      # re-recorded for the nu_s search over the vertices of g: same
@@ -508,11 +509,15 @@ def search_nodes(solve, g):
 def test_search_nodes_capped(solve, graph, cap):
     # diss takes 1 node on fig3, fig4 and the unsatisfiable fig4: the greedy
     # incumbent already holds an optimum there, and the root bound proves it.
-    # Started from an empty incumbent the search takes 49, 973 and 673,111
-    # nodes, reaching its first optimum late in depth-first order, so the
-    # three diss caps guard the greedy incumbent; with it, but with only
-    # 3-vertex paths packed, fig3 and fig4 take 73 and 4003, so they guard
-    # the packing too. alpha takes 7 nodes on fig3, against 124 with the
+    # Started from an empty incumbent the search takes 47, 1729 and
+    # 1,619,121 nodes, reaching its first optimum late in depth-first order,
+    # so the three diss caps guard the greedy incumbent; with it, but with
+    # only 3-vertex paths packed, fig3 and fig4 take 69 and 6223, so they
+    # guard the packing too. diss takes 3 nodes on is_gadget, against 35
+    # with a greedy that takes the least residual degree first, 23 with a
+    # sweep that takes residual leaves, and 49 from an empty incumbent; and
+    # 6541 on G(60, 0.1), against 17,185 with that sweep and 11,733 from an
+    # empty incumbent. alpha takes 7 nodes on fig3, against 124 with the
     # counting bound alone, and 2 on join_p9, against 19 without the
     # kernel's universal rule. The nu_s search over the vertices of g takes
     # 16, 29 and 21, against 1847, 4989 and 29 with the counting bound
@@ -525,13 +530,13 @@ def test_search_nodes_capped(solve, graph, cap):
 
 @pytest.mark.parametrize(
     "solve,expected",
-    # diss re-recorded for the search started from the greedy incumbent:
-    # same values, 23 of the 36 witnesses moved, 20308 -> 11722 nodes. nu_s
-    # was re-recorded for the bound that packs sets whose non-edges form a
-    # matching and for the search without its pair-clique bound: same
-    # values and witnesses, 4495 -> 4061 nodes
+    # diss re-recorded for the first-fit greedy incumbent and the sweep
+    # without its residual-leaf rule: same values, 26 of the 36 witnesses
+    # moved, 11722 -> 9002 nodes. nu_s was re-recorded for the bound that
+    # packs sets whose non-edges form a matching and for the search without
+    # its pair-clique bound: same values and witnesses, 4495 -> 4061 nodes
     [(dissociation_number_exact,
-      "6a5c5fd1a5a76d5be4493e3ac00eb6438c89bfd0bfcec1b46d98457f19c2ee98"),
+      "e476ced4c539f5121df900a4808c26d4618e0cce60edaa74e1bd03d713448865"),
      (independence_number_exact,
       "0ccfdfd42ee2a2a849ff9328fbceb895e2916077d69bea2709ca73605dafded6"),
      (induced_matching_number_exact,
@@ -596,11 +601,11 @@ def test_witnesses_pinned_on_sparse_graphs(solve, expected):
 
 @pytest.mark.parametrize(
     "solve,expected",
-    # diss re-recorded as on sparse graphs: same values, 21 of the 274
-    # witnesses moved, 6504 -> 4586 nodes. nu_s re-recorded for the packing
+    # diss re-recorded as on sparse graphs: same values, 17 of the 274
+    # witnesses moved, 4586 -> 1854 nodes. nu_s re-recorded for the packing
     # as on sparse graphs: same values and witnesses, 3988 -> 4676 nodes
     [(dissociation_number_exact,
-      "cc8440c0eaae546db9a5079f5a0ff691e72cdc45ab2708d72ad9200ba9647ea9"),
+      "e221cec2816c0e396c227a43d3a193257ab402e081084fc435377021532c5ad1"),
      (independence_number_exact,
       "32034e3235f6ae1609397a13e3ebee079894012c924b503d58c0108381d0fd38"),
      (induced_matching_number_exact,
@@ -610,7 +615,7 @@ def test_witnesses_pinned_on_sparse_graphs(solve, expected):
 def test_search_trees_pinned_on_gadgets(solve, expected):
     # the search-tree pin of the clique-built graphs: the fig3, fig4 and IS
     # test gadgets and the corpus of the universal-vertex pin, 274 graphs
-    # on which diss, alpha and nu_s take 4586, 646 and 4676 nodes. A rewrite
+    # on which diss, alpha and nu_s take 1854, 646 and 4676 nodes. A rewrite
     # of a bound or a branch rule that is meant to change nothing must
     # leave every value, witness and node count here as it is
     digest = hashlib.sha256()
@@ -625,10 +630,11 @@ def test_diss_witnesses_pinned_on_gadgets():
     # the corpus of the gadget search-tree pin without its node counts, for
     # diss, whose witnesses there no other pin covers: a bound that is meant
     # to cut nodes re-records that pin, but must leave this one. Re-recorded
-    # for the greedy incumbent: the witness is now the greedy set unless the
-    # search finds a strictly larger one, and 21 of the 274 moved
+    # for the first-fit greedy incumbent and the sweep without its
+    # residual-leaf rule: same values, 17 of the 274 witnesses moved, and
+    # the search-tree pin went from 4586 to 1854 nodes
     digest = hashlib.sha256()
     for g in gadget_pin_graphs():
         value, witness = dissociation_number_exact(g, cutoff=g.n)
         digest.update(repr((value, sorted(witness))).encode())
-    assert digest.hexdigest() == "5119e324967798ff7fd4a7f35714493235da6a03ed1ede26755733f236263209"
+    assert digest.hexdigest() == "e9694434e22b9d7ad9c74ed76f92e3d04967168c5b8e039de35627a23012482f"
