@@ -229,7 +229,7 @@ def _greedy_dissociation(adj: Sequence[int], n: int) -> tuple[int, int]:
     chosen = 0
     for v in sorted(range(n), key=lambda v: adj[v].bit_count()):
         cn = adj[v] & chosen
-        if not cn or not cn & (cn - 1) and not adj[cn.bit_length() - 1] & chosen:
+        if not cn or (not cn & (cn - 1) and not adj[cn.bit_length() - 1] & chosen):
             chosen |= 1 << v
     return chosen.bit_count(), chosen
 
