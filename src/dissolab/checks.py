@@ -16,8 +16,8 @@ from .graph import Graph, new_graph, remove_edges, parse_edge_list
 from .matching import Matching, maximum_matching, parse_matching
 from .approx import approx_dissociation_bipartite
 from .exact import (
+    EXACT_CUTOFF,
     SOLVERS,
-    InstanceTooLarge,
     check_inequality_chain,
     diss_via_induced_matchings,
     dissociation_number_exact,
@@ -50,12 +50,10 @@ __all__ = [
 ]
 
 
-def check_chain(g: Graph, *, cutoff: int = 64) -> Optional[str]:
+def check_chain(g: Graph, *, cutoff: int = EXACT_CUTOFF) -> Optional[str]:
     """Inequality chain, witness validity, and the induced-matching detour."""
     try:
         report = check_inequality_chain(g, cutoff=cutoff)
-    except InstanceTooLarge:
-        raise
     except RuntimeError as exc:
         return f"chain violated: {exc}"
     if not is_dissociation_set(g, report.diss_witness):
@@ -79,7 +77,7 @@ def check_matching_oracle(g: Graph) -> Optional[str]:
     return None
 
 
-def check_recognizer(g: Graph, *, cutoff: int = 64) -> Optional[str]:
+def check_recognizer(g: Graph, *, cutoff: int = EXACT_CUTOFF) -> Optional[str]:
     """Extremal outcome iff 3 diss(g) = 4 alpha(g - M), both by oracles."""
     m = maximum_matching(g)
     outcome = recognize_extremal(g, m)
@@ -112,7 +110,7 @@ def check_recognizer(g: Graph, *, cutoff: int = 64) -> Optional[str]:
     return None
 
 
-def check_approx(g: Graph, *, cutoff: int = 64) -> Optional[str]:
+def check_approx(g: Graph, *, cutoff: int = EXACT_CUTOFF) -> Optional[str]:
     """Approximation output within [3/4 diss, diss] and a valid set."""
     chosen, cert = approx_dissociation_bipartite(g)
     if not is_dissociation_set(g, chosen):
@@ -127,7 +125,7 @@ def check_approx(g: Graph, *, cutoff: int = 64) -> Optional[str]:
     return None
 
 
-def check_cnf_gadgets(f: CnfFormula, *, cutoff: int = 64) -> Optional[str]:
+def check_cnf_gadgets(f: CnfFormula, *, cutoff: int = EXACT_CUTOFF) -> Optional[str]:
     """Both CNF gadgets' predictions, satisfiability from the truth table."""
     sat = cnf_satisfiable(f.var_count, f.clauses)
     for gi in (gadget_diss_2alpha(f), gadget_diss_alpha(f)):
@@ -138,13 +136,13 @@ def check_cnf_gadgets(f: CnfFormula, *, cutoff: int = 64) -> Optional[str]:
     return None
 
 
-def check_is_gadget(g: Graph, k: int, *, cutoff: int = 64) -> Optional[str]:
+def check_is_gadget(g: Graph, k: int, *, cutoff: int = EXACT_CUTOFF) -> Optional[str]:
     """Padded IS gadget's predictions, including the biconditional on alpha(g) < k."""
     gi = gadget_diss_alpha_plus_nus(g, k)
     return check_predictions(gi.graph, gi.predicted, gi.vertex_roles, cutoff=cutoff)
 
 
-def check_join_gadget(g: Graph, *, cutoff: int = 64) -> Optional[str]:
+def check_join_gadget(g: Graph, *, cutoff: int = EXACT_CUTOFF) -> Optional[str]:
     """Join gadget preserves alpha and diss, with and without the matching."""
     gi, matching = gadget_join_kn(g, cutoff=cutoff)
     return check_predictions(gi.graph, gi.predicted, gi.vertex_roles, matching, cutoff=cutoff)
@@ -252,11 +250,11 @@ def check_predictions(g: Graph, predictions: Mapping[str, object], roles: Mappin
     return None
 
 
-def check_instance_file(path: str, *, cutoff: int = 40) -> Optional[str]:
+def check_instance_file(path: str, *, cutoff: int = EXACT_CUTOFF) -> Optional[str]:
     """A gadget file's predictions, with its ``<path>.matching`` sidecar if any.
 
     Raises ValueError, naming the file, where a parser or check_predictions
-    does.
+    does, and InstanceTooLarge when an oracle's graph is over ``cutoff``.
     """
     text = pathlib.Path(path).read_text(encoding="utf-8")
     sidecar = pathlib.Path(path + ".matching")

@@ -342,8 +342,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 @functools.cache
 def _build_parser(cutoff: int) -> argparse.ArgumentParser:
-    """The argument parser with ``cutoff`` as the default oracle cutoff;
-    built once per value, since ``main`` may run many times in one process."""
+    """The parser, with ``cutoff`` as the ``--cutoff`` default of solve, gadget
+    and check; built once per value, since ``main`` may run many times in one process."""
     parser = argparse.ArgumentParser(
         prog="dissolab",
         description=(
@@ -390,7 +390,7 @@ def _build_parser(cutoff: int) -> argparse.ArgumentParser:
     p_check.add_argument("targets", nargs="+")
     p_check.add_argument("--seed", type=int, default=1)
     p_check.add_argument("--jobs", type=positive_int, default=1)
-    p_check.add_argument("--cutoff", type=positive_int, default=max(cutoff, 40))
+    p_check.add_argument("--cutoff", type=positive_int, default=cutoff)
     p_check.add_argument("--verbose", action="store_true")
     p_check.add_argument("--timings", action="store_true",
                          help="print elapsed_ms to stderr")

@@ -71,11 +71,13 @@ __all__ = [
     "SOLVERS",
 ]
 
-# default vertex cutoff of every oracle
-EXACT_CUTOFF = 30
+# default vertex cutoff of every oracle, in the library and on the command line
+EXACT_CUTOFF = 40
 
 
-class InstanceTooLarge(RuntimeError):
+class InstanceTooLarge(Exception):
+    """A graph over the oracle cutoff; a RuntimeError means a solver bug instead."""
+
     def __init__(self, n: int, cutoff: int):
         super().__init__(f"instance has {n} vertices, cutoff is {cutoff}")
         self.n = n

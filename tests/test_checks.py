@@ -43,3 +43,10 @@ def test_gadget_checks_catch_a_wrong_oracle(gadget, oracle, monkeypatch):
 def test_invalid_predictions_raise(predictions, message):
     with pytest.raises(ValueError, match=message):
         checks.check_predictions(new_graph(2, [(0, 1)]), predictions, {}, cutoff=30)
+
+
+def test_chain_over_the_cutoff_raises():
+    # over the cutoff is not a chain violation: InstanceTooLarge is no
+    # RuntimeError, which check_chain reports as one
+    with pytest.raises(exact.InstanceTooLarge):
+        checks.check_chain(new_graph(exact.EXACT_CUTOFF + 1, []))

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import os
 import pathlib
@@ -7,7 +8,7 @@ import time
 
 import pytest
 
-from dissolab import checks, cli, graph
+from dissolab import checks, cli, corpus, exact, graph, reductions
 from dissolab.cli import main
 from dissolab.graph import new_graph, parse_edge_list, remove_edges, render_edge_list
 from dissolab.reductions import parse_gadget_metadata
@@ -59,13 +60,13 @@ class TestSolve:
         assert got["eq_diss_alpha"] == "false"
 
     def test_cutoff_exit_code(self, tmp_path, capsys):
-        path = write_graph(tmp_path / "big.dimacs", new_graph(40, []))
+        path = write_graph(tmp_path / "big.dimacs", new_graph(exact.EXACT_CUTOFF + 1, []))
         assert main(["solve", path]) == 3
         assert "InstanceTooLarge" in capsys.readouterr().err
 
     def test_cutoff_flag_overrides(self, tmp_path, capsys):
-        path = write_graph(tmp_path / "big.dimacs", new_graph(40, []))
-        assert main(["solve", path, "--cutoff", "40"]) == 0
+        path = write_graph(tmp_path / "big.dimacs", new_graph(exact.EXACT_CUTOFF + 1, []))
+        assert main(["solve", path, "--cutoff", str(exact.EXACT_CUTOFF + 1)]) == 0
 
     def test_env_cutoff(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("DISSOLAB_CUTOFF", "40")
@@ -81,8 +82,8 @@ class TestSolve:
     def test_env_cutoff_read_on_every_call(self, tmp_path, capsys, monkeypatch):
         # one process, three calls: a parser kept between calls must not
         # keep the cutoff of an earlier environment
-        path = write_graph(tmp_path / "big.dimacs", new_graph(40, []))
-        monkeypatch.setenv("DISSOLAB_CUTOFF", "40")
+        path = write_graph(tmp_path / "big.dimacs", new_graph(exact.EXACT_CUTOFF + 1, []))
+        monkeypatch.setenv("DISSOLAB_CUTOFF", str(exact.EXACT_CUTOFF + 1))
         assert main(["solve", path]) == 0
         monkeypatch.delenv("DISSOLAB_CUTOFF")
         assert main(["solve", path]) == 3
@@ -555,9 +556,9 @@ class TestCheck:
         assert main(["check", target]) in (0, 2, 3), capsys.readouterr()
 
     def test_join_random_generates_under_the_given_cutoff(self, capsys):
-        # the first input of seed 1 has 31 vertices, and its alpha >= 3 test
-        # ran under the default cutoff of 30 whatever --cutoff said
-        assert main(["check", "join-random:3:35", "--cutoff", "80", "--seed", "1"]) == 0
+        # the first input of seed 5 has 41 vertices, one over the default
+        # cutoff, under which its alpha >= 3 test once ran whatever --cutoff said
+        assert main(["check", "join-random:3:41", "--cutoff", "82", "--seed", "5"]) == 0
         assert "instances=3 failures=0" in capsys.readouterr().out
 
     def test_unknown_target_rejected(self, capsys):
@@ -604,3 +605,42 @@ class TestCheck:
         captured = capsys.readouterr()
         assert "elapsed_ms=" in captured.err
         assert "elapsed_ms=" not in captured.out
+
+
+class TestOneCutoff:
+    # exact.EXACT_CUTOFF is the one default vertex cutoff of every oracle,
+    # in the library and on the command line
+    MODULES = (exact, checks, reductions, corpus)
+    # argv prefixes that parse without running anything
+    PARSERS = {"solve": ["solve", "g.dimacs"],
+               "gadget": ["gadget", "fig3", "--out", "g.dimacs"],
+               "check": ["check", "chain-catalog:3"]}
+
+    def test_every_library_default_is_the_constant(self):
+        defaults = {}
+        for module in self.MODULES:
+            for name in module.__all__:
+                fn = getattr(module, name)
+                if inspect.isfunction(fn):
+                    param = inspect.signature(fn).parameters.get("cutoff")
+                    if param is not None and param.default is not param.empty:
+                        defaults[f"{module.__name__}.{name}"] = param.default
+        assert {"dissolab.checks.check_chain", "dissolab.checks.check_instance_file",
+                "dissolab.exact.dissociation_number_exact",
+                "dissolab.reductions.gadget_join_kn",
+                "dissolab.corpus.join_input_corpus"} <= set(defaults)
+        assert {name: value for name, value in defaults.items()
+                if value != exact.EXACT_CUTOFF} == {}
+
+    @pytest.mark.parametrize("command", sorted(PARSERS))
+    def test_parser_default_is_the_constant(self, command, monkeypatch):
+        monkeypatch.delenv("DISSOLAB_CUTOFF", raising=False)
+        parser = cli._build_parser(cli._default_cutoff())
+        assert parser.parse_args(self.PARSERS[command]).cutoff == exact.EXACT_CUTOFF
+
+    @pytest.mark.parametrize("command", sorted(PARSERS))
+    def test_parser_default_follows_the_environment(self, command, monkeypatch):
+        # below the constant too: the variable replaces the default
+        monkeypatch.setenv("DISSOLAB_CUTOFF", "35")
+        parser = cli._build_parser(cli._default_cutoff())
+        assert parser.parse_args(self.PARSERS[command]).cutoff == 35

@@ -10,6 +10,7 @@ from dissolab import exact
 from dissolab.catalog import all_graphs, connected_graphs
 from dissolab.corpus import join_input_corpus, random_graph_corpus
 from dissolab.exact import (
+    EXACT_CUTOFF,
     InstanceTooLarge,
     _edge_conflicts,
     _max_independent_set,
@@ -102,9 +103,10 @@ class TestDissociationNumber:
         assert dissociation_number_exact(c5())[0] == 3
 
     def test_cutoff(self):
+        g = new_graph(EXACT_CUTOFF + 1, [])
         with pytest.raises(InstanceTooLarge):
-            dissociation_number_exact(new_graph(31, []))
-        assert dissociation_number_exact(new_graph(31, []), cutoff=31)[0] == 31
+            dissociation_number_exact(g)
+        assert dissociation_number_exact(g, cutoff=g.n)[0] == g.n
 
 
 class TestDissociationBounds:
@@ -187,7 +189,7 @@ class TestIndependenceNumber:
 
     def test_cutoff(self):
         with pytest.raises(InstanceTooLarge):
-            independence_number_exact(new_graph(31, []))
+            independence_number_exact(new_graph(EXACT_CUTOFF + 1, []))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_disjoint_cycles(self, seed):
@@ -231,7 +233,7 @@ class TestInducedMatchingNumber:
 
     def test_cutoff(self):
         with pytest.raises(InstanceTooLarge):
-            induced_matching_number_exact(new_graph(31, []))
+            induced_matching_number_exact(new_graph(EXACT_CUTOFF + 1, []))
 
     def test_never_builds_edge_conflicts(self, monkeypatch):
         # the search runs on the vertices of g; only the detour and the
@@ -331,7 +333,7 @@ def test_matching_bruteforce_examples():
 
 def test_detour_cutoff():
     with pytest.raises(InstanceTooLarge):
-        diss_via_induced_matchings(new_graph(31, []))
+        diss_via_induced_matchings(new_graph(EXACT_CUTOFF + 1, []))
 
 
 def test_independent_sets_of_g_minus_matching_stay_below_diss():

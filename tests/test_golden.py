@@ -44,7 +44,7 @@ FIXTURES = {
     "k2.dimacs": _edges(2, [(1, 2)]),
     "k3.dimacs": _edges(3, [(1, 2), (2, 3), (1, 3)]),
     "e3.dimacs": _edges(3, []),
-    "e40.dimacs": _edges(40, []),
+    "e41.dimacs": _edges(41, []),
     # Petersen graph: non-bipartite, every invariant nontrivial
     "petersen.dimacs": _edges(
         10,
@@ -92,8 +92,8 @@ CASES = {
     "solve-petersen": (["solve", "petersen.dimacs"], []),
     "solve-k2-alpha": (["solve", "k2.dimacs", "--invariants", "alpha"], []),
     "solve-p4-diss-nus": (["solve", "p4.dimacs", "--invariants", "diss,nus"], []),
-    "solve-over-cutoff": (["solve", "e40.dimacs"], []),
-    "solve-cutoff-flag": (["solve", "e40.dimacs", "--cutoff", "40", "--invariants", "alpha"], []),
+    "solve-over-cutoff": (["solve", "e41.dimacs"], []),
+    "solve-cutoff-flag": (["solve", "e41.dimacs", "--cutoff", "41", "--invariants", "alpha"], []),
     "approx-c6": (["approx", "c6.dimacs"], []),
     "approx-bip": (["approx", "bip.dimacs"], []),
     "approx-not-bipartite": (["approx", "k3.dimacs"], []),
