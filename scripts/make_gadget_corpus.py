@@ -16,7 +16,6 @@ from dissolab.reductions import (
     gadget_diss_alpha_plus_nus,
     render_gadget,
 )
-from dissolab.twosat import cnf_satisfiable
 
 
 def main() -> None:
@@ -30,11 +29,10 @@ def main() -> None:
     os.makedirs(args.out_dir, exist_ok=True)
     written = 0
     for i, f in enumerate(random_cnf_corpus(args.formulas, 5, 4, args.seed)):
-        extra = {"satisfiable": cnf_satisfiable(f.var_count, f.clauses)}
         for tag, builder in (("fig3", gadget_diss_2alpha), ("fig4", gadget_diss_alpha)):
             path = os.path.join(args.out_dir, f"{tag}_{i:03d}.dimacs")
             with open(path, "w", encoding="utf-8") as handle:
-                handle.write(render_gadget(builder(f), extra))
+                handle.write(render_gadget(builder(f)))
             written += 1
     for i, g in enumerate(random_graph_corpus(args.is_instances, 5, args.seed + 1)):
         gi = gadget_diss_alpha_plus_nus(g, 1 + i % 3)

@@ -2,7 +2,7 @@
 
 Output is line-oriented ``key=value`` text and deterministic given the
 inputs, flags, and seed. Exit codes: 0 success, 1 property violation,
-2 invalid input, 3 resource cutoff exceeded.
+2 invalid input, 3 over the oracle cutoff or the recursion limit.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from .corpus import (
     random_cnf_corpus,
     random_graph_corpus,
 )
-from .exact import EXACT_CUTOFF, SOLVERS, InstanceTooLarge, check_inequality_chain
-from .graph import MAX_EDGES, MAX_VERTICES, Graph, NotBipartiteError, parse_edge_list, to_dot
+from .exact import EXACT_CUTOFF, SOLVERS, InstanceTooLarge, chain_equalities
+from .graph import Graph, NotBipartiteError, parse_edge_list, to_dot
 from .matching import maximum_matching, parse_matching
 from .recognizer import Extremal, SixClass, recognize_extremal
 from .reductions import (
@@ -33,11 +33,9 @@ from .reductions import (
     gadget_diss_alpha,
     gadget_diss_alpha_plus_nus,
     gadget_join_kn,
-    is_gadget_size,
     parse_cnf,
     render_gadget,
 )
-from .twosat import cnf_satisfiable
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -87,17 +85,12 @@ def _edge_pairs(edges) -> str:
 
 
 # --invariants token -> (output key, witness formatter); the key names the
-# solver in exact.SOLVERS and the value and witness in an InvariantReport
+# solver in exact.SOLVERS
 _INVARIANTS = {
     "diss": ("diss", _vertices),
     "alpha": ("alpha", _vertices),
     "nus": ("nu_s", lambda m: _edge_pairs(m.edges)),
 }
-# output key -> InvariantReport flag, printed when all invariants are solved
-_EQUALITIES = {"eq_diss_2alpha": "diss_eq_2alpha", "eq_diss_2nus": "diss_eq_2nus",
-               "eq_diss_alpha": "diss_eq_alpha",
-               "eq_diss_alpha_plus_nus": "diss_eq_alpha_plus_nus",
-               "eq_alpha_plus_nus_2alpha": "alpha_plus_nus_eq_2alpha"}
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -109,17 +102,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
     print(f"instance={args.path}")
     print(f"n={g.n}")
     print(f"m={g.m}")
-    report = None
-    if wanted == set(_INVARIANTS):
-        report = check_inequality_chain(g, cutoff=args.cutoff)
+    values = {}
     for token, (key, witness_text) in _INVARIANTS.items():
         if token in wanted:
-            value, witness = SOLVERS[key](g, args.cutoff) if report is None else (
-                getattr(report, key), getattr(report, f"{key}_witness"))
-            print(f"{key}={value}")
+            values[key], witness = SOLVERS[key](g, args.cutoff)
+            print(f"{key}={values[key]}")
             print(f"{key}_witness={witness_text(witness)}")
-    for key, flag in _EQUALITIES.items() if report else ():
-        print(f"{key}={str(getattr(report, flag)).lower()}")
+    # all three solved: eq_diss_2alpha=... for the flag diss_eq_2alpha, and so on
+    for name, holds in chain_equalities(values).items() if len(values) == len(SOLVERS) else ():
+        print(f"eq_{name.replace('_eq_', '_')}={str(holds).lower()}")
     return EXIT_OK
 
 
@@ -172,36 +163,22 @@ def cmd_recognize(args: argparse.Namespace) -> int:
 
 
 def cmd_gadget(args: argparse.Namespace) -> int:
-    extra: dict[str, object] = {}
     matching = None
     if args.kind in ("fig3", "fig4"):
         if not args.cnf:
             raise ValueError(f"kind {args.kind} needs --cnf")
-        formula = parse_cnf(_read(args.cnf))
-        if formula.var_count <= 20:
-            extra["satisfiable"] = cnf_satisfiable(formula.var_count, formula.clauses)
         builder = gadget_diss_2alpha if args.kind == "fig3" else gadget_diss_alpha
-        instance = builder(formula)
+        instance = builder(parse_cnf(_read(args.cnf)))
     elif args.kind == "is":
         if not args.graph or args.k is None:
             raise ValueError("kind is needs --graph and --k")
-        g = _read_graph(args.graph)
-        _, _, order, edges = is_gadget_size(g.n, g.m, args.k)
-        if order > MAX_VERTICES:
-            raise ValueError(f"gadget would have {order} vertices, above {MAX_VERTICES}")
-        if edges > MAX_EDGES:
-            raise ValueError(f"gadget would have {edges} edges, above {MAX_EDGES}")
-        instance = gadget_diss_alpha_plus_nus(g, args.k)
-    elif args.kind == "join":
+        instance = gadget_diss_alpha_plus_nus(_read_graph(args.graph), args.k)
+    else:  # join; argparse's choices admit no other kind
         if not args.graph:
             raise ValueError("kind join needs --graph")
-        instance, matching = gadget_join_kn(
-            _read_graph(args.graph), cutoff=args.cutoff
-        )
-    else:
-        raise ValueError(f"unknown gadget kind {args.kind!r}")
+        instance, matching = gadget_join_kn(_read_graph(args.graph), cutoff=args.cutoff)
     with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(render_gadget(instance, extra))
+        handle.write(render_gadget(instance))
     print(f"kind={args.kind}")
     print(f"order={instance.graph.n}")
     print(f"edges={instance.graph.m}")
@@ -402,8 +379,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _build_parser(_default_cutoff()).parse_args(argv)
         return args.func(args)
-    except InstanceTooLarge as exc:
-        print(f"error=InstanceTooLarge detail={exc}", file=sys.stderr)
+    except (InstanceTooLarge, RecursionError) as exc:
+        print(f"error={type(exc).__name__} detail={exc}", file=sys.stderr)
         return EXIT_CUTOFF
     except NotBipartiteError as exc:
         print(f"error=NotBipartite detail={exc}", file=sys.stderr)

@@ -51,7 +51,7 @@ kernel on each ``G - M``; it stays as the reference for ``diss``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .graph import Graph
 from .matching import Matching, is_induced_matching, matching_from_edges
@@ -676,15 +676,16 @@ def diss_via_induced_matchings(
             best = size
 
     def rec(avail: int, chosen: int, blocked: int) -> None:
-        if not avail:
-            if full_edges & ~chosen & ~blocked:
-                return  # extendable: a strictly better superset is visited elsewhere
-            evaluate(chosen)
-            return
-        bit = avail & -avail
-        e = bit.bit_length() - 1
-        rec(avail & ~bit & ~conflict[e], chosen | bit, blocked | conflict[e])
-        rec(avail ^ bit, chosen, blocked)
+        # take each available edge in turn, else leave it out; a loop, not
+        # a second call, so the depth is the matching's size, not the edge count
+        while avail:
+            bit = avail & -avail
+            e = bit.bit_length() - 1
+            rec(avail & ~bit & ~conflict[e], chosen | bit, blocked | conflict[e])
+            avail ^= bit
+        if full_edges & ~chosen & ~blocked:
+            return  # extendable: a strictly better superset is visited elsewhere
+        evaluate(chosen)
 
     rec(full_edges, 0, 0)
     return best
@@ -699,9 +700,37 @@ SOLVERS = {
 }
 
 
+# prediction name -> relation over value(invariant), in the order solve prints
+# them; the paper shows that deciding each of the first four is NP-hard
+EQUALITIES = {
+    "diss_eq_2alpha": lambda value: value("diss") == 2 * value("alpha"),
+    "diss_eq_2nus": lambda value: value("diss") == 2 * value("nu_s"),
+    "diss_eq_alpha": lambda value: value("diss") == value("alpha"),
+    "diss_eq_alpha_plus_nus": lambda value: value("diss") == value("alpha") + value("nu_s"),
+    "alpha_plus_nus_eq_2alpha":
+        lambda value: value("alpha") + value("nu_s") == 2 * value("alpha"),
+}
+
+
+def chain_equalities(values: Mapping[str, int]) -> dict[str, bool]:
+    """The EQUALITIES flags of solved diss, alpha and nu_s values.
+
+    The chain max(alpha, 2 nu_s) <= diss <= alpha + nu_s <= 2 alpha is
+    checked first, and a violation, which would mean a solver bug, raises
+    RuntimeError.
+    """
+    diss, alpha, nu_s = values["diss"], values["alpha"], values["nu_s"]
+    if not max(alpha, 2 * nu_s) <= diss <= alpha + nu_s <= 2 * alpha:
+        raise RuntimeError(
+            "max(alpha, 2 nu_s) <= diss <= alpha + nu_s <= 2 alpha fails for "
+            f"diss={diss} alpha={alpha} nu_s={nu_s}"
+        )
+    return {name: relation(values.__getitem__) for name, relation in EQUALITIES.items()}
+
+
 @dataclass(frozen=True)
 class InvariantReport:
-    """diss/alpha/nu_s with witnesses and the five equality flags."""
+    """diss/alpha/nu_s with witnesses and the EQUALITIES flags."""
 
     diss: int
     alpha: int
@@ -709,41 +738,15 @@ class InvariantReport:
     diss_witness: frozenset[int]
     alpha_witness: frozenset[int]
     nu_s_witness: Matching
-    diss_eq_2alpha: bool
-    diss_eq_2nus: bool
-    diss_eq_alpha: bool
-    diss_eq_alpha_plus_nus: bool
-    alpha_plus_nus_eq_2alpha: bool
+    equalities: Mapping[str, bool]
 
 
 def check_inequality_chain(g: Graph, *, cutoff: int = EXACT_CUTOFF) -> InvariantReport:
-    """Compute all three invariants and the equality flags between them.
-
-    The chain max(alpha, 2 nu_s) <= diss <= alpha + nu_s <= 2 alpha is
-    checked, and a violation, which would mean a solver bug, raises
-    RuntimeError.
-    """
-    diss, dw = dissociation_number_exact(g, cutoff=cutoff)
-    alpha, aw = independence_number_exact(g, cutoff=cutoff)
-    nu_s, mw = induced_matching_number_exact(g, cutoff=cutoff)
-    if not max(alpha, 2 * nu_s) <= diss <= alpha + nu_s <= 2 * alpha:
-        raise RuntimeError(
-            "max(alpha, 2 nu_s) <= diss <= alpha + nu_s <= 2 alpha fails for "
-            f"diss={diss} alpha={alpha} nu_s={nu_s}"
-        )
-    return InvariantReport(
-        diss=diss,
-        alpha=alpha,
-        nu_s=nu_s,
-        diss_witness=dw,
-        alpha_witness=aw,
-        nu_s_witness=mw,
-        diss_eq_2alpha=diss == 2 * alpha,
-        diss_eq_2nus=diss == 2 * nu_s,
-        diss_eq_alpha=diss == alpha,
-        diss_eq_alpha_plus_nus=diss == alpha + nu_s,
-        alpha_plus_nus_eq_2alpha=alpha + nu_s == 2 * alpha,
-    )
+    """All three invariants by SOLVERS, with their chain_equalities."""
+    solved = {name: solve(g, cutoff) for name, solve in SOLVERS.items()}
+    values = {name: value for name, (value, _) in solved.items()}
+    return InvariantReport(**values, **{f"{name}_witness": w for name, (_, w) in solved.items()},
+                           equalities=chain_equalities(values))
 
 
 def matching_number_bruteforce(g: Graph) -> int:

@@ -3,7 +3,8 @@
 Each constructor returns a :class:`GadgetInstance`: the graph, per-vertex
 role tags, and a prediction map mixing unconditional values (checked
 exactly against the oracles in tests) with biconditional markers tying an
-invariant equality on the gadget to a property of the source instance.
+invariant equality on the gadget to a property of the source instance, and
+with the facts those markers read (``satisfiable``, ``k_original``).
 
 Gadget kinds (also the CLI tokens):
 
@@ -27,14 +28,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .graph import Graph, new_graph, ParseError, parse_header
+from .graph import MAX_EDGES, MAX_VERTICES, Graph, new_graph, ParseError, parse_header
 from .matching import Matching, matching_from_edges
 from .exact import (
     EXACT_CUTOFF,
     dissociation_number_exact,
     independence_number_exact,
 )
-from .twosat import Literal
+from .twosat import Literal, cnf_satisfiable
 
 __all__ = [
     "CnfFormula",
@@ -45,7 +46,6 @@ __all__ = [
     "gadget_diss_2alpha",
     "gadget_diss_alpha",
     "gadget_diss_alpha_plus_nus",
-    "is_gadget_size",
     "gadget_join_kn",
     "render_gadget",
     "parse_gadget_metadata",
@@ -157,6 +157,12 @@ def _complementary_edges(occurrences: list[tuple[int, Literal]], block: int) -> 
     ]
 
 
+def _satisfiable(f: CnfFormula) -> dict[str, bool]:
+    """The ``satisfiable`` fact that the iff-satisfiable markers rest on, from
+    the truth table; none for more than 20 variables, where it grows too big."""
+    return {"satisfiable": cnf_satisfiable(f.var_count, f.clauses)} if f.var_count <= 20 else {}
+
+
 def gadget_diss_2alpha(f: CnfFormula) -> GadgetInstance:
     """Clause-clique gadget: order 4m, alpha = m, diss = alpha + nu_s always."""
     m = len(f.clauses)
@@ -180,6 +186,7 @@ def gadget_diss_2alpha(f: CnfFormula) -> GadgetInstance:
         "diss_eq_alpha_plus_nus": "always",
         "diss_eq_2alpha": "iff-satisfiable",
         "diss_eq_2nus": "iff-satisfiable",
+        **_satisfiable(f),
     }
     return GadgetInstance(new_graph(n, edges), "fig3", predicted, roles)
 
@@ -207,17 +214,9 @@ def gadget_diss_alpha(f: CnfFormula) -> GadgetInstance:
         "order": n,
         "diss": 2 * m,
         "diss_eq_alpha": "iff-satisfiable",
+        **_satisfiable(f),
     }
     return GadgetInstance(new_graph(n, edges), "fig4", predicted, roles)
-
-
-def is_gadget_size(n0: int, m0: int, k: int) -> tuple[int, int, int, int]:
-    """The padded n and k of the Independent-Set gadget for a graph with n0
-    vertices and m0 edges and k, its order 2n + 2(k - 1) and its edge count
-    m0 + n + (k - 1) + 2n(k - 1), known before anything is built."""
-    t = max(0, n0 - 2 * k + 3, 2 - n0)
-    n, kk = n0 + t, k + t
-    return n, kk, 2 * n + 2 * (kk - 1), m0 + n + (kk - 1) + 2 * n * (kk - 1)
 
 
 def gadget_diss_alpha_plus_nus(g: Graph, k: int) -> GadgetInstance:
@@ -227,11 +226,20 @@ def gadget_diss_alpha_plus_nus(g: Graph, k: int) -> GadgetInstance:
     k by t, enforcing 2(k-1) > n >= 2; then adds a pendant per vertex and a
     (k-1)K2 block joined completely to the original vertices. Equality
     diss = alpha + nu_s on the result fails exactly when alpha(g) >= k.
+    Raises ValueError, before building anything, on k < 1 and on a gadget
+    over MAX_VERTICES or MAX_EDGES.
     """
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
     n0 = g.n
-    n, kk, order, _ = is_gadget_size(n0, g.m, k)
+    t = max(0, n0 - 2 * k + 3, 2 - n0)
+    n, kk = n0 + t, k + t
+    order = 2 * n + 2 * (kk - 1)
+    if order > MAX_VERTICES:
+        raise ValueError(f"gadget would have {order} vertices, above {MAX_VERTICES}")
+    size = g.m + n + (kk - 1) + 2 * n * (kk - 1)
+    if size > MAX_EDGES:
+        raise ValueError(f"gadget would have {size} edges, above {MAX_EDGES}")
     edges: list[tuple[int, int]] = list(g.edge_list)
     roles: dict[int, str] = {}
     for v in range(n0):
@@ -301,7 +309,7 @@ def gadget_join_kn(
     return GadgetInstance(graph, "join", predicted, roles), matching
 
 
-def render_gadget(gi: GadgetInstance, extra: Optional[Mapping[str, object]] = None) -> str:
+def render_gadget(gi: GadgetInstance) -> str:
     """Edge-list text with the metadata sidecar (``c role`` / ``c predict``).
 
     Vertices are 1-based as in the plain format; parse_edge_list reads the
@@ -311,11 +319,8 @@ def render_gadget(gi: GadgetInstance, extra: Optional[Mapping[str, object]] = No
     lines = [f"p edge {g.n} {g.m}", f"c kind {gi.kind}"]
     for v in sorted(gi.vertex_roles):
         lines.append(f"c role {v + 1} {gi.vertex_roles[v]}")
-    merged = dict(gi.predicted)
-    if extra:
-        merged.update(extra)
-    for name in sorted(merged):
-        lines.append(f"c predict {name} {merged[name]}")
+    for name in sorted(gi.predicted):
+        lines.append(f"c predict {name} {gi.predicted[name]}")
     lines.extend(f"e {u + 1} {v + 1}" for u, v in g.edge_list)
     return "\n".join(lines) + "\n"
 

@@ -45,6 +45,15 @@ def test_invalid_predictions_raise(predictions, message):
         checks.check_predictions(new_graph(2, [(0, 1)]), predictions, {}, cutoff=30)
 
 
+def test_chain_recursion_limit_raises(monkeypatch):
+    # RecursionError is a RuntimeError, but a resource limit, not a violation
+    def too_deep(g, *, cutoff):
+        raise RecursionError("maximum recursion depth exceeded")
+    monkeypatch.setattr(exact, "induced_matching_number_exact", too_deep)
+    with pytest.raises(RecursionError):
+        checks.check_chain(new_graph(2, [(0, 1)]))
+
+
 def test_chain_over_the_cutoff_raises():
     # over the cutoff is not a chain violation: InstanceTooLarge is no
     # RuntimeError, which check_chain reports as one

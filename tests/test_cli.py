@@ -64,6 +64,20 @@ class TestSolve:
         assert main(["solve", path]) == 3
         assert "InstanceTooLarge" in capsys.readouterr().err
 
+    def test_one_equality_line_per_table_entry(self, tmp_path, capsys):
+        assert main(["solve", c6_file(tmp_path)]) == 0
+        keys = [line.split("=")[0] for line in capsys.readouterr().out.splitlines()]
+        assert [k for k in keys if k.startswith("eq_")] == [
+            "eq_" + name.replace("_eq_", "_") for name in exact.EQUALITIES]
+
+    @pytest.mark.parametrize("invariants", ["diss,alpha,nus", "nus"])
+    def test_recursion_limit_exit_code(self, invariants, tmp_path, capsys, monkeypatch):
+        def too_deep(g, *, cutoff):
+            raise RecursionError("maximum recursion depth exceeded")
+        monkeypatch.setattr(exact, "induced_matching_number_exact", too_deep)
+        assert main(["solve", c6_file(tmp_path), "--invariants", invariants]) == 3
+        assert "error=RecursionError" in capsys.readouterr().err
+
     def test_cutoff_flag_overrides(self, tmp_path, capsys):
         path = write_graph(tmp_path / "big.dimacs", new_graph(exact.EXACT_CUTOFF + 1, []))
         assert main(["solve", path, "--cutoff", str(exact.EXACT_CUTOFF + 1)]) == 0
@@ -264,8 +278,7 @@ class TestGadget:
         # on a 3-vertex path the gadget has 2 * 3 + 2(k - 1) vertices: 10^7 + 2
         # for k = 4999999, one above what a graph file may declare
         calls = []
-        monkeypatch.setattr(cli, "gadget_diss_alpha_plus_nus",
-                            lambda *args: calls.append(args))
+        monkeypatch.setattr(reductions, "new_graph", lambda *args: calls.append(args))
         gpath = write_graph(tmp_path / "p3.dimacs", new_graph(3, [(0, 1), (1, 2)]))
         out = tmp_path / "is.dimacs"
         assert main(["gadget", "is", "--graph", gpath, "--k", k, "--out", str(out)]) == 2
@@ -357,6 +370,19 @@ class TestCheck:
         first = capsys.readouterr().out
         assert main(serial + ["--jobs", "2"]) == 0
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("name", list(exact.EQUALITIES))
+    def test_every_equality_is_a_prediction(self, name, tmp_path, capsys):
+        # on K2 (diss 2, alpha 1, nu_s 1) only diss = alpha fails
+        (tmp_path / "k2.dimacs").write_text(f"p edge 2 1\nc predict {name} always\ne 1 2\n")
+        assert main(["check", str(tmp_path)]) == (1 if name == "diss_eq_alpha" else 0)
+
+    def test_chain_recursion_limit_exit_code(self, capsys, monkeypatch):
+        def too_deep(g, *, cutoff):
+            raise RecursionError("maximum recursion depth exceeded")
+        monkeypatch.setattr(exact, "dissociation_number_exact", too_deep)
+        assert main(["check", "chain-catalog:3"]) == 3
+        assert "error=RecursionError" in capsys.readouterr().err
 
     def test_over_cutoff_exit_code(self, capsys):
         assert main(["check", "chain-catalog:5", "--cutoff", "3"]) == 3

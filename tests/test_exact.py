@@ -255,27 +255,29 @@ class TestChainReport:
     def test_k2_flags(self):
         r = check_inequality_chain(new_graph(2, [(0, 1)]))
         assert (r.diss, r.alpha, r.nu_s) == (2, 1, 1)
-        assert r.diss_eq_2alpha and r.diss_eq_2nus and r.diss_eq_alpha_plus_nus
-        assert r.alpha_plus_nus_eq_2alpha
+        assert r.equalities["diss_eq_2alpha"] and r.equalities["diss_eq_2nus"]
+        assert r.equalities["diss_eq_alpha_plus_nus"]
+        assert r.equalities["alpha_plus_nus_eq_2alpha"]
         # diss(K2)=2 but alpha(K2)=1, so this one flag is off
-        assert not r.diss_eq_alpha
+        assert not r.equalities["diss_eq_alpha"]
 
     def test_c6_flags(self):
         r = check_inequality_chain(c6())
         assert (r.diss, r.alpha, r.nu_s) == (4, 3, 2)
-        assert r.diss_eq_2nus
+        assert r.equalities["diss_eq_2nus"]
         assert not (
-            r.diss_eq_2alpha
-            or r.diss_eq_alpha
-            or r.diss_eq_alpha_plus_nus
-            or r.alpha_plus_nus_eq_2alpha
+            r.equalities["diss_eq_2alpha"]
+            or r.equalities["diss_eq_alpha"]
+            or r.equalities["diss_eq_alpha_plus_nus"]
+            or r.equalities["alpha_plus_nus_eq_2alpha"]
         )
 
     def test_c5_flags(self):
         r = check_inequality_chain(c5())
         assert (r.diss, r.alpha, r.nu_s) == (3, 2, 1)
-        assert r.diss_eq_alpha_plus_nus
-        assert not (r.diss_eq_2alpha or r.diss_eq_2nus or r.diss_eq_alpha)
+        assert r.equalities["diss_eq_alpha_plus_nus"]
+        assert not (r.equalities["diss_eq_2alpha"] or r.equalities["diss_eq_2nus"]
+                    or r.equalities["diss_eq_alpha"])
 
 
 class TestInducedMatchingDetour:
@@ -291,6 +293,12 @@ class TestInducedMatchingDetour:
         for n in range(0, 6):
             for g in all_graphs(n):
                 assert diss_via_induced_matchings(g) == dissociation_number_exact(g)[0]
+
+    def test_depth_is_not_the_edge_count(self):
+        # K_50 has 1225 edges; with one recursive call per excluded edge
+        # the enumeration passed Python's recursion limit
+        k50 = new_graph(50, list(combinations(range(50), 2)))
+        assert diss_via_induced_matchings(k50, cutoff=50) == 2
 
 
 @given(graphs(max_n=7))

@@ -8,7 +8,8 @@ from dissolab.exact import (
     induced_matching_number_exact,
     is_independent_set,
 )
-from dissolab.graph import ParseError, new_graph, parse_edge_list
+from dissolab import reductions
+from dissolab.graph import MAX_EDGES, ParseError, new_graph, parse_edge_list
 from dissolab.reductions import (
     PreconditionFailed,
     cnf_formula,
@@ -192,6 +193,16 @@ class TestCnfGadgetBiconditionals:
             assert (diss4 == independence_number_exact(g4)[0]) == sat
 
 
+class TestCnfGadgetSatisfiable:
+    @pytest.mark.parametrize("builder", [gadget_diss_2alpha, gadget_diss_alpha])
+    def test_carried_up_to_20_variables(self, builder):
+        eight = unsatisfiable_formula().clauses
+        for f in random_cnf_corpus(10, 5, 4, 1) + [cnf_formula(20, eight),
+                                                    cnf_formula(20, eight[1:])]:
+            assert builder(f).predicted["satisfiable"] == cnf_satisfiable(f.var_count, f.clauses)
+        assert "satisfiable" not in builder(cnf_formula(21, eight)).predicted
+
+
 class TestIndependentSetGadget:
     def test_k2_k2(self):
         gi = gadget_diss_alpha_plus_nus(new_graph(2, [(0, 1)]), 2)
@@ -219,6 +230,15 @@ class TestIndependentSetGadget:
         t = max(0, n - 2 * k + 3, 2 - n)
         assert gi.graph.n == 2 * (n + t) + 2 * (k + t - 1)
         assert 2 * (k + t - 1) > n + t >= 2
+
+    def test_too_many_edges_rejected_before_building(self, monkeypatch):
+        # P3 with k >= 3 needs no padding: 2 + 3 + (k - 1) + 6(k - 1) edges,
+        # 999,997 at k = 142857 and 1,000,004 at k = 142858
+        calls = []
+        monkeypatch.setattr(reductions, "new_graph", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=f"gadget would have 1000004 edges, above {MAX_EDGES}"):
+            gadget_diss_alpha_plus_nus(new_graph(3, [(0, 1), (1, 2)]), 142858)
+        assert calls == []
 
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -275,7 +295,7 @@ class TestJoinGadget:
 class TestSerialization:
     def test_round_trip_graph_and_metadata(self):
         gi = gadget_diss_2alpha(example_formula())
-        text = render_gadget(gi, {"satisfiable": True})
+        text = render_gadget(gi)
         g = parse_edge_list(text)
         assert g == gi.graph
         kind, predictions, roles = parse_gadget_metadata(text, g.n)
