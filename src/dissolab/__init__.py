@@ -41,14 +41,12 @@ from .exact import (
 )
 from .twosat import (
     TwoSatFormula,
-    Assignment,
     solve_2sat,
     satisfies,
     cnf_satisfiable,
 )
 from .recognizer import (
     SixClass,
-    SixLabeling,
     AlternatingDecomposition,
     PathComponent,
     CycleComponent,
@@ -63,7 +61,7 @@ from .recognizer import (
     build_2sat,
     recognize_extremal,
 )
-from .approx import ApproxCertificate, approx_dissociation_bipartite
+from .approx import approx_dissociation_bipartite
 from .reductions import (
     CnfFormula,
     GadgetInstance,

@@ -13,7 +13,7 @@ import re
 from typing import Mapping, Optional
 
 from .graph import Graph, new_graph, remove_edges, parse_edge_list
-from .matching import Matching, maximum_matching, parse_matching
+from .matching import maximum_matching, parse_matching
 from .approx import approx_dissociation_bipartite
 from .exact import (
     EQUALITIES,
@@ -30,6 +30,7 @@ from .exact import (
 from .recognizer import Extremal, SixClass, recognize_extremal
 from .reductions import (
     CnfFormula,
+    GadgetInstance,
     gadget_diss_2alpha,
     gadget_diss_alpha,
     gadget_diss_alpha_plus_nus,
@@ -96,12 +97,12 @@ def check_recognizer(g: Graph, *, cutoff: int = EXACT_CUTOFF) -> Optional[str]:
         s = outcome.max_dissociation_set
         if len(s) != diss:
             return f"extremal set has size {len(s)}, diss is {diss}"
-        if len(s) % 4 != 0 or outcome.labeling.ell * 4 != len(s):
+        if len(s) % 4 != 0 or outcome.ell * 4 != len(s):
             return "extremal set size not 4*ell"
         if not is_dissociation_set(g, s):
             return "extremal set is not a dissociation set"
         inner = frozenset(
-            v for v, cls in outcome.labeling.classes.items()
+            v for v, cls in outcome.classes.items()
             if cls in (SixClass.A1, SixClass.A2, SixClass.B1)
         )
         if len(inner) != alpha_minus or not is_independent_set(g_minus_m, inner):
@@ -117,11 +118,9 @@ def check_recognizer(g: Graph, *, cutoff: int = EXACT_CUTOFF) -> Optional[str]:
 
 def check_approx(g: Graph, *, cutoff: int = EXACT_CUTOFF) -> Optional[str]:
     """Approximation output within [3/4 diss, diss] and a valid set."""
-    chosen, cert = approx_dissociation_bipartite(g)
+    chosen, _ = approx_dissociation_bipartite(g)
     if not is_dissociation_set(g, chosen):
         return "approx output is not a dissociation set"
-    if len(chosen) != cert.alpha_g_minus_m:
-        return "certificate alpha disagrees with the returned set"
     diss, _ = dissociation_number_exact(g, cutoff=cutoff)
     if len(chosen) > diss:
         return f"approx set of size {len(chosen)} exceeds diss {diss}"
@@ -133,7 +132,7 @@ def check_approx(g: Graph, *, cutoff: int = EXACT_CUTOFF) -> Optional[str]:
 def check_cnf_gadgets(f: CnfFormula, *, cutoff: int = EXACT_CUTOFF) -> Optional[str]:
     """Both CNF gadgets' predictions."""
     for gi in (gadget_diss_2alpha(f), gadget_diss_alpha(f)):
-        detail = check_predictions(gi.graph, gi.predicted, gi.vertex_roles, cutoff=cutoff)
+        detail = check_predictions(gi, cutoff=cutoff)
         if detail is not None:
             return f"{gi.kind}: {detail}"
     return None
@@ -141,14 +140,12 @@ def check_cnf_gadgets(f: CnfFormula, *, cutoff: int = EXACT_CUTOFF) -> Optional[
 
 def check_is_gadget(g: Graph, k: int, *, cutoff: int = EXACT_CUTOFF) -> Optional[str]:
     """Padded IS gadget's predictions, including the biconditional on alpha(g) < k."""
-    gi = gadget_diss_alpha_plus_nus(g, k)
-    return check_predictions(gi.graph, gi.predicted, gi.vertex_roles, cutoff=cutoff)
+    return check_predictions(gadget_diss_alpha_plus_nus(g, k), cutoff=cutoff)
 
 
 def check_join_gadget(g: Graph, *, cutoff: int = EXACT_CUTOFF) -> Optional[str]:
     """Join gadget preserves alpha and diss, with and without the matching."""
-    gi, matching = gadget_join_kn(g, cutoff=cutoff)
-    return check_predictions(gi.graph, gi.predicted, gi.vertex_roles, matching, cutoff=cutoff)
+    return check_predictions(gadget_join_kn(g, cutoff=cutoff), cutoff=cutoff)
 
 
 def _equals(name, value, predictions):
@@ -211,17 +208,17 @@ def _original_graph(g: Graph, roles: Mapping[int, str]) -> Graph:
                                    if u in source and v in source])
 
 
-def check_predictions(g: Graph, predictions: Mapping[str, object], roles: Mapping[int, str],
-                      matching: Optional[Matching] = None, *, cutoff: int) -> Optional[str]:
+def check_predictions(gi: GadgetInstance, *, cutoff: int = EXACT_CUTOFF) -> Optional[str]:
     """The first failed prediction of a gadget, in name order, or None.
 
-    Each invariant is solved at most once: on g, on g - M for a
+    Each invariant is solved at most once: on the graph g, on g - M for a
     ``_minus_matching`` name, and on the source graph of the ``orig:`` roles
     for ``_original``. Raises ValueError on an unknown name, on a map in
     which every name of _PREDICTIONS is skipped or none is present, and on a
     ``_minus_matching`` name with no matching.
     """
-    predictions = {name: str(v) for name, v in predictions.items()}
+    g, matching = gi.graph, gi.matching
+    predictions = {name: str(v) for name, v in gi.predicted.items()}
     unknown = sorted(predictions.keys() - _PREDICTIONS.keys() - _METADATA)
     if unknown:
         raise ValueError(f"unknown prediction {unknown[0]!r}")
@@ -229,7 +226,7 @@ def check_predictions(g: Graph, predictions: Mapping[str, object], roles: Mappin
     if matching is None and any(name.endswith("_minus_matching") for name in checked):
         raise ValueError("predictions on g - M, but no matching")
     graphs = {"": lambda: g, "_minus_matching": lambda: remove_edges(g, matching.edges),
-              "_original": lambda: _original_graph(g, roles)}
+              "_original": lambda: _original_graph(g, gi.vertex_roles)}
     graph = functools.cache(lambda on: graphs[on]())
 
     @functools.cache
@@ -260,8 +257,8 @@ def check_instance_file(path: str, *, cutoff: int = EXACT_CUTOFF) -> Optional[st
     sidecar = pathlib.Path(path + ".matching")
     try:
         g = parse_edge_list(text)
-        _, predictions, roles = parse_gadget_metadata(text, g.n)
+        kind, predictions, roles = parse_gadget_metadata(text, g.n)
         matching = parse_matching(sidecar.read_text(encoding="utf-8"), g) if sidecar.exists() else None
-        return check_predictions(g, predictions, roles, matching, cutoff=cutoff)
+        return check_predictions(GadgetInstance(g, kind, predictions, roles, matching), cutoff=cutoff)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -116,15 +116,16 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_approx(args: argparse.Namespace) -> int:
     g = _read_graph(args.path)
-    chosen, cert = approx_dissociation_bipartite(g)
+    chosen, matching = approx_dissociation_bipartite(g)
     print(f"instance={args.path}")
     print(f"n={g.n}")
     print(f"m={g.m}")
     print(f"set_size={len(chosen)}")
     print(f"set={_vertices(chosen)}")
-    print(f"matching_size={len(cert.matching.edges)}")
-    print(f"matching={_edge_pairs(cert.matching.edges)}")
-    print(f"alpha_g_minus_m={cert.alpha_g_minus_m}")
+    print(f"matching_size={len(matching.edges)}")
+    print(f"matching={_edge_pairs(matching.edges)}")
+    # the set is a maximum independent set of g - M
+    print(f"alpha_g_minus_m={len(chosen)}")
     return EXIT_OK
 
 
@@ -135,58 +136,57 @@ def cmd_recognize(args: argparse.Namespace) -> int:
     else:
         m = parse_matching(_read(args.matching), g)
     outcome = recognize_extremal(g, m)
+    extremal = isinstance(outcome, Extremal)
+    if args.dot:  # before any output, so an unwritable path prints nothing
+        with open(args.dot, "w", encoding="utf-8") as handle:
+            handle.write(to_dot(g, labeling=outcome.classes if extremal else None, highlight=m.edges))
     print(f"instance={args.path}")
     print(f"n={g.n}")
     print(f"m={g.m}")
     print(f"matching_source={args.matching}")
     print(f"matching_size={len(m.edges)}")
     print(f"matching={_edge_pairs(m.edges)}")
-    if isinstance(outcome, Extremal):
+    if extremal:
         print("outcome=extremal")
-        print(f"ell={outcome.labeling.ell}")
+        print(f"ell={outcome.ell}")
         print(f"set_size={len(outcome.max_dissociation_set)}")
         print(f"set={_vertices(outcome.max_dissociation_set)}")
         for cls in SixClass:
-            members = [v for v, c in outcome.labeling.classes.items() if c is cls]
+            members = [v for v, c in outcome.classes.items() if c is cls]
             print(f"label_{cls.value}={_vertices(members)}")
-        labeling = outcome.labeling.classes
     else:
         print("outcome=not_extremal")
         print(f"reason={outcome.reason.value}")
         print(f"detail={outcome.detail}")
-        labeling = None
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(to_dot(g, labeling=labeling, highlight=m.edges))
         print(f"dot={args.dot}")
     return EXIT_OK
 
 
+# gadget kind -> (the options it needs, its builder over the parsed arguments)
+_GADGETS = {
+    "fig3": (("cnf",), lambda args: gadget_diss_2alpha(parse_cnf(_read(args.cnf)))),
+    "fig4": (("cnf",), lambda args: gadget_diss_alpha(parse_cnf(_read(args.cnf)))),
+    "is": (("graph", "k"), lambda args: gadget_diss_alpha_plus_nus(_read_graph(args.graph), args.k)),
+    "join": (("graph",), lambda args: gadget_join_kn(_read_graph(args.graph), cutoff=args.cutoff)),
+}
+
+
 def cmd_gadget(args: argparse.Namespace) -> int:
-    matching = None
-    if args.kind in ("fig3", "fig4"):
-        if not args.cnf:
-            raise ValueError(f"kind {args.kind} needs --cnf")
-        builder = gadget_diss_2alpha if args.kind == "fig3" else gadget_diss_alpha
-        instance = builder(parse_cnf(_read(args.cnf)))
-    elif args.kind == "is":
-        if not args.graph or args.k is None:
-            raise ValueError("kind is needs --graph and --k")
-        instance = gadget_diss_alpha_plus_nus(_read_graph(args.graph), args.k)
-    else:  # join; argparse's choices admit no other kind
-        if not args.graph:
-            raise ValueError("kind join needs --graph")
-        instance, matching = gadget_join_kn(_read_graph(args.graph), cutoff=args.cutoff)
+    options, build = _GADGETS[args.kind]
+    if any(getattr(args, option) in (None, "") for option in options):
+        raise ValueError(f"kind {args.kind} needs {' and '.join('--' + o for o in options)}")
+    instance = build(args)
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(render_gadget(instance))
     print(f"kind={args.kind}")
     print(f"order={instance.graph.n}")
     print(f"edges={instance.graph.m}")
     print(f"out={args.out}")
-    if matching is not None:
+    if instance.matching is not None:
         matching_path = args.out + ".matching"
         with open(matching_path, "w", encoding="utf-8") as handle:
-            for u, v in sorted(matching.edges):
+            for u, v in sorted(instance.matching.edges):
                 handle.write(f"m {u + 1} {v + 1}\n")
         print(f"matching_out={matching_path}")
     return EXIT_OK
@@ -350,7 +350,7 @@ def _build_parser(cutoff: int) -> argparse.ArgumentParser:
     p_rec.set_defaults(func=cmd_recognize)
 
     p_gadget = sub.add_parser("gadget", help="emit a hardness gadget instance")
-    p_gadget.add_argument("kind", choices=["fig3", "fig4", "is", "join"])
+    p_gadget.add_argument("kind", choices=list(_GADGETS))
     p_gadget.add_argument("--cnf", default=None, help="3-CNF input (DIMACS cnf)")
     p_gadget.add_argument("--graph", default=None, help="graph input (DIMACS edge)")
     p_gadget.add_argument("--k", type=int, default=None)

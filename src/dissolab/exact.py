@@ -655,7 +655,7 @@ def diss_via_induced_matchings(
     edges, conflict = _edge_conflicts(g)
     k = len(edges)
     base_adj = g.adjacency_masks
-    full_vertices = (1 << g.n) - 1 if g.n else 0
+    full_vertices = (1 << g.n) - 1
     if k == 0:
         return g.n
     full_edges = (1 << k) - 1
@@ -777,4 +777,4 @@ def matching_number_bruteforce(g: Graph) -> int:
         memo[avail] = best
         return best
 
-    return rec((1 << g.n) - 1 if g.n else 0)
+    return rec((1 << g.n) - 1)

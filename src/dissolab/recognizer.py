@@ -30,11 +30,10 @@ from .matching import (
     partner_map,
 )
 from .exact import is_dissociation_set
-from .twosat import Assignment, Literal, TwoSatFormula, solve_2sat
+from .twosat import Literal, TwoSatFormula, solve_2sat
 
 __all__ = [
     "SixClass",
-    "SixLabeling",
     "PathComponent",
     "CycleComponent",
     "AlternatingDecomposition",
@@ -74,14 +73,6 @@ _BLOCKING = tuple(
     next(r for r, shift in enumerate(_SHIFTS) if _PATTERN[0][(p + shift) % 6] in _BLOCKED)
     for p in range(6)
 )
-
-
-@dataclass(frozen=True)
-class SixLabeling:
-    """Assignment of every vertex to one of the six classes; ell = |A1|."""
-
-    classes: Mapping[int, SixClass]
-    ell: int
 
 
 @dataclass(frozen=True)
@@ -128,7 +119,10 @@ class NotExtremal:
 
 @dataclass(frozen=True)
 class Extremal:
-    labeling: SixLabeling
+    """Every vertex's class of the six; ell = |A1|."""
+
+    classes: Mapping[int, SixClass]
+    ell: int
     max_dissociation_set: frozenset[int]
 
 
@@ -287,11 +281,11 @@ def build_2sat(
 def _complete_labeling(
     d: AlternatingDecomposition,
     labels: dict[int, SixClass],
-    assignment: Assignment,
+    values: tuple[bool, ...],
 ) -> dict[int, SixClass]:
     classes = dict(labels)
     for ci, cyc in enumerate(d.cycles):
-        rotation = next((r for r in range(3) if assignment.values[3 * ci + r]), 0)
+        rotation = next((r for r in range(3) if values[3 * ci + r]), 0)
         shift = _SHIFTS[rotation]
         for p, v in enumerate(cyc.vertices):
             classes[v] = _PATTERN[0][(p + shift) % 6]
@@ -352,12 +346,12 @@ def recognize_extremal(g: Graph, m: Matching) -> RecognitionOutcome:
     if failure is not None:
         return failure
     formula, _ = build_2sat(g, d, labels)
-    assignment = solve_2sat(formula)
-    if assignment is None:
+    values = solve_2sat(formula)
+    if values is None:
         return NotExtremal(
             NotExtremalReason.TWO_SAT_UNSAT,
             "no consistent rotation of the cycle components exists",
         )
-    classes = _complete_labeling(d, labels, assignment)
+    classes = _complete_labeling(d, labels, values)
     ell, chosen = _validate_extremal(g, d, classes)
-    return Extremal(SixLabeling(classes, ell), chosen)
+    return Extremal(classes, ell, chosen)

@@ -4,7 +4,8 @@ Each constructor returns a :class:`GadgetInstance`: the graph, per-vertex
 role tags, and a prediction map mixing unconditional values (checked
 exactly against the oracles in tests) with biconditional markers tying an
 invariant equality on the gadget to a property of the source instance, and
-with the facts those markers read (``satisfiable``, ``k_original``).
+with the facts those markers read (``satisfiable``, ``k_original``). The
+join gadget also carries its matching.
 
 Gadget kinds (also the CLI tokens):
 
@@ -35,7 +36,7 @@ from .exact import (
     dissociation_number_exact,
     independence_number_exact,
 )
-from .twosat import Literal, cnf_satisfiable
+from .twosat import MAX_TRUTH_TABLE_VARS, Literal, cnf_satisfiable
 
 __all__ = [
     "CnfFormula",
@@ -136,9 +137,11 @@ def parse_cnf(text: str) -> CnfFormula:
 @dataclass(frozen=True)
 class GadgetInstance:
     graph: Graph
-    kind: str
+    kind: Optional[str]  # None for a file without a ``c kind`` line
     predicted: Mapping[str, object]
     vertex_roles: Mapping[int, str]
+    # the M of the ``_minus_matching`` predictions
+    matching: Optional[Matching] = None
 
 
 def _literal_tag(lit: Literal) -> str:
@@ -159,8 +162,10 @@ def _complementary_edges(occurrences: list[tuple[int, Literal]], block: int) -> 
 
 def _satisfiable(f: CnfFormula) -> dict[str, bool]:
     """The ``satisfiable`` fact that the iff-satisfiable markers rest on, from
-    the truth table; none for more than 20 variables, where it grows too big."""
-    return {"satisfiable": cnf_satisfiable(f.var_count, f.clauses)} if f.var_count <= 20 else {}
+    the truth table; none over MAX_TRUTH_TABLE_VARS variables, where it grows too big."""
+    if f.var_count > MAX_TRUTH_TABLE_VARS:
+        return {}
+    return {"satisfiable": cnf_satisfiable(f.var_count, f.clauses)}
 
 
 def gadget_diss_2alpha(f: CnfFormula) -> GadgetInstance:
@@ -272,14 +277,12 @@ def gadget_diss_alpha_plus_nus(g: Graph, k: int) -> GadgetInstance:
     return GadgetInstance(new_graph(order, edges), "is", predicted, roles)
 
 
-def gadget_join_kn(
-    g: Graph, *, cutoff: int = EXACT_CUTOFF
-) -> tuple[GadgetInstance, Matching]:
+def gadget_join_kn(g: Graph, *, cutoff: int = EXACT_CUTOFF) -> GadgetInstance:
     """Join g to a clique of the same order; alpha and diss are preserved.
 
-    Requires alpha(g) >= 3 (checked by the exact oracle). Also returns the
-    aligned cross perfect matching M; alpha and diss are unchanged on the
-    gadget minus M as well.
+    Requires alpha(g) >= 3 (checked by the exact oracle). The gadget carries
+    the aligned cross perfect matching M; alpha and diss are unchanged on
+    the gadget minus M as well.
     """
     alpha, _ = independence_number_exact(g, cutoff=cutoff)
     if alpha < 3:
@@ -306,7 +309,7 @@ def gadget_join_kn(
         "alpha_minus_matching": alpha,
         "diss_minus_matching": diss,
     }
-    return GadgetInstance(graph, "join", predicted, roles), matching
+    return GadgetInstance(graph, "join", predicted, roles, matching)
 
 
 def render_gadget(gi: GadgetInstance) -> str:

@@ -2,9 +2,10 @@
 
 A literal is a ``(variable, polarity)`` pair. The DFS visits nodes in
 ascending index order, so the satisfying assignment returned for a formula
-is deterministic. ``cnf_satisfiable`` is the independent truth-table oracle
-(bit-parallel over all assignments) used to cross-check the solver and to
-decide small CNF instances of any clause width.
+is deterministic, a tuple of one bool per variable. ``cnf_satisfiable`` is
+the independent truth-table oracle (bit-parallel over all assignments) used
+to cross-check the solver and to decide CNF instances of any clause width
+over at most ``MAX_TRUTH_TABLE_VARS`` variables.
 """
 
 from __future__ import annotations
@@ -15,13 +16,16 @@ from typing import Optional, Sequence
 __all__ = [
     "Literal",
     "TwoSatFormula",
-    "Assignment",
+    "MAX_TRUTH_TABLE_VARS",
     "solve_2sat",
     "satisfies",
     "cnf_satisfiable",
 ]
 
 Literal = tuple[int, bool]
+
+# the truth table of n variables has 2^n bits per mask: 512 KiB at 22
+MAX_TRUTH_TABLE_VARS = 22
 
 
 @dataclass(frozen=True)
@@ -40,17 +44,12 @@ class TwoSatFormula:
                     raise ValueError(f"variable {var} out of range")
 
 
-@dataclass(frozen=True)
-class Assignment:
-    values: tuple[bool, ...]
-
-
-def satisfies(f: TwoSatFormula, a: Assignment) -> bool:
-    """Independent clause-by-clause validator."""
-    if len(a.values) != f.var_count:
+def satisfies(f: TwoSatFormula, values: Sequence[bool]) -> bool:
+    """Independent clause-by-clause validator of one value per variable."""
+    if len(values) != f.var_count:
         return False
     return all(
-        any(a.values[var] == polarity for var, polarity in clause)
+        any(values[var] == polarity for var, polarity in clause)
         for clause in f.clauses
     )
 
@@ -59,8 +58,9 @@ def _literal_node(var: int, polarity: bool) -> int:
     return 2 * var + (0 if polarity else 1)
 
 
-def solve_2sat(f: TwoSatFormula) -> Optional[Assignment]:
-    """Return a satisfying assignment, or None if unsatisfiable.
+def solve_2sat(f: TwoSatFormula) -> Optional[tuple[bool, ...]]:
+    """Return a satisfying assignment, one value per variable, or None if
+    unsatisfiable.
 
     Implication graph: clause (a or b) adds edges not-a -> b and not-b -> a;
     a unit clause (a) is treated as (a or a). A variable is true iff its
@@ -127,31 +127,32 @@ def solve_2sat(f: TwoSatFormula) -> Optional[Assignment]:
         if pos == neg:
             return None
         values.append(pos < neg)
-    result = Assignment(tuple(values))
-    if not satisfies(f, result):
+    if not satisfies(f, values):
         raise RuntimeError("2-SAT assignment from the SCC order violates a clause")
-    return result
+    return tuple(values)
 
 
 def _variable_pattern(var: int, var_count: int) -> int:
     # truth-table column of a variable as a 2^var_count bit integer:
-    # bit p is set iff assignment p has the variable true
-    block = ((1 << (1 << var)) - 1) << (1 << var)
-    period = 1 << (var + 1)
-    reps = (1 << var_count) // period
-    repeater = ((1 << (reps * period)) - 1) // ((1 << period) - 1)
-    return block * repeater
+    # bit p is set iff assignment p has the variable true; one period is
+    # 2^var zeros then 2^var ones, doubled until it fills the table
+    column = ((1 << (1 << var)) - 1) << (1 << var)
+    width = 1 << (var + 1)
+    while width < 1 << var_count:
+        column |= column << width
+        width <<= 1
+    return column
 
 
 def cnf_satisfiable(var_count: int, clauses: Sequence[Sequence[Literal]]) -> bool:
     """Brute-force truth-table satisfiability, bit-parallel over assignments.
 
-    Works for any clause width; intended for small var counts (the table
-    has 2^var_count bits per mask).
+    Works for any clause width; raises ValueError over MAX_TRUTH_TABLE_VARS
+    variables (the table has 2^var_count bits per mask).
     """
-    if var_count > 22:
-        raise ValueError("truth-table oracle limited to 22 variables")
-    full = (1 << (1 << var_count)) - 1 if var_count else 1
+    if var_count > MAX_TRUTH_TABLE_VARS:
+        raise ValueError(f"truth-table oracle limited to {MAX_TRUTH_TABLE_VARS} variables")
+    full = (1 << (1 << var_count)) - 1
     patterns = [_variable_pattern(v, var_count) for v in range(var_count)]
     table = full
     for clause in clauses:

@@ -19,7 +19,7 @@ def c6():
 
 
 def test_c6():
-    chosen, cert = approx_dissociation_bipartite(c6())
+    chosen, _ = approx_dissociation_bipartite(c6())
     assert len(chosen) == 3
     assert is_dissociation_set(c6(), chosen)
     assert dissociation_number_exact(c6())[0] == 4  # 3 >= (3/4) * 4
@@ -27,9 +27,9 @@ def test_c6():
 
 def test_one_regular_graph_is_solved_exactly():
     g = new_graph(6, [(0, 1), (2, 3), (4, 5)])
-    chosen, cert = approx_dissociation_bipartite(g)
+    chosen, matching = approx_dissociation_bipartite(g)
     assert chosen == frozenset(range(6))
-    assert len(cert.matching.edges) == 3
+    assert len(matching.edges) == 3
 
 
 def test_k23():
@@ -57,9 +57,8 @@ def test_invalid_set_raises(monkeypatch):
 
 def test_certificate_matches_set():
     g = new_graph(7, [(0, 3), (0, 4), (1, 4), (1, 5), (2, 5), (2, 6)])
-    chosen, cert = approx_dissociation_bipartite(g)
-    assert cert.alpha_g_minus_m == len(chosen)
-    reduced = remove_edges(g, cert.matching.edges)
+    chosen, matching = approx_dissociation_bipartite(g)
+    reduced = remove_edges(g, matching.edges)
     assert independence_number_exact(reduced)[0] == len(chosen)
 
 
@@ -70,12 +69,12 @@ def test_deterministic():
 
 def test_bounds_and_recognizer_consistency_on_corpus():
     for g in random_bipartite_corpus(60, 12, 2024):
-        chosen, cert = approx_dissociation_bipartite(g)
+        chosen, matching = approx_dissociation_bipartite(g)
         assert is_dissociation_set(g, chosen)
         diss = dissociation_number_exact(g)[0]
         assert len(chosen) <= diss
         assert 4 * len(chosen) >= 3 * diss
-        outcome = recognize_extremal(g, cert.matching)
+        outcome = recognize_extremal(g, matching)
         assert isinstance(outcome, Extremal) == (4 * len(chosen) == 3 * diss)
 
 
@@ -89,8 +88,8 @@ def test_polynomial_paths_never_build_adjacency_masks(monkeypatch):
     monkeypatch.setattr(Graph, "adjacency_masks", property(refuse))
     outcome = recognize_extremal(g, matching_from_edges(g, planted))
     assert isinstance(outcome, Extremal) and len(outcome.max_dissociation_set) == set_size
-    chosen, cert = approx_dissociation_bipartite(g)
-    assert len(cert.matching.edges) == len(planted) and cert.alpha_g_minus_m == len(chosen)
+    chosen, matching = approx_dissociation_bipartite(g)
+    assert len(matching.edges) == len(planted)
     # diss(g) is the planted set size, so the chain decides the outcome on M
-    outcome = recognize_extremal(g, cert.matching)
+    outcome = recognize_extremal(g, matching)
     assert isinstance(outcome, Extremal) == (4 * len(chosen) == 3 * set_size)

@@ -1,8 +1,11 @@
+import pathlib
+
 import pytest
 
-from dissolab import checks, exact
+from dissolab import checks, exact, reductions
 from dissolab.corpus import random_cnf_corpus
 from dissolab.graph import new_graph
+from dissolab.reductions import GadgetInstance, render_gadget
 
 
 def off_by_one(solver):
@@ -28,6 +31,31 @@ def test_gadget_checks_catch_a_wrong_oracle(gadget, oracle, monkeypatch):
     assert run() is not None
 
 
+GADGETS = {
+    "fig3": lambda: reductions.gadget_diss_2alpha(random_cnf_corpus(1, 5, 4, 1)[0]),
+    "fig4": lambda: reductions.gadget_diss_alpha(random_cnf_corpus(1, 5, 4, 1)[0]),
+    "is": lambda: reductions.gadget_diss_alpha_plus_nus(new_graph(3, [(0, 1), (1, 2)]), 2),
+    "join": lambda: reductions.gadget_join_kn(new_graph(3, [])),
+}
+
+
+@pytest.mark.parametrize("oracle", [None, "independence_number_exact",
+                                    "dissociation_number_exact"])
+@pytest.mark.parametrize("kind", sorted(GADGETS))
+def test_gadget_in_memory_and_on_disk_agree(kind, oracle, tmp_path, monkeypatch):
+    gi = GADGETS[kind]()
+    path = tmp_path / f"{kind}.dimacs"
+    path.write_text(render_gadget(gi))
+    if gi.matching is not None:
+        pathlib.Path(f"{path}.matching").write_text(
+            "".join(f"m {u + 1} {v + 1}\n" for u, v in sorted(gi.matching.edges)))
+    if oracle is not None:
+        monkeypatch.setattr(exact, oracle, off_by_one(getattr(exact, oracle)))
+    detail = checks.check_predictions(gi)
+    assert detail == checks.check_instance_file(str(path))
+    assert (detail is None) == (oracle is None)
+
+
 @pytest.mark.parametrize(
     "predictions,message",
     [
@@ -42,7 +70,8 @@ def test_gadget_checks_catch_a_wrong_oracle(gadget, oracle, monkeypatch):
 )
 def test_invalid_predictions_raise(predictions, message):
     with pytest.raises(ValueError, match=message):
-        checks.check_predictions(new_graph(2, [(0, 1)]), predictions, {}, cutoff=30)
+        checks.check_predictions(GadgetInstance(new_graph(2, [(0, 1)]), None, predictions, {}),
+                                 cutoff=30)
 
 
 def test_chain_recursion_limit_raises(monkeypatch):

@@ -177,6 +177,15 @@ class TestRecognize:
         assert text.startswith("graph g {")
         assert "A4" in text and "B1" in text
 
+    def test_unwritable_dot_prints_nothing(self, tmp_path, capsys):
+        # the DOT file is written before the report, so a failed write
+        # leaves no report behind its exit code
+        path = write_graph(tmp_path / "p3.dimacs", new_graph(3, [(0, 1), (1, 2)]))
+        dot = tmp_path / "missing" / "x.dot"
+        assert main(["recognize", path, "--dot", str(dot)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "error=FileNotFoundError" in err
+
     def test_bad_matching_file(self, tmp_path, capsys):
         path = c6_file(tmp_path)
         mpath = tmp_path / "m.matching"
@@ -315,6 +324,38 @@ class TestGadget:
 
     def test_missing_input_rejected(self, tmp_path, capsys):
         assert main(["gadget", "fig3", "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [(["fig3"], "kind fig3 needs --cnf"),
+         (["fig3", "--cnf", ""], "kind fig3 needs --cnf"),
+         (["fig4", "--graph", "g.dimacs"], "kind fig4 needs --cnf"),
+         (["is", "--graph", "g.dimacs"], "kind is needs --graph and --k"),
+         (["is", "--k", "2"], "kind is needs --graph and --k"),
+         (["is", "--graph", "", "--k", "2"], "kind is needs --graph and --k"),
+         (["join"], "kind join needs --graph"),
+         (["join", "--cnf", "f.cnf"], "kind join needs --graph")],
+    )
+    def test_missing_option_named(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["gadget", *argv, "--out", str(out)]) == 2
+        assert f"error=ValueError detail={message}\n" == capsys.readouterr().err
+        assert not out.exists()
+
+    def test_k_zero_is_given(self, tmp_path, capsys):
+        # --k 0 is an option given, so the builder, not the missing-option
+        # check, rejects it
+        gpath = write_graph(tmp_path / "k2.dimacs", new_graph(2, [(0, 1)]))
+        assert main(["gadget", "is", "--graph", gpath, "--k", "0",
+                     "--out", str(tmp_path / "x")]) == 2
+        assert "k must be a positive integer, got 0" in capsys.readouterr().err
+
+    def test_kinds_are_the_table(self):
+        parser = cli._build_parser(exact.EXACT_CUTOFF)
+        assert parser.parse_args(["gadget", "join", "--out", "x"]).kind == "join"
+        with pytest.raises(SystemExit):
+            parser.parse_args(["gadget", "fig5", "--out", "x"])
+        assert list(cli._GADGETS) == ["fig3", "fig4", "is", "join"]
 
 
 class TestCheck:

@@ -397,7 +397,7 @@ def sparse_g60():
 
 def join_p9():
     # the 9-vertex path joined to K9: every clique vertex is universal
-    return gadget_join_kn(new_graph(9, [(i, i + 1) for i in range(8)]))[0].graph
+    return gadget_join_kn(new_graph(9, [(i, i + 1) for i in range(8)])).graph
 
 
 def gadget_pin_graphs():
@@ -416,7 +416,7 @@ def universal_pin_graphs():
     # the 212 IS gadgets, 40 join gadgets and 18 dense graphs
     graphs = [gadget_diss_alpha_plus_nus(g, k).graph
               for n in range(6) for g in all_graphs(n) for k in range(1, 5)]
-    graphs += [gadget_join_kn(g)[0].graph for g in join_input_corpus(40, 12, 3)]
+    graphs += [gadget_join_kn(g).graph for g in join_input_corpus(40, 12, 3)]
     graphs += [random_graph(n, p, seed)
                for n in (12, 18, 24) for p in (0.5, 0.9) for seed in range(3)]
     return graphs

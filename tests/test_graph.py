@@ -158,7 +158,7 @@ class TestDot:
         g = c6()
         outcome = recognize_extremal(g, maximum_matching(g))
         assert isinstance(outcome, Extremal)
-        out = to_dot(g, labeling=outcome.labeling.classes)
+        out = to_dot(g, labeling=outcome.classes)
         for cls in ("A1", "A2", "A4", "B1", "B2", "B4"):
             assert cls in out
 

@@ -321,7 +321,7 @@ class TestBuildTwoSat:
         assert formula.clauses[3:] == (((var_map[(0, 3)], True),),)
         outcome = recognize_extremal(g, m)
         assert isinstance(outcome, Extremal)
-        assert outcome.labeling.classes[2] is SixClass.B4
+        assert outcome.classes[2] is SixClass.B4
 
     def test_stray_edge_to_blocked_path_vertex_adds_nothing(self):
         edges = (
@@ -372,7 +372,7 @@ class TestRecognizeExtremal:
         outcome = recognize_extremal(g, m)
         assert isinstance(outcome, Extremal)
         assert len(outcome.max_dissociation_set) == 4
-        assert outcome.labeling.ell == 1
+        assert outcome.ell == 1
         # confirmed against the oracles before pinning
         assert dissociation_number_exact(g)[0] == 4
         gm = remove_edges(g, m.edges)
@@ -434,7 +434,7 @@ class TestRecognizeExtremal:
         outcome = recognize_extremal(g, m)
         assert isinstance(outcome, Extremal)
         # the stray edge forces rotation 1, pushing vertex 0 into A4
-        assert outcome.labeling.classes[0] is SixClass.A4
+        assert outcome.classes[0] is SixClass.A4
         assert len(outcome.max_dissociation_set) == dissociation_number_exact(g)[0]
 
     def test_conflicting_unit_clauses_unsat(self):
@@ -527,9 +527,9 @@ class TestRecognizeExtremal:
 
 def _outcome_key(outcome):
     if isinstance(outcome, Extremal):
-        members = [sorted(v for v, c in outcome.labeling.classes.items() if c is cls)
+        members = [sorted(v for v, c in outcome.classes.items() if c is cls)
                    for cls in SixClass]
-        return (outcome.labeling.ell, sorted(outcome.max_dissociation_set), members)
+        return (outcome.ell, sorted(outcome.max_dissociation_set), members)
     return (outcome.reason.value, outcome.detail)
 
 

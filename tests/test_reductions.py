@@ -22,7 +22,7 @@ from dissolab.reductions import (
     render_gadget,
 )
 from dissolab.graph import remove_edges
-from dissolab.twosat import cnf_satisfiable
+from dissolab.twosat import MAX_TRUTH_TABLE_VARS, cnf_satisfiable
 
 
 def example_formula():
@@ -200,7 +200,15 @@ class TestCnfGadgetSatisfiable:
         for f in random_cnf_corpus(10, 5, 4, 1) + [cnf_formula(20, eight),
                                                     cnf_formula(20, eight[1:])]:
             assert builder(f).predicted["satisfiable"] == cnf_satisfiable(f.var_count, f.clauses)
-        assert "satisfiable" not in builder(cnf_formula(21, eight)).predicted
+        assert "satisfiable" not in builder(cnf_formula(MAX_TRUTH_TABLE_VARS + 1, eight)).predicted
+
+
+    @pytest.mark.parametrize("builder", [gadget_diss_2alpha, gadget_diss_alpha])
+    def test_carried_up_to_the_truth_table_limit(self, builder):
+        eight = unsatisfiable_formula().clauses
+        for f in (cnf_formula(MAX_TRUTH_TABLE_VARS, eight),
+                  cnf_formula(MAX_TRUTH_TABLE_VARS, eight[1:])):
+            assert builder(f).predicted["satisfiable"] == cnf_satisfiable(f.var_count, f.clauses)
 
 
 class TestIndependentSetGadget:
@@ -261,8 +269,8 @@ class TestIndependentSetGadget:
 
 class TestJoinGadget:
     def test_edgeless_three(self):
-        gi, m = gadget_join_kn(new_graph(3, []))
-        h = gi.graph
+        gi = gadget_join_kn(new_graph(3, []))
+        h, m = gi.graph, gi.matching
         assert h.n == 6 and len(m.edges) == 3
         hm = remove_edges(h, m.edges)
         assert independence_number_exact(h)[0] == 3
@@ -273,8 +281,8 @@ class TestJoinGadget:
     def test_c7(self):
         c7 = new_graph(7, [(i, (i + 1) % 7) for i in range(7)])
         diss_c7 = dissociation_number_exact(c7)[0]
-        gi, m = gadget_join_kn(c7)
-        h = gi.graph
+        gi = gadget_join_kn(c7)
+        h, m = gi.graph, gi.matching
         assert h.n == 14
         assert independence_number_exact(h)[0] == 3
         assert dissociation_number_exact(h)[0] == diss_c7 == 4
@@ -287,7 +295,7 @@ class TestJoinGadget:
             gadget_join_kn(new_graph(3, [(0, 1), (0, 2), (1, 2)]))
 
     def test_matching_is_cross_perfect(self):
-        gi, m = gadget_join_kn(new_graph(4, []))
+        m = gadget_join_kn(new_graph(4, [])).matching
         n = 4
         assert m.edges == frozenset((v, n + v) for v in range(n))
 

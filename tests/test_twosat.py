@@ -1,3 +1,4 @@
+import time
 from itertools import product
 
 import pytest
@@ -5,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from dissolab.corpus import random_2sat_corpus
 from dissolab.twosat import (
-    Assignment,
+    MAX_TRUTH_TABLE_VARS,
     TwoSatFormula,
+    _variable_pattern,
     cnf_satisfiable,
     satisfies,
     solve_2sat,
@@ -18,7 +20,7 @@ def test_satisfiable_pair_of_clauses():
     a = solve_2sat(f)
     assert a is not None and satisfies(f, a)
     # every satisfying assignment must set x1
-    assert a.values[1] is True
+    assert a[1] is True
 
 
 def test_contradiction_unsat():
@@ -37,13 +39,13 @@ def test_at_most_one_triple():
     )
     a = solve_2sat(f)
     assert a is not None and satisfies(f, a)
-    assert sum(a.values) <= 1
+    assert sum(a) <= 1
 
 
 def test_unit_clause_forces_value():
     f = TwoSatFormula(2, (((0, True),), ((0, False), (1, True))))
     a = solve_2sat(f)
-    assert a is not None and a.values[0] is True and a.values[1] is True
+    assert a is not None and a[0] is True and a[1] is True
 
 
 def test_deterministic_output():
@@ -60,7 +62,7 @@ def test_malformed_clause_rejected():
 
 def _naive_sat(f: TwoSatFormula):
     for bits in product([False, True], repeat=f.var_count):
-        if satisfies(f, Assignment(bits)):
+        if satisfies(f, bits):
             return True
     return False
 
@@ -108,3 +110,22 @@ def test_cnf_oracle_matches_enumeration(nv, data):
         for bits in product([False, True], repeat=nv)
     )
     assert cnf_satisfiable(nv, clauses) == naive
+
+
+def test_truth_table_columns():
+    # bit p of a variable's column is set iff assignment p has it true
+    for n in range(13):
+        for var in range(n):
+            column = sum(1 << p for p in range(1 << n) if p >> var & 1)
+            assert _variable_pattern(var, n) == column
+
+
+def test_truth_table_limit():
+    # the columns are built by doubling: the 22-variable table took 20 s by
+    # big-integer division and takes milliseconds
+    n = MAX_TRUTH_TABLE_VARS
+    start = time.perf_counter()
+    assert cnf_satisfiable(n, [[(0, True), (n - 1, False)], [(0, False)], [(n - 1, True)]]) is False
+    assert time.perf_counter() - start < 2.0
+    with pytest.raises(ValueError, match=f"limited to {n} variables"):
+        cnf_satisfiable(n + 1, [])
