@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -79,6 +82,35 @@ class TestBipartition:
             assert len(side) == g.n and set(side) <= {0, 1}
             for u, v in g.edges:
                 assert side[u] != side[v]
+
+
+def witness_corpus():
+    """Seeded relabelled G(n, p), n in 3..60 with about 0.5 to 3 expected
+    neighbours per vertex, that are not bipartite."""
+    for i in range(2000):
+        n = 3 + i % 58
+        g = random_graph(n, min(1.0, (1 + i % 6) / (2 * n)), i)
+        perm = list(range(n))
+        random.Random(i).shuffle(perm)
+        h = new_graph(n, [(perm[u], perm[v]) for u, v in g.edges])
+        try:
+            h.side
+        except NotBipartiteError as err:
+            yield h, err.cycle
+
+
+# sha256 over "<n> <cycle>" lines of the odd-cycle witness on witness_corpus()
+WITNESS_DIGEST = "ad41fa71e04ec6f4312f9323540fca0cd1e265b2843c693f1c24de7ea27f17d8"
+
+
+def test_odd_cycle_witness_digest():
+    h = hashlib.sha256()
+    count = 0
+    for g, cycle in witness_corpus():
+        h.update(f"{g.n} {cycle}\n".encode())
+        count += 1
+    assert count > 1000
+    assert h.hexdigest() == WITNESS_DIGEST
 
 
 class TestRemoveEdges:
