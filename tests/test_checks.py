@@ -1,3 +1,4 @@
+import dataclasses
 import pathlib
 
 import pytest
@@ -5,13 +6,14 @@ import pytest
 from dissolab import checks, exact, reductions
 from dissolab.corpus import random_cnf_corpus
 from dissolab.graph import new_graph
+from dissolab.recognizer import NotExtremal, NotExtremalReason, SixClass
 from dissolab.reductions import GadgetInstance, render_gadget
 
 
-def off_by_one(solver):
+def off_by_one(solver, by=1):
     def wrong(g, *, cutoff):
         value, witness = solver(g, cutoff=cutoff)
-        return value + 1, witness
+        return value + by, witness
     return wrong
 
 
@@ -88,3 +90,86 @@ def test_chain_over_the_cutoff_raises():
     # RuntimeError, which check_chain reports as one
     with pytest.raises(exact.InstanceTooLarge):
         checks.check_chain(new_graph(exact.EXACT_CUTOFF + 1, []))
+
+
+C6 = new_graph(6, [(i, (i + 1) % 6) for i in range(6)])
+
+
+def never(original):
+    return lambda *args: False
+
+
+def shifted(by):
+    return lambda solver: off_by_one(solver, by)
+
+
+def chain_raises(original):
+    def broken(g, *, cutoff):
+        raise RuntimeError("contradiction")
+    return broken
+
+
+def replaced(**fields):
+    """Wrap a function so that it returns its result with ``fields`` replaced."""
+    return lambda original: lambda *args, **kwargs: dataclasses.replace(
+        original(*args, **kwargs), **fields)
+
+
+# failure -> (check, graph, {name in checks: wrapper of the original}, detail).
+# C6 with its maximum matching is extremal: diss 4, alpha(C6 - M) 3.
+CHECK_FAILURES = {
+    "chain-violated": (checks.check_chain, C6, {"check_inequality_chain": chain_raises},
+                       "chain violated: contradiction"),
+    "chain-diss-witness": (checks.check_chain, C6, {"is_dissociation_set": never},
+                           "diss witness invalid"),
+    "chain-alpha-witness": (checks.check_chain, C6, {"is_independent_set": never},
+                            "alpha witness invalid"),
+    "chain-diss-witness-size": (checks.check_chain, C6,
+                                {"check_inequality_chain": replaced(diss_witness=frozenset())},
+                                "diss witness has wrong size"),
+    "chain-detour": (checks.check_chain, C6,
+                     {"diss_via_induced_matchings":
+                          lambda f: lambda g, *, cutoff: f(g, cutoff=cutoff) + 1},
+                     "max over induced matchings gives 5, diss is 4"),
+    "matching-size": (lambda g, cutoff: checks.check_matching_oracle(g), C6,
+                      {"matching_number_bruteforce": lambda f: lambda g: f(g) + 1},
+                      "matching size 3 differs from brute force 4"),
+    "recognizer-extremal-not-oracle": (checks.check_recognizer, C6,
+                                       {"dissociation_number_exact": shifted(1)},
+                                       "recognizer says extremal, oracle has diss=5 alpha'=3"),
+    "recognizer-set-size": (checks.check_recognizer, C6,
+                            {"dissociation_number_exact": shifted(4),
+                             "independence_number_exact": shifted(3)},
+                            "extremal set has size 4, diss is 8"),
+    "recognizer-ell": (checks.check_recognizer, C6, {"recognize_extremal": replaced(ell=2)},
+                       "extremal set size not 4*ell"),
+    "recognizer-not-dissociation": (checks.check_recognizer, C6, {"is_dissociation_set": never},
+                                    "extremal set is not a dissociation set"),
+    "recognizer-inner-size": (checks.check_recognizer, C6,
+                              {"recognize_extremal":
+                                   replaced(classes={v: SixClass.A4 for v in range(6)})},
+                              "A1|A2|B1 is not a maximum independent set of g - M"),
+    "recognizer-inner-not-independent": (checks.check_recognizer, C6, {"is_independent_set": never},
+                                         "A1|A2|B1 is not a maximum independent set of g - M"),
+    "recognizer-not-extremal-but-oracle": (
+        checks.check_recognizer, C6,
+        {"recognize_extremal":
+             lambda f: lambda g, m: NotExtremal(NotExtremalReason.TWO_SAT_UNSAT)},
+        "recognizer says TwoSatUnsat, oracle has 3*diss == 4*alpha' (4, 3)"),
+    "approx-not-dissociation": (checks.check_approx, C6, {"is_dissociation_set": never},
+                                "approx output is not a dissociation set"),
+    "approx-exceeds-diss": (checks.check_approx, new_graph(2, [(0, 1)]),
+                            {"dissociation_number_exact": shifted(-1)},
+                            "approx set of size 2 exceeds diss 1"),
+    "approx-guarantee": (checks.check_approx, C6, {"dissociation_number_exact": shifted(1)},
+                         "approx guarantee violated: 4*3 < 3*5"),
+}
+
+
+@pytest.mark.parametrize("failure", sorted(CHECK_FAILURES))
+def test_every_check_failure_reported(failure, monkeypatch):
+    check, g, patches, detail = CHECK_FAILURES[failure]
+    assert check(g, cutoff=exact.EXACT_CUTOFF) is None
+    for name, wrap in patches.items():
+        monkeypatch.setattr(checks, name, wrap(getattr(checks, name)))
+    assert check(g, cutoff=exact.EXACT_CUTOFF) == detail

@@ -203,8 +203,9 @@ class TestRecognize:
         "text,detail",
         [("m 0 1\n", "line 1: endpoint out of range in 'm 0 1'"),
          ("m 1 2\nm 2 3\n", "line 2: vertex 2 already matched in 'm 2 3'"),
-         ("c comment\nm 1 3\n", "line 2: not an edge of the graph in 'm 1 3'")],
-        ids=["out-of-range", "already-matched", "non-edge"],
+         ("c comment\nm 1 3\n", "line 2: not an edge of the graph in 'm 1 3'"),
+         ("m 1 2 3\n", "line 1: malformed matching line 'm 1 2 3'")],
+        ids=["out-of-range", "already-matched", "non-edge", "malformed"],
     )
     def test_invalid_matching_line_named(self, text, detail, tmp_path, capsys):
         path = write_graph(tmp_path / "p3.dimacs", new_graph(3, [(0, 1), (1, 2)]))

@@ -158,6 +158,23 @@ class TestEdgeListFormat:
         with pytest.raises(ParseError, match="declares 2"):
             parse_edge_list("p edge 3 2\ne 1 2\n")
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("p edge 2 0\np edge 2 0\n", "line 2: duplicate header"),
+            ("p edge 2 1\ne 1\n", "line 2: malformed edge line 'e 1'"),
+            ("p edge 2 1\ne 1 x\n", "line 2: malformed edge line 'e 1 x'"),
+            ("p edge 2 1\ne 2 2\n", "line 2: loop edge in 'e 2 2'"),
+            ("p edge 2 1\nx 1 2\n", "line 2: unrecognized line 'x 1 2'"),
+            # end-of-input errors name the last line
+            ("c only a comment\n\n", "line 2: missing header"),
+            ("", "line 1: missing header"),
+        ],
+    )
+    def test_parse_errors_name_their_line(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_edge_list(text)
+
     def test_render_empty(self):
         assert render_edge_list(new_graph(0, [])) == "p edge 0 0\n"
 

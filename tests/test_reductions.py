@@ -79,6 +79,10 @@ class TestCnfValidation:
             ("p cnf 3 1\n1 1 2 0\n", "line 2: clause '1 1 2 0' repeats a variable"),
             ("p cnf 4 1\n1 2 0\n", "line 2: clause '1 2 0' must have exactly 3 literals"),
             ("p cnf 4 1\n1 -2\nc split\n2 0\n", "line 4: clause '1 -2 2 0' repeats a variable"),
+            ("p cnf 3 1\np cnf 3 1\n", "line 2: duplicate header"),
+            ("c x\n1 2 3 0\np cnf 3 1\n", "line 2: clause before header"),
+            ("p cnf 3 1\n1 two 3 0\n", "line 2: bad literal 'two'"),
+            ("p cnf 3 1\n1 2 -4 0\n", "line 2: variable 4 out of range"),
         ],
     )
     def test_parse_errors_name_their_line(self, text, message):
