@@ -8,6 +8,7 @@ inputs, flags, and seed. Exit codes: 0 success, 1 property violation,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
@@ -177,14 +178,17 @@ def cmd_gadget(args: argparse.Namespace) -> int:
     if any(getattr(args, option) in (None, "") for option in options):
         raise ValueError(f"kind {args.kind} needs {' and '.join('--' + o for o in options)}")
     instance = build(args)
+    matching_path = args.out + ".matching"
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(render_gadget(instance))
+    if instance.matching is None:  # else check would read an earlier join's sidecar with it
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(matching_path)
     print(f"kind={args.kind}")
     print(f"order={instance.graph.n}")
     print(f"edges={instance.graph.m}")
     print(f"out={args.out}")
     if instance.matching is not None:
-        matching_path = args.out + ".matching"
         with open(matching_path, "w", encoding="utf-8") as handle:
             for u, v in sorted(instance.matching.edges):
                 handle.write(f"m {u + 1} {v + 1}\n")

@@ -319,6 +319,20 @@ class TestGadget:
         matching_lines = (tmp_path / "join.dimacs.matching").read_text().splitlines()
         assert matching_lines == ["m 1 4", "m 2 5", "m 3 6"]
 
+    def test_overwriting_a_join_removes_its_matching(self, tmp_path, capsys):
+        # a sidecar left from an earlier join would be checked with the new file
+        gpath = write_graph(tmp_path / "e3.dimacs", new_graph(3, []))
+        gadgets = tmp_path / "gadgets"
+        gadgets.mkdir()
+        out = gadgets / "x.dimacs"
+        assert main(["gadget", "join", "--graph", gpath, "--out", str(out)]) == 0
+        assert (gadgets / "x.dimacs.matching").exists()
+        assert main(["gadget", "fig3", "--cnf", self.cnf_file(tmp_path), "--out", str(out)]) == 0
+        assert not (gadgets / "x.dimacs.matching").exists()
+        capsys.readouterr()
+        assert main(["check", str(gadgets)]) == 0
+        assert "total_failures=0" in capsys.readouterr().out
+
     def test_join_precondition_exit_code(self, tmp_path, capsys):
         gpath = write_graph(tmp_path / "k3.dimacs", new_graph(3, [(0, 1), (0, 2), (1, 2)]))
         assert main(["gadget", "join", "--graph", gpath, "--out", str(tmp_path / "x")]) == 2
