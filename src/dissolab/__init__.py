@@ -48,8 +48,6 @@ from .twosat import (
 from .recognizer import (
     SixClass,
     AlternatingDecomposition,
-    PathComponent,
-    CycleComponent,
     NotExtremalReason,
     NotExtremal,
     Extremal,

@@ -34,8 +34,6 @@ from .twosat import Literal, TwoSatFormula, solve_2sat
 
 __all__ = [
     "SixClass",
-    "PathComponent",
-    "CycleComponent",
     "AlternatingDecomposition",
     "NotExtremalReason",
     "NotExtremal",
@@ -76,28 +74,11 @@ _BLOCKING = tuple(
 
 
 @dataclass(frozen=True)
-class PathComponent:
-    vertices: tuple[int, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.vertices) - 1
-
-
-@dataclass(frozen=True)
-class CycleComponent:
-    # starts at the lowest-index side-A vertex, first edge in M
-    vertices: tuple[int, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.vertices)
-
-
-@dataclass(frozen=True)
 class AlternatingDecomposition:
-    paths: tuple[PathComponent, ...]
-    cycles: tuple[CycleComponent, ...]
+    # each component is its vertex tuple: a path of length len - 1, and a
+    # cycle of length len that starts at its lowest side-A vertex, M edge first
+    paths: tuple[tuple[int, ...], ...]
+    cycles: tuple[tuple[int, ...], ...]
     # the edges of G outside M + M', in edge_list order
     stray: tuple[tuple[int, int], ...]
 
@@ -146,8 +127,8 @@ def decompose_alternating(
     pm = partner_map(g, m)
     pm2 = partner_map(g, m2)
     visited = [False] * n
-    paths: list[PathComponent] = []
-    cycles: list[CycleComponent] = []
+    paths: list[tuple[int, ...]] = []
+    cycles: list[tuple[int, ...]] = []
 
     def walk(start: int, first_in_m: bool) -> list[int]:
         seq = [start]
@@ -173,7 +154,7 @@ def decompose_alternating(
         seq = walk(v, in_m)
         if not in_m and len(seq) > 1 and pm[seq[-1]] == seq[-2]:
             seq.reverse()
-        paths.append(PathComponent(tuple(seq)))
+        paths.append(tuple(seq))
 
     # remaining vertices lie on cycles
     for v in range(n):
@@ -183,8 +164,7 @@ def decompose_alternating(
         i = seq.index(min(u for u in seq if g.side[u] == 0))
         # the walk takes M at even positions, so from an even i walk on and
         # from an odd i walk back: either way seq[i]'s M edge comes first
-        cycles.append(CycleComponent(tuple(
-            seq[i:] + seq[:i] if i % 2 == 0 else seq[i::-1] + seq[:i:-1])))
+        cycles.append(tuple(seq[i:] + seq[:i] if i % 2 == 0 else seq[i::-1] + seq[:i:-1]))
     stray = tuple((u, v) for u, v in g.edge_list if pm[u] != v and pm2[u] != v)
     return AlternatingDecomposition(tuple(paths), tuple(cycles), stray)
 
@@ -192,16 +172,16 @@ def decompose_alternating(
 def check_component_lengths(d: AlternatingDecomposition) -> Optional[NotExtremal]:
     """Cycles must have length 0 mod 6, paths length 4 mod 6."""
     for cyc in d.cycles:
-        if cyc.length % 6 != 0:
+        if len(cyc) % 6 != 0:
             return NotExtremal(
                 NotExtremalReason.BAD_CYCLE_LENGTH,
-                f"cycle {cyc.vertices} has length {cyc.length}",
+                f"cycle {cyc} has length {len(cyc)}",
             )
     for path in d.paths:
-        if path.length % 6 != 4:
+        if (len(path) - 1) % 6 != 4:
             return NotExtremal(
                 NotExtremalReason.BAD_PATH_LENGTH,
-                f"path {path.vertices} has length {path.length}",
+                f"path {path} has length {len(path) - 1}",
             )
     return None
 
@@ -217,14 +197,13 @@ def label_path_components(
     """
     labels: dict[int, SixClass] = {}
     for path in d.paths:
-        verts = path.vertices
-        if path.length % 6 != 4:
+        if (len(path) - 1) % 6 != 4:
             raise RuntimeError(
                 "path labeling reached with unvalidated component "
-                f"{verts}; length checks must run first"
+                f"{path}; length checks must run first"
             )
-        pattern = _PATTERN[g.side[verts[0]]]
-        for idx, v in enumerate(verts):
+        pattern = _PATTERN[g.side[path[0]]]
+        for idx, v in enumerate(path):
             labels[v] = pattern[idx % 6]
     return labels
 
@@ -258,7 +237,7 @@ def build_2sat(
     """
     blocking = {
         v: 3 * ci + _BLOCKING[p % 6]
-        for ci, cyc in enumerate(d.cycles) for p, v in enumerate(cyc.vertices)
+        for ci, cyc in enumerate(d.cycles) for p, v in enumerate(cyc)
     }
     var_map = {
         (ci, j): 3 * ci + (j - 1) for ci in range(len(d.cycles)) for j in (1, 2, 3)
@@ -287,7 +266,7 @@ def _complete_labeling(
     for ci, cyc in enumerate(d.cycles):
         rotation = next((r for r in range(3) if values[3 * ci + r]), 0)
         shift = _SHIFTS[rotation]
-        for p, v in enumerate(cyc.vertices):
+        for p, v in enumerate(cyc):
             classes[v] = _PATTERN[0][(p + shift) % 6]
     return classes
 

@@ -101,8 +101,8 @@ class TestDecompose:
         d = decompose_alternating(g, m, m2)
         assert not d.paths and len(d.cycles) == 1
         cyc = d.cycles[0]
-        assert cyc.length == 6
-        assert cyc.vertices[0] == 0 and cyc.vertices[1] == 1  # starts with its M edge
+        assert len(cyc) == 6
+        assert cyc[0] == 0 and cyc[1] == 1  # starts with its M edge
 
     def test_p4_single_path(self):
         g = new_graph(4, path_graph(4))
@@ -110,13 +110,13 @@ class TestDecompose:
         m2 = matching_from_edges(g, [(1, 2)])
         d = decompose_alternating(g, m, m2)
         assert not d.cycles and len(d.paths) == 1
-        assert d.paths[0].vertices == (0, 1, 2, 3)
+        assert d.paths[0] == (0, 1, 2, 3)
 
     def test_isolated_vertices_are_trivial_paths(self):
         g = new_graph(2, [])
         empty = matching_from_edges(g, [])
         d = decompose_alternating(g, empty, empty)
-        assert len(d.paths) == 2 and all(p.length == 0 for p in d.paths)
+        assert len(d.paths) == 2 and all(len(p) - 1 == 0 for p in d.paths)
 
     def test_overlapping_matchings_rejected(self):
         g = c6()
@@ -135,14 +135,14 @@ class TestDecompose:
         m = matching_from_edges(g, [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)])
         m2 = matching_from_edges(g, [(1, 2), (3, 4), (7, 8), (9, 10)])
         d = decompose_alternating(g, m, m2)
-        seen = [v for comp in d.paths + d.cycles for v in comp.vertices]
+        seen = [v for comp in d.paths + d.cycles for v in comp]
         assert sorted(seen) == list(range(11))
 
     def test_path_read_from_m_covered_endpoint(self):
         # path 10-8-9-0-5: its lower endpoint 5 is covered by M' only
         g, m = rotated_instance()
         d = decompose_alternating(g, m, maximum_matching(remove_edges(g, m.edges)))
-        assert [p.vertices for p in d.paths] == [(10, 8, 9, 0, 5)]
+        assert list(d.paths) == [(10, 8, 9, 0, 5)]
 
     def test_cycle_starts_at_lowest_side_a_vertex(self):
         # the cycle's lowest vertex 1 is on side B; from its lowest side-A
@@ -150,7 +150,7 @@ class TestDecompose:
         g, m = rotated_instance()
         d = decompose_alternating(g, m, maximum_matching(remove_edges(g, m.edges)))
         assert g.side[1] == 1 and g.side[3] == 0
-        assert [c.vertices for c in d.cycles] == [(3, 2, 6, 1, 4, 7)]
+        assert list(d.cycles) == [(3, 2, 6, 1, 4, 7)]
 
     def test_stray_edges_in_edge_list_order(self):
         # K33 as C6 plus its three chords; M + M' is the C6
@@ -169,9 +169,9 @@ class TestDecompose:
         m2 = matching_from_edges(g, [(order[i + 1], order[(i + 2) % k]) for i in range(0, k, 2)])
         (cyc,) = decompose_alternating(g, m, m2).cycles
         anchor = min(v for v in range(k) if g.side[v] == 0)
-        assert cyc.vertices[0] == anchor
-        assert frozenset(cyc.vertices[:2]) in {frozenset(e) for e in m.edges}
-        assert sorted(cyc.vertices) == list(range(k))
+        assert cyc[0] == anchor
+        assert frozenset(cyc[:2]) in {frozenset(e) for e in m.edges}
+        assert sorted(cyc) == list(range(k))
 
 
 class TestLengthChecks:
@@ -232,7 +232,7 @@ class TestPathLabeling:
         m2 = matching_from_edges(g, [(0, 2), (3, 4)])
         d = decompose_alternating(g, m, m2)
         labels = label_path_components(g, d)
-        order = d.paths[0].vertices
+        order = d.paths[0]
         assert order == (1, 0, 2, 3, 4)
         assert [labels[v].value for v in order] == ["B1", "A1", "B4", "A2", "B2"]
 
