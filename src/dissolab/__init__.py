@@ -3,7 +3,6 @@ and hardness gadgets, with exhaustive oracles for desk-scale verification."""
 
 from .graph import (
     Graph,
-    GraphConstructionError,
     NotBipartiteError,
     ParseError,
     SplitMix64,
@@ -18,7 +17,6 @@ from .graph import (
 )
 from .matching import (
     Matching,
-    MatchingNotMaximumError,
     matching_from_edges,
     is_matching,
     is_induced_matching,
@@ -63,7 +61,6 @@ from .approx import approx_dissociation_bipartite
 from .reductions import (
     CnfFormula,
     GadgetInstance,
-    PreconditionFailed,
     cnf_formula,
     parse_cnf,
     gadget_diss_2alpha,

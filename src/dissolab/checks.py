@@ -97,7 +97,7 @@ def check_recognizer(g: Graph, *, cutoff: int = EXACT_CUTOFF) -> Optional[str]:
         s = outcome.max_dissociation_set
         if len(s) != diss:
             return f"extremal set has size {len(s)}, diss is {diss}"
-        if len(s) % 4 != 0 or outcome.ell * 4 != len(s):
+        if outcome.ell * 4 != len(s):  # len(s) = diss, a multiple of 4 here
             return "extremal set size not 4*ell"
         if not is_dissociation_set(g, s):
             return "extremal set is not a dissociation set"

@@ -26,7 +26,7 @@ from .corpus import (
     random_graph_corpus,
 )
 from .exact import EXACT_CUTOFF, SOLVERS, InstanceTooLarge, chain_equalities
-from .graph import Graph, NotBipartiteError, parse_edge_list, to_dot
+from .graph import Graph, parse_edge_list, to_dot
 from .matching import maximum_matching, parse_matching
 from .recognizer import Extremal, SixClass, recognize_extremal
 from .reductions import (
@@ -386,9 +386,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (InstanceTooLarge, RecursionError) as exc:
         print(f"error={type(exc).__name__} detail={exc}", file=sys.stderr)
         return EXIT_CUTOFF
-    except NotBipartiteError as exc:
-        print(f"error=NotBipartite detail={exc}", file=sys.stderr)
-        return EXIT_INVALID
     except (ValueError, OSError) as exc:
         print(f"error={type(exc).__name__} detail={exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -15,7 +15,6 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 __all__ = [
     "Graph",
-    "GraphConstructionError",
     "NotBipartiteError",
     "ParseError",
     "SplitMix64",
@@ -37,10 +36,6 @@ MAX_VERTICES = 10**7
 # largest edge count a generator may build: a padded Independent-Set gadget
 # stays far below MAX_VERTICES while its join grows as n * k
 MAX_EDGES = 10**6
-
-
-class GraphConstructionError(ValueError):
-    """Raised for loop edges, out-of-range endpoints, or non-edge removals."""
 
 
 class NotBipartiteError(ValueError):
@@ -113,13 +108,13 @@ class Graph:
 def new_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a canonicalized, deduplicated graph, validating every edge."""
     if n < 0:
-        raise GraphConstructionError("vertex count must be non-negative")
+        raise ValueError("vertex count must be non-negative")
     canon: set[tuple[int, int]] = set()
     for u, v in edges:
         if u == v:
-            raise GraphConstructionError(f"loop edge ({u}, {v})")
+            raise ValueError(f"loop edge ({u}, {v})")
         if not (0 <= u < n and 0 <= v < n):
-            raise GraphConstructionError(f"endpoint out of range in edge ({u}, {v})")
+            raise ValueError(f"endpoint out of range in edge ({u}, {v})")
         canon.add(_canonical_edge(u, v))
     return Graph(n, frozenset(canon))
 
@@ -143,7 +138,6 @@ def bipartition(g: Graph) -> tuple[int, ...]:
     """
     color = [-1] * g.n
     parent = [-1] * g.n
-    depth = [0] * g.n
     for root in range(g.n):
         if color[root] != -1:
             continue
@@ -155,14 +149,11 @@ def bipartition(g: Graph) -> tuple[int, ...]:
                 if color[v] == -1:
                     color[v] = 1 - color[u]
                     parent[v] = u
-                    depth[v] = depth[u] + 1
                     queue.append(v)
                 elif color[v] == color[u]:
+                    # BFS depths of an edge's ends differ by at most one, and
+                    # equal colours mean equal parity: u and v are equally deep
                     pu, pv = [u], [v]
-                    while depth[pu[-1]] > depth[pv[-1]]:
-                        pu.append(parent[pu[-1]])
-                    while depth[pv[-1]] > depth[pu[-1]]:
-                        pv.append(parent[pv[-1]])
                     while pu[-1] != pv[-1]:
                         pu.append(parent[pu[-1]])
                         pv.append(parent[pv[-1]])
@@ -176,7 +167,7 @@ def remove_edges(g: Graph, drop: Iterable[tuple[int, int]]) -> Graph:
     gone = {_canonical_edge(u, v) for u, v in drop}
     missing = gone - g.edges
     if missing:
-        raise GraphConstructionError(f"not an edge: {sorted(missing)[0]}")
+        raise ValueError(f"not an edge: {sorted(missing)[0]}")
     return Graph(g.n, g.edges - gone)
 
 
@@ -203,7 +194,7 @@ def parse_edge_list(text: str) -> Graph:
     """
     n = -1
     declared_m = 0
-    edges: list[tuple[int, int]] = []
+    edges: set[tuple[int, int]] = set()
     e_lines = 0
     last_line = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -232,14 +223,14 @@ def parse_edge_list(text: str) -> Graph:
             if u == v:
                 raise ParseError(line_no, f"loop edge in {line!r}")
             e_lines += 1
-            edges.append((u - 1, v - 1))
+            edges.add(_canonical_edge(u - 1, v - 1))
         else:
             raise ParseError(line_no, f"unrecognized line {line!r}")
     if n < 0:
         raise ParseError(last_line or 1, "missing header")
     if e_lines != declared_m:
         raise ParseError(last_line or 1, f"header declares {declared_m} edges, found {e_lines}")
-    return new_graph(n, edges)
+    return Graph(n, frozenset(edges))
 
 
 def render_edge_list(g: Graph) -> str:
@@ -263,7 +254,7 @@ def to_dot(
     if labeling is not None:
         for v, cls in labeling.items():
             if not (0 <= v < g.n):
-                raise GraphConstructionError(f"labeling references unknown vertex {v}")
+                raise ValueError(f"labeling references unknown vertex {v}")
             labels[v] = getattr(cls, "value", str(cls))
     bold = {_canonical_edge(u, v) for u, v in highlight}
     out = ["graph g {"]

@@ -25,7 +25,6 @@ from .graph import Graph, ParseError, _canonical_edge
 
 __all__ = [
     "Matching",
-    "MatchingNotMaximumError",
     "matching_from_edges",
     "parse_matching",
     "partner_map",
@@ -36,10 +35,6 @@ __all__ = [
     "maximum_independent_set_bipartite",
     "has_augmenting_path",
 ]
-
-
-class MatchingNotMaximumError(ValueError):
-    """A supposedly maximum matching admits an augmenting path."""
 
 
 @dataclass(frozen=True)
@@ -246,9 +241,7 @@ def koenig_cover(g: Graph, m: Matching) -> frozenset[int]:
     adj = g.adjacency
     dist = [0] * (g.n + 1)
     if _layers(adj, a_side, partner_map(g, m), dist):
-        raise MatchingNotMaximumError(
-            "matching admits an augmenting path; not maximum"
-        )
+        raise ValueError("matching admits an augmenting path; not maximum")
     cover: set[int] = set()
     for u in a_side:
         if dist[u] == g.n + 1:

@@ -41,7 +41,6 @@ from .twosat import MAX_TRUTH_TABLE_VARS, Literal, cnf_satisfiable
 __all__ = [
     "CnfFormula",
     "GadgetInstance",
-    "PreconditionFailed",
     "cnf_formula",
     "parse_cnf",
     "gadget_diss_2alpha",
@@ -51,10 +50,6 @@ __all__ = [
     "render_gadget",
     "parse_gadget_metadata",
 ]
-
-
-class PreconditionFailed(ValueError):
-    """A gadget's stated input hypothesis does not hold."""
 
 
 @dataclass(frozen=True)
@@ -286,7 +281,7 @@ def gadget_join_kn(g: Graph, *, cutoff: int = EXACT_CUTOFF) -> GadgetInstance:
     """
     alpha, _ = independence_number_exact(g, cutoff=cutoff)
     if alpha < 3:
-        raise PreconditionFailed(f"alpha(g) = {alpha} < 3")
+        raise ValueError(f"alpha(g) = {alpha} < 3")
     diss, _ = dissociation_number_exact(g, cutoff=cutoff)
     n = g.n
     edges: list[tuple[int, int]] = list(g.edge_list)

@@ -1,6 +1,8 @@
-"""Correctness checks in the library must survive ``python -O``."""
+"""Correctness checks in the library must survive ``python -O``, and each
+kind of failure has one exception type."""
 
 import ast
+import builtins
 import os
 import pathlib
 import subprocess
@@ -18,6 +20,44 @@ def test_library_has_no_assert(module):
     tree = ast.parse((SRC / "dissolab" / module).read_text(encoding="utf-8"))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"assert statements in {module} at lines {lines}"
+
+
+# one failure type per idea: invalid input is a ValueError, of which only
+# these two subclasses carry something their callers read (the line, the odd
+# cycle); InstanceTooLarge is over a limit; RuntimeError is a contradiction
+EXCEPTION_CLASSES = {"ParseError", "NotBipartiteError", "InstanceTooLarge"}
+RAISED = EXCEPTION_CLASSES | {"ValueError", "RuntimeError"}
+
+
+def _name(node):
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return getattr(node, "id", None)
+
+
+def test_one_failure_type_per_idea():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted((SRC / "dissolab").glob("*.py"))}
+    classes = [node for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)]
+    exceptions: set[str] = set()
+    grown = True
+    while grown:  # a class is an exception when one of its bases is
+        before = len(exceptions)
+        for cls in classes:
+            for base in map(_name, cls.bases):
+                builtin = getattr(builtins, base or "", None)
+                if base in exceptions or (
+                        isinstance(builtin, type) and issubclass(builtin, BaseException)):
+                    exceptions.add(cls.name)
+        grown = len(exceptions) > before
+    assert exceptions == EXCEPTION_CLASSES
+    raised = [(module, node.lineno, _name(node.exc))
+              for module, tree in trees.items() for node in ast.walk(tree)
+              if isinstance(node, ast.Raise) and node.exc is not None]
+    assert [r for r in raised if r[2] not in RAISED] == []
 
 
 def test_chain_violation_reported_under_optimize():

@@ -11,7 +11,6 @@ from dissolab.exact import (
 from dissolab import reductions
 from dissolab.graph import MAX_EDGES, ParseError, new_graph, parse_edge_list
 from dissolab.reductions import (
-    PreconditionFailed,
     cnf_formula,
     gadget_diss_2alpha,
     gadget_diss_alpha,
@@ -295,7 +294,7 @@ class TestJoinGadget:
         assert dissociation_number_exact(hm)[0] == diss_c7
 
     def test_low_alpha_rejected(self):
-        with pytest.raises(PreconditionFailed):
+        with pytest.raises(ValueError):
             gadget_join_kn(new_graph(3, [(0, 1), (0, 2), (1, 2)]))
 
     def test_matching_is_cross_perfect(self):
