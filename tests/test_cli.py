@@ -78,6 +78,15 @@ class TestSolve:
         assert main(["solve", c6_file(tmp_path), "--invariants", invariants]) == 3
         assert "error=RecursionError" in capsys.readouterr().err
 
+    def test_huge_edgeless_file_over_cutoff_quickly(self, tmp_path, capsys):
+        # the largest vertex count a header may declare, and no edge
+        path = tmp_path / "huge.dimacs"
+        path.write_text(f"p edge {graph.MAX_VERTICES} 0\n")
+        started = time.perf_counter()
+        assert main(["solve", str(path)]) == 3
+        assert time.perf_counter() - started < 2.0
+        assert "InstanceTooLarge" in capsys.readouterr().err
+
     def test_cutoff_flag_overrides(self, tmp_path, capsys):
         path = write_graph(tmp_path / "big.dimacs", new_graph(exact.EXACT_CUTOFF + 1, []))
         assert main(["solve", path, "--cutoff", str(exact.EXACT_CUTOFF + 1)]) == 0

@@ -47,6 +47,42 @@ class TestConstruction:
     def test_equality_is_structural(self):
         assert new_graph(3, [(2, 0)]) == new_graph(3, [(0, 2)])
 
+    def test_has_edge_out_of_range(self):
+        g = c6()
+        assert g.has_edge(0, 1) and g.has_edge(1, 0)
+        assert not g.has_edge(-1, 0) and not g.has_edge(0, -1)
+        assert not g.has_edge(0, g.n) and not g.has_edge(g.n, 0)
+
+
+def doubled_corpus():
+    """Seeded random and random bipartite graphs, each rebuilt by new_graph
+    from every edge twice, once reversed, in shuffled order."""
+    for i in range(600):
+        if i % 2:
+            n = i % 31
+            g = random_graph(n, min(1.0, (1 + i % 5) / (n + 1)), i)
+        else:
+            g = random_bipartite(i % 13, i % 17, (1 + i % 7) / 8, i)
+        pairs = list(g.edge_list) + [(v, u) for u, v in g.edge_list]
+        random.Random(i).shuffle(pairs)
+        yield new_graph(g.n, pairs)
+
+
+# sha256 over the views of every graph of doubled_corpus()
+VIEWS_DIGEST = "4bac9df32f3666c226986535eba8e4cbce9e8b4621d59dbe36b3e0fc0427bcc3"
+
+
+def test_views_digest():
+    h = hashlib.sha256()
+    for g in doubled_corpus():
+        try:
+            colouring = ("side", g.side)
+        except NotBipartiteError as err:
+            colouring = ("cycle", err.cycle)
+        h.update(repr((g.n, g.m, g.edge_list, g.adjacency, g.adjacency_masks,
+                       render_edge_list(g), colouring)).encode() + b"\n")
+    assert h.hexdigest() == VIEWS_DIGEST
+
 
 class TestBipartition:
     def test_c6(self):
@@ -126,6 +162,14 @@ class TestRemoveEdges:
     def test_non_edge_rejected(self):
         with pytest.raises(ValueError, match="not an edge"):
             remove_edges(c6(), [(0, 2)])
+
+    def test_smallest_non_edge_named(self):
+        with pytest.raises(ValueError) as err:
+            remove_edges(c6(), [(0, 3), (0, 2)])
+        assert str(err.value) == "not an edge: (0, 2)"
+        with pytest.raises(ValueError) as err:
+            remove_edges(c6(), [(0, 2), (0, 3)])
+        assert str(err.value) == "not an edge: (0, 2)"
 
 
 class TestEdgeListFormat:

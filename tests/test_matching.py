@@ -15,6 +15,7 @@ from dissolab.matching import (
     matching_from_edges,
     maximum_independent_set_bipartite,
     maximum_matching,
+    partner_map,
 )
 
 from strategies import bipartite_graphs, graphs, planted_pair
@@ -224,6 +225,11 @@ class TestPredicates:
     def test_factory_validates(self):
         with pytest.raises(ValueError):
             matching_from_edges(c6(), [(0, 1), (1, 2)])
+
+    def test_out_of_range_edge_not_matching(self):
+        # a negative end must not index the partner list from its end
+        with pytest.raises(ValueError):
+            partner_map(c6(), Matching(frozenset({(-1, 0)})))
 
     @given(graphs(max_n=8), st.lists(st.integers(min_value=0, max_value=7), max_size=10))
     @settings(max_examples=300)
