@@ -43,8 +43,6 @@ EXIT_VIOLATION = 1
 EXIT_INVALID = 2
 EXIT_CUTOFF = 3
 
-_ENV_CUTOFF = "DISSOLAB_CUTOFF"
-
 
 def positive_int(text: str) -> int:
     """``text`` as an integer of at least 1, else ValueError.
@@ -56,16 +54,6 @@ def positive_int(text: str) -> int:
     if value < 1:
         raise ValueError(f"{text!r} is below 1")
     return value
-
-
-def _default_cutoff() -> int:
-    value = os.environ.get(_ENV_CUTOFF)
-    if value is None:
-        return EXACT_CUTOFF
-    try:
-        return positive_int(value)
-    except ValueError:
-        raise ValueError(f"invalid {_ENV_CUTOFF} value {value!r}") from None
 
 
 def _read(path: str) -> str:
@@ -322,9 +310,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 @functools.cache
-def _build_parser(cutoff: int) -> argparse.ArgumentParser:
-    """The parser, with ``cutoff`` as the ``--cutoff`` default of solve, gadget
-    and check; built once per value, since ``main`` may run many times in one process."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser; built once, since ``main`` may run many times in one process."""
     parser = argparse.ArgumentParser(
         prog="dissolab",
         description=(
@@ -339,7 +326,7 @@ def _build_parser(cutoff: int) -> argparse.ArgumentParser:
     p_solve.add_argument("path")
     p_solve.add_argument("--invariants", default="diss,alpha,nus",
                          help="comma list from diss,alpha,nus")
-    p_solve.add_argument("--cutoff", type=positive_int, default=cutoff)
+    p_solve.add_argument("--cutoff", type=positive_int, default=EXACT_CUTOFF)
     p_solve.set_defaults(func=cmd_solve)
 
     p_approx = sub.add_parser("approx", help="4/3-approximation on a bipartite graph")
@@ -359,7 +346,7 @@ def _build_parser(cutoff: int) -> argparse.ArgumentParser:
     p_gadget.add_argument("--graph", default=None, help="graph input (DIMACS edge)")
     p_gadget.add_argument("--k", type=int, default=None)
     p_gadget.add_argument("--out", required=True)
-    p_gadget.add_argument("--cutoff", type=positive_int, default=cutoff)
+    p_gadget.add_argument("--cutoff", type=positive_int, default=EXACT_CUTOFF)
     p_gadget.set_defaults(func=cmd_gadget)
 
     specs = ", ".join(":".join((kind,) + spec.fields) for kind, spec in _TARGETS.items())
@@ -371,7 +358,7 @@ def _build_parser(cutoff: int) -> argparse.ArgumentParser:
     p_check.add_argument("targets", nargs="+")
     p_check.add_argument("--seed", type=int, default=1)
     p_check.add_argument("--jobs", type=positive_int, default=1)
-    p_check.add_argument("--cutoff", type=positive_int, default=cutoff)
+    p_check.add_argument("--cutoff", type=positive_int, default=EXACT_CUTOFF)
     p_check.add_argument("--verbose", action="store_true")
     p_check.add_argument("--timings", action="store_true",
                          help="print elapsed_ms to stderr")
@@ -381,7 +368,7 @@ def _build_parser(cutoff: int) -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = _build_parser(_default_cutoff()).parse_args(argv)
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (InstanceTooLarge, RecursionError) as exc:
         print(f"error={type(exc).__name__} detail={exc}", file=sys.stderr)

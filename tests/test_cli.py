@@ -91,29 +91,6 @@ class TestSolve:
         path = write_graph(tmp_path / "big.dimacs", new_graph(exact.EXACT_CUTOFF + 1, []))
         assert main(["solve", path, "--cutoff", str(exact.EXACT_CUTOFF + 1)]) == 0
 
-    def test_env_cutoff(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("DISSOLAB_CUTOFF", "40")
-        path = write_graph(tmp_path / "big.dimacs", new_graph(40, []))
-        assert main(["solve", path]) == 0
-
-    def test_invalid_env_cutoff_exit_code(self, tmp_path, capsys, monkeypatch):
-        for value in ("abc", "-1"):
-            monkeypatch.setenv("DISSOLAB_CUTOFF", value)
-            assert main(["solve", c6_file(tmp_path)]) == 2
-            assert "DISSOLAB_CUTOFF" in capsys.readouterr().err
-
-    def test_env_cutoff_read_on_every_call(self, tmp_path, capsys, monkeypatch):
-        # one process, three calls: a parser kept between calls must not
-        # keep the cutoff of an earlier environment
-        path = write_graph(tmp_path / "big.dimacs", new_graph(exact.EXACT_CUTOFF + 1, []))
-        monkeypatch.setenv("DISSOLAB_CUTOFF", str(exact.EXACT_CUTOFF + 1))
-        assert main(["solve", path]) == 0
-        monkeypatch.delenv("DISSOLAB_CUTOFF")
-        assert main(["solve", path]) == 3
-        monkeypatch.setenv("DISSOLAB_CUTOFF", "abc")
-        assert main(["approx", c6_file(tmp_path)]) == 2
-        assert "DISSOLAB_CUTOFF" in capsys.readouterr().err
-
     def test_invariant_subset(self, tmp_path, capsys):
         path = c6_file(tmp_path)
         assert main(["solve", path, "--invariants", "alpha"]) == 0
@@ -375,7 +352,7 @@ class TestGadget:
         assert "k must be a positive integer, got 0" in capsys.readouterr().err
 
     def test_kinds_are_the_table(self):
-        parser = cli._build_parser(exact.EXACT_CUTOFF)
+        parser = cli._build_parser()
         assert parser.parse_args(["gadget", "join", "--out", "x"]).kind == "join"
         with pytest.raises(SystemExit):
             parser.parse_args(["gadget", "fig5", "--out", "x"])
@@ -724,14 +701,14 @@ class TestOneCutoff:
                 if value != exact.EXACT_CUTOFF} == {}
 
     @pytest.mark.parametrize("command", sorted(PARSERS))
-    def test_parser_default_is_the_constant(self, command, monkeypatch):
-        monkeypatch.delenv("DISSOLAB_CUTOFF", raising=False)
-        parser = cli._build_parser(cli._default_cutoff())
-        assert parser.parse_args(self.PARSERS[command]).cutoff == exact.EXACT_CUTOFF
+    def test_parser_default_is_the_constant(self, command):
+        assert cli._build_parser().parse_args(self.PARSERS[command]).cutoff == exact.EXACT_CUTOFF
 
-    @pytest.mark.parametrize("command", sorted(PARSERS))
-    def test_parser_default_follows_the_environment(self, command, monkeypatch):
-        # below the constant too: the variable replaces the default
-        monkeypatch.setenv("DISSOLAB_CUTOFF", "35")
-        parser = cli._build_parser(cli._default_cutoff())
-        assert parser.parse_args(self.PARSERS[command]).cutoff == 35
+    def test_no_environment_variable_sets_it(self, tmp_path, capsys, monkeypatch):
+        # --cutoff is the one way to change it; a leftover variable of that
+        # name is not read, by solve or by commands without a cutoff
+        path = write_graph(tmp_path / "big.dimacs", new_graph(exact.EXACT_CUTOFF + 1, []))
+        monkeypatch.setenv("DISSOLAB_CUTOFF", str(exact.EXACT_CUTOFF + 1))
+        assert main(["solve", path]) == 3
+        monkeypatch.setenv("DISSOLAB_CUTOFF", "abc")
+        assert main(["approx", c6_file(tmp_path)]) == 0

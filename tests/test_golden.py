@@ -173,8 +173,7 @@ def test_every_check_spec_has_a_case():
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_output_matches_golden(name, golden, tmp_path, monkeypatch):
-    monkeypatch.delenv("DISSOLAB_CUTOFF", raising=False)
+def test_cli_output_matches_golden(name, golden, tmp_path):
     write_fixtures(tmp_path)
     assert run_case(tmp_path, name) == golden[name]
 
@@ -183,7 +182,6 @@ if __name__ == "__main__":
     import tempfile
 
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
-    os.environ.pop("DISSOLAB_CUTOFF", None)
     results = {}
     for case in sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:
