@@ -202,15 +202,17 @@ def canonical_graph(g: Graph) -> Graph:
 
 
 def _form_graph(form: tuple) -> Graph:
+    # row i holds i's neighbours below i, so every list fills in ascending order
     n, rows = form
-    edges = []
+    adjacency: list[list[int]] = [[] for _ in range(n)]
     for i, row in enumerate(rows):
-        w = row
-        while w:
-            b = w & -w
-            edges.append((b.bit_length() - 1, i))
-            w ^= b
-    return new_graph(n, edges)
+        while row:
+            b = row & -row
+            j = b.bit_length() - 1
+            adjacency[i].append(j)
+            adjacency[j].append(i)
+            row ^= b
+    return Graph(tuple(map(tuple, adjacency)))
 
 
 # catalog kind -> largest n the catalog builds; beyond it the work is out of
@@ -280,8 +282,7 @@ def _last_is_deletion_candidate(adj: Sequence[int], connected: bool) -> bool:
 def _attach(parent: Graph, vertices: list[int], connected: bool = True) -> Iterator[Graph]:
     """parent plus a new vertex joined to each subset of ``vertices`` (nonempty
     when ``connected``) that passes the canonical-deletion test."""
-    n = parent.n + 1
-    new = n - 1
+    new = parent.n
     masks = list(parent.adjacency_masks) + [0]
     for attach in range(1 if connected else 0, 1 << len(vertices)):
         nbrs = [v for i, v in enumerate(vertices) if (attach >> i) & 1]
@@ -290,7 +291,11 @@ def _attach(parent: Graph, vertices: list[int], connected: bool = True) -> Itera
             adj[v] |= 1 << new
             adj[new] |= 1 << v
         if _last_is_deletion_candidate(adj, connected):
-            yield Graph(n, parent.edges | {(v, new) for v in nbrs})
+            # vertices ascend and the new vertex is the largest: tuples stay sorted
+            adjacency = list(parent.adjacency)
+            for v in nbrs:
+                adjacency[v] += (new,)
+            yield Graph((*adjacency, tuple(nbrs)))
 
 
 def connected_graphs(n: int) -> list[Graph]:

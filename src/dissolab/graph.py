@@ -8,10 +8,10 @@ are bit-identical across platforms and runs.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 __all__ = [
     "Graph",
@@ -21,6 +21,8 @@ __all__ = [
     "new_graph",
     "bipartition",
     "remove_edges",
+    "data_lines",
+    "last_line",
     "parse_header",
     "parse_edge_list",
     "render_edge_list",
@@ -60,40 +62,34 @@ def _canonical_edge(u: int, v: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph on vertices ``0..n-1``.
+    """Simple undirected graph on vertices ``0..n-1``, held as each vertex's
+    neighbours in ascending order, every search's scan order. All else is
+    derived from ``adjacency`` and memoised; two graphs are equal exactly
+    when their vertex counts and edge sets are."""
 
-    Edges are stored canonically (smaller endpoint first); two graphs are
-    equal exactly when their vertex counts and edge sets are.
-    """
+    adjacency: tuple[tuple[int, ...], ...]
 
-    n: int
-    edges: frozenset[tuple[int, int]]
+    @property
+    def n(self) -> int:
+        return len(self.adjacency)
 
     @cached_property
     def m(self) -> int:
-        return len(self.edges)
+        return sum(map(len, self.adjacency)) // 2
 
     @cached_property
     def edge_list(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.edges))
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Each vertex's neighbours in ascending order: every search's scan order."""
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return tuple(tuple(sorted(s)) for s in nbrs)
+        """Each edge once, smaller end first, in ascending order."""
+        return tuple([(u, v) for u, nbrs in enumerate(self.adjacency) for v in nbrs if u < v])
 
     @cached_property
     def adjacency_masks(self) -> tuple[int, ...]:
         """Each vertex's neighbours as an n-bit int, n²/8 bytes in all: only
         the exact searches and the catalog, which stop at small n, read it."""
         masks = [0] * self.n
-        for u, v in self.edges:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
+        for u, nbrs in enumerate(self.adjacency):
+            for v in nbrs:
+                masks[u] |= 1 << v
         return tuple(masks)
 
     @cached_property
@@ -102,11 +98,25 @@ class Graph:
         return bipartition(self)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return _canonical_edge(u, v) in self.edges
+        return 0 <= u < len(self.adjacency) and v in self.adjacency[u]
+
+
+def _from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
+    """The graph on ``0..n-1`` with ``edges``, valid and each given once in one
+    orientation; only their ends get a list, isolated vertices share ``()``."""
+    nbrs: defaultdict[int, list[int]] = defaultdict(list)
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    adjacency: list[tuple[int, ...]] = [()] * n
+    for v, ws in nbrs.items():
+        ws.sort()
+        adjacency[v] = tuple(ws)
+    return Graph(tuple(adjacency))
 
 
 def new_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a canonicalized, deduplicated graph, validating every edge."""
+    """Build a graph, validating every edge; repeated or reversed edges merge."""
     if n < 0:
         raise ValueError("vertex count must be non-negative")
     canon: set[tuple[int, int]] = set()
@@ -115,8 +125,8 @@ def new_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise ValueError(f"loop edge ({u}, {v})")
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"endpoint out of range in edge ({u}, {v})")
-        canon.add(_canonical_edge(u, v))
-    return Graph(n, frozenset(canon))
+        canon.add((u, v) if u < v else (v, u))
+    return _from_edges(n, canon)
 
 
 def _normalize_cycle(cycle: list[int]) -> tuple[int, ...]:
@@ -163,12 +173,32 @@ def bipartition(g: Graph) -> tuple[int, ...]:
 
 
 def remove_edges(g: Graph, drop: Iterable[tuple[int, int]]) -> Graph:
-    """Return ``g`` minus the given edges; rejects non-edges."""
-    gone = {_canonical_edge(u, v) for u, v in drop}
-    missing = gone - g.edges
+    """Return ``g`` minus the given edges; rejects non-edges. Only the
+    dropped edges' ends get new neighbour tuples; the rest are ``g``'s own."""
+    drop = list(drop)
+    missing = [_canonical_edge(u, v) for u, v in drop if not g.has_edge(u, v)]
     if missing:
-        raise ValueError(f"not an edge: {sorted(missing)[0]}")
-    return Graph(g.n, g.edges - gone)
+        raise ValueError(f"not an edge: {min(missing)}")
+    gone: defaultdict[int, list[int]] = defaultdict(list)
+    for u, v in drop:
+        gone[u].append(v)
+        gone[v].append(u)
+    adjacency = list(g.adjacency)
+    for u, ws in gone.items():
+        adjacency[u] = tuple([w for w in adjacency[u] if w not in ws])
+    return Graph(tuple(adjacency))
+
+
+def data_lines(text: str) -> Iterator[tuple[int, str, list[str]]]:
+    """``(line_no, line, fields)`` of each stripped line neither blank nor a ``c`` comment."""
+    for line_no, line in enumerate(map(str.strip, text.splitlines()), start=1):
+        if line and line[0] != "c":
+            yield line_no, line, line.split()
+
+
+def last_line(text: str) -> int:
+    """The number of ``text``'s last line, named by errors found at its end."""
+    return len(text.splitlines()) or 1
 
 
 def parse_header(line_no: int, line: str, kind: str) -> tuple[int, int]:
@@ -196,13 +226,7 @@ def parse_edge_list(text: str) -> Graph:
     declared_m = 0
     edges: set[tuple[int, int]] = set()
     e_lines = 0
-    last_line = 0
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        last_line = line_no
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        fields = line.split()
+    for line_no, line, fields in data_lines(text):
         if fields[0] == "p":
             if n >= 0:
                 raise ParseError(line_no, "duplicate header")
@@ -223,14 +247,14 @@ def parse_edge_list(text: str) -> Graph:
             if u == v:
                 raise ParseError(line_no, f"loop edge in {line!r}")
             e_lines += 1
-            edges.add(_canonical_edge(u - 1, v - 1))
+            edges.add((u - 1, v - 1) if u < v else (v - 1, u - 1))
         else:
             raise ParseError(line_no, f"unrecognized line {line!r}")
     if n < 0:
-        raise ParseError(last_line or 1, "missing header")
+        raise ParseError(last_line(text), "missing header")
     if e_lines != declared_m:
-        raise ParseError(last_line or 1, f"header declares {declared_m} edges, found {e_lines}")
-    return Graph(n, frozenset(edges))
+        raise ParseError(last_line(text), f"header declares {declared_m} edges, found {e_lines}")
+    return _from_edges(n, edges)
 
 
 def render_edge_list(g: Graph) -> str:
@@ -295,6 +319,15 @@ class SplitMix64:
         return self.next_u64() % bound
 
 
+def _random(n: int, pairs: Iterable[tuple[int, int]], p: float, seed: int) -> Graph:
+    """The graph on ``0..n-1`` keeping each of ``pairs``, in order, when the
+    next SplitMix64 float is below ``p``."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"edge probability {p} outside [0, 1]")
+    rng = SplitMix64(seed)
+    return new_graph(n, [e for e in pairs if rng.next_float() < p])
+
+
 def random_bipartite(n_a: int, n_b: int, p: float, seed: int) -> Graph:
     """Seeded bipartite G(n_a, n_b, p) with sides ``0..n_a-1`` / ``n_a..n_a+n_b-1``.
 
@@ -302,25 +335,10 @@ def random_bipartite(n_a: int, n_b: int, p: float, seed: int) -> Graph:
     SplitMix64 float is below ``p``, so equal seeds give identical graphs
     everywhere.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"edge probability {p} outside [0, 1]")
-    rng = SplitMix64(seed)
-    edges = []
-    for a in range(n_a):
-        for b in range(n_a, n_a + n_b):
-            if rng.next_float() < p:
-                edges.append((a, b))
-    return new_graph(n_a + n_b, edges)
+    n = n_a + n_b
+    return _random(n, ((a, b) for a in range(n_a) for b in range(n_a, n)), p, seed)
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
     """Seeded G(n, p); pair order and PRNG as in :func:`random_bipartite`."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"edge probability {p} outside [0, 1]")
-    rng = SplitMix64(seed)
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.next_float() < p:
-                edges.append((u, v))
-    return new_graph(n, edges)
+    return _random(n, ((u, v) for u in range(n) for v in range(u + 1, n)), p, seed)

@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import Graph, ParseError, _canonical_edge
+from .graph import Graph, ParseError, _canonical_edge, data_lines
 
 __all__ = [
     "Matching",
@@ -82,11 +82,7 @@ def parse_matching(text: str, g: Graph) -> Matching:
     is not."""
     edges: set[tuple[int, int]] = set()
     matched: set[int] = set()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        fields = line.split()
+    for line_no, line, fields in data_lines(text):
         if len(fields) != 3 or fields[0] != "m":
             raise ParseError(line_no, f"malformed matching line {line!r}")
         try:

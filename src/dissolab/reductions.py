@@ -29,7 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .graph import MAX_EDGES, MAX_VERTICES, Graph, new_graph, ParseError, parse_header
+from .graph import (MAX_EDGES, MAX_VERTICES, Graph, ParseError, data_lines, last_line, new_graph,
+                    parse_header, render_edge_list)
 from .matching import Matching, matching_from_edges
 from .exact import (
     EXACT_CUTOFF,
@@ -89,13 +90,7 @@ def parse_cnf(text: str) -> CnfFormula:
     declared = 0
     clauses: list[tuple[Literal, ...]] = []
     current: list[Literal] = []
-    last_line = 0
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        last_line = line_no
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        fields = line.split()
+    for line_no, line, fields in data_lines(text):
         if fields[0] == "p":
             if var_count >= 0:
                 raise ParseError(line_no, "duplicate header")
@@ -121,11 +116,11 @@ def parse_cnf(text: str) -> CnfFormula:
                     raise ParseError(line_no, f"variable {abs(lit)} out of range")
                 current.append((var, lit > 0))
     if var_count < 0:
-        raise ParseError(last_line or 1, "missing header")
+        raise ParseError(last_line(text), "missing header")
     if current:
-        raise ParseError(last_line or 1, "unterminated clause (missing 0)")
+        raise ParseError(last_line(text), "unterminated clause (missing 0)")
     if len(clauses) != declared:
-        raise ParseError(last_line or 1, f"header declares {declared} clauses, found {len(clauses)}")
+        raise ParseError(last_line(text), f"header declares {declared} clauses, found {len(clauses)}")
     return CnfFormula(var_count, tuple(clauses))
 
 
@@ -313,14 +308,11 @@ def render_gadget(gi: GadgetInstance) -> str:
     Vertices are 1-based as in the plain format; parse_edge_list reads the
     graph back directly since metadata lives on comment lines.
     """
-    g = gi.graph
-    lines = [f"p edge {g.n} {g.m}", f"c kind {gi.kind}"]
-    for v in sorted(gi.vertex_roles):
-        lines.append(f"c role {v + 1} {gi.vertex_roles[v]}")
-    for name in sorted(gi.predicted):
-        lines.append(f"c predict {name} {gi.predicted[name]}")
-    lines.extend(f"e {u + 1} {v + 1}" for u, v in g.edge_list)
-    return "\n".join(lines) + "\n"
+    header, edges = render_edge_list(gi.graph).split("\n", 1)
+    lines = [header, f"c kind {gi.kind}"]
+    lines += [f"c role {v + 1} {gi.vertex_roles[v]}" for v in sorted(gi.vertex_roles)]
+    lines += [f"c predict {name} {gi.predicted[name]}" for name in sorted(gi.predicted)]
+    return "\n".join(lines) + "\n" + edges
 
 
 def parse_gadget_metadata(

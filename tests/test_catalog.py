@@ -59,7 +59,7 @@ def is_bipartite(g):
 
 
 def permuted(g, perm):
-    return new_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    return new_graph(g.n, [(perm[u], perm[v]) for u, v in g.edge_list])
 
 
 def every_graph(n):
@@ -83,7 +83,7 @@ def moved_last(g, u):
 def is_cut_vertex(g, u):
     rest = [w for w in range(g.n) if w != u]
     index = {w: i for i, w in enumerate(rest)}
-    minus = new_graph(g.n - 1, [(index[a], index[b]) for a, b in g.edges if u not in (a, b)])
+    minus = new_graph(g.n - 1, [(index[a], index[b]) for a, b in g.edge_list if u not in (a, b)])
     return not is_connected(minus)
 
 
@@ -291,8 +291,8 @@ def test_catalog_members_have_their_property():
 
 
 def test_catalogs_are_deterministic():
-    a = [g.edges for g in connected_graphs(6)]
-    b = [g.edges for g in connected_graphs(6)]
+    a = [g.edge_list for g in connected_graphs(6)]
+    b = [g.edge_list for g in connected_graphs(6)]
     assert a == b
 
 

@@ -355,7 +355,7 @@ def test_independent_sets_of_g_minus_matching_stay_below_diss():
         for _ in range(3):
             used = set()
             matching = []
-            for u, v in sorted(g.edges, key=lambda _: rng.next_u64()):
+            for u, v in sorted(g.edge_list, key=lambda _: rng.next_u64()):
                 if u not in used and v not in used:
                     matching.append((u, v))
                     used.update((u, v))

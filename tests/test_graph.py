@@ -8,6 +8,7 @@ from dissolab.graph import (
     NotBipartiteError,
     ParseError,
     SplitMix64,
+    bipartition,
     new_graph,
     parse_edge_list,
     random_bipartite,
@@ -115,7 +116,7 @@ class TestBipartition:
                 assert g.has_edge(v, cycle[(i + 1) % len(cycle)])
         else:
             assert len(side) == g.n and set(side) <= {0, 1}
-            for u, v in g.edges:
+            for u, v in g.edge_list:
                 assert side[u] != side[v]
 
 
@@ -127,7 +128,7 @@ def witness_corpus():
         g = random_graph(n, min(1.0, (1 + i % 6) / (2 * n)), i)
         perm = list(range(n))
         random.Random(i).shuffle(perm)
-        h = new_graph(n, [(perm[u], perm[v]) for u, v in g.edges])
+        h = new_graph(n, [(perm[u], perm[v]) for u, v in g.edge_list])
         try:
             h.side
         except NotBipartiteError as err:
@@ -162,6 +163,24 @@ class TestRemoveEdges:
     def test_non_edge_rejected(self):
         with pytest.raises(ValueError, match="not an edge"):
             remove_edges(c6(), [(0, 2)])
+
+    def test_shares_the_tuples_of_free_vertices(self):
+        from dissolab.matching import maximum_matching
+
+        for i in range(40):
+            g = random_bipartite(3 + i % 7, 2 + i % 5, 0.4, i)
+            m = maximum_matching(g)
+            h = remove_edges(g, m.edges)
+            matched = {v for e in m.edges for v in e}
+            assert h.m == g.m - len(m.edges)
+            for v in range(g.n):
+                if v not in matched:
+                    assert h.adjacency[v] is g.adjacency[v]
+            # g - M is coloured by its own components, not by g's
+            assert h.side == bipartition(h)
+        g = c6()
+        h = remove_edges(g, [(0, 1), (2, 3), (4, 5)])
+        assert h.side == (0, 0, 1, 0, 1, 1) != g.side
 
     def test_smallest_non_edge_named(self):
         with pytest.raises(ValueError) as err:
@@ -273,7 +292,7 @@ class TestGenerators:
 
     def test_edges_cross_sides_only(self):
         g = random_bipartite(4, 5, 0.8, 3)
-        for u, v in g.edges:
+        for u, v in g.edge_list:
             assert u < 4 <= v
 
     def test_splitmix64_reference_vector(self):

@@ -58,14 +58,14 @@ class TestMaximumMatching:
         g = new_graph(n, [(label[u], label[v]) for u, v in edges])
         m = maximum_matching(g)
         assert len(m.edges) == size and not has_augmenting_path(g, m)
-        assert maximum_matching(new_graph(n, g.edges)) == m
+        assert maximum_matching(new_graph(n, g.edge_list)) == m
 
     @pytest.mark.parametrize("seed", range(6))
     def test_planted_pairs_with_extra_edges(self, seed):
         g, planted, _ = planted_pair(3000, 300 * seed, seed)
         m = maximum_matching(g)
         assert len(m.edges) == len(planted) and not has_augmenting_path(g, m)
-        assert maximum_matching(new_graph(g.n, g.edges)) == m
+        assert maximum_matching(new_graph(g.n, g.edge_list)) == m
 
     def test_c6_size(self):
         g = c6()
@@ -112,7 +112,7 @@ class TestKoenigCover:
         g = c6()
         cover = koenig_cover(g, maximum_matching(g))
         assert len(cover) == 3
-        assert all(u in cover or v in cover for u, v in g.edges)
+        assert all(u in cover or v in cover for u, v in g.edge_list)
 
     def test_empty(self):
         g = new_graph(3, [])
@@ -137,7 +137,7 @@ class TestKoenigCover:
         for seed in range(400):
             rng = random.Random(seed)
             g = random_bipartite(rng.randrange(1, 6), rng.randrange(1, 6), rng.random(), seed)
-            edges = sorted(g.edges)
+            edges = list(g.edge_list)
             rng.shuffle(edges)
             kept: list[tuple[int, int]] = []
             matched: set[int] = set()
@@ -156,7 +156,7 @@ class TestKoenigCover:
                 maximum_seen += 1
                 cover = koenig_cover(g, m)
                 assert len(cover) == len(m.edges)
-                assert all(u in cover or v in cover for u, v in g.edges)
+                assert all(u in cover or v in cover for u, v in g.edge_list)
         assert short_seen > 50 and maximum_seen > 50
 
     @pytest.mark.parametrize("check", [has_augmenting_path, koenig_cover])
@@ -174,7 +174,7 @@ class TestKoenigCover:
         m = maximum_matching(g)
         cover = koenig_cover(g, m)
         assert len(cover) == len(m.edges)
-        assert all(u in cover or v in cover for u, v in g.edges)
+        assert all(u in cover or v in cover for u, v in g.edge_list)
 
 
 class TestIndependentSet:

@@ -40,7 +40,7 @@ def test_info_fields():
     m = maximum_matching(g)
     assert len(m.edges) == 3
     assert parse_edge_list("p edge 2 1\ne 1 2\n").n == 2
-    m2 = maximum_matching(new_graph(6, g.edges - m.edges))
+    m2 = maximum_matching(new_graph(6, set(g.edge_list) - m.edges))
     formula, _ = build_2sat(g, decompose_alternating(g, m, m2), {})
     assert len(formula.clauses) == 3
     small = new_graph(2, [(0, 1)])
