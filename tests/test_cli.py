@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import itertools
 import os
@@ -12,6 +13,8 @@ from dissolab import checks, cli, corpus, exact, graph, reductions
 from dissolab.cli import main
 from dissolab.graph import new_graph, parse_edge_list, remove_edges, render_edge_list
 from dissolab.reductions import parse_gadget_metadata
+
+from strategies import planted_pair
 
 
 def write_graph(path, g):
@@ -225,6 +228,49 @@ def test_each_graph_colored_once(argv, tmp_path, capsys, monkeypatch):
     pairs = kv(capsys.readouterr().out)["matching"].split()
     m = [(int(u) - 1, int(v) - 1) for u, v in (p.split("-") for p in pairs)]
     assert colored == [g, remove_edges(g, m)]
+
+
+# sha256 over the stdout of every run of test_poly_stdout_digest, in order
+POLY_STDOUT_DIGEST = "84742a4337b9603abc9daff5f206e1014e26b03cd77a2da68823e4fdbe70bd5d"
+
+
+def poly_inputs():
+    """(name, graph, matching edges) of the stdout digest: planted pairs of
+    3000 vertices with 0 and 300 extra edges under two seeds, with their
+    planted M, and a sparse random bipartite graph with a greedy matching."""
+    for seed in (1, 2):
+        for extra in (0, 300):
+            g, m, _ = planted_pair(3000, extra, seed)
+            yield f"planted-{seed}-{extra}", g, m
+    g = graph.random_bipartite(600, 600, 0.005, 3)
+    partner = [-1] * g.n
+    for u, nbrs in enumerate(g.adjacency):
+        v = next((v for v in nbrs if partner[u] == partner[v] == -1), None)
+        if v is not None:
+            partner[u], partner[v] = v, u
+    yield "random", g, [(u, v) for u, v in enumerate(partner) if u < v]
+
+
+def test_poly_stdout_digest(tmp_path, capsys, monkeypatch):
+    # graphs far above golden_cli.json's 10 vertices; relative paths keep
+    # the instance= lines independent of the directory
+    monkeypatch.chdir(tmp_path)
+    digest = hashlib.sha256()
+    outcomes = set()
+    for name, g, m in poly_inputs():
+        pathlib.Path(f"{name}.dimacs").write_text(render_edge_list(g))
+        pathlib.Path(f"{name}.matching").write_text("".join(f"m {u + 1} {v + 1}\n" for u, v in m))
+        for argv in (["approx", f"{name}.dimacs"],
+                     ["recognize", f"{name}.dimacs", "--matching", f"{name}.matching"],
+                     ["recognize", f"{name}.dimacs", "--matching", "auto"]):
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            digest.update(out.encode())
+            if argv[0] == "recognize":
+                got = kv(out)
+                outcomes.add(got.get("reason", got["outcome"]))
+    assert outcomes == {"extremal", "NotMaximumMatching", "MatchingSizeMismatch"}
+    assert digest.hexdigest() == POLY_STDOUT_DIGEST
 
 
 @pytest.mark.parametrize(

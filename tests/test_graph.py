@@ -190,6 +190,17 @@ class TestRemoveEdges:
             remove_edges(c6(), [(0, 2), (0, 3)])
         assert str(err.value) == "not an edge: (0, 2)"
 
+    @pytest.mark.parametrize("edge", [(-1, 0), (0, -1), (0, 6), (6, 0)])
+    def test_out_of_range_end_named(self, edge):
+        # C6 has the edges (5, 0) and (0, 5): no end may index from the back
+        with pytest.raises(ValueError) as err:
+            remove_edges(c6(), [(0, 1), edge])
+        assert str(err.value) == f"not an edge: {tuple(sorted(edge))}"
+
+    def test_repeated_edge_dropped_once(self):
+        g = remove_edges(c6(), [(0, 1), (2, 3), (1, 0), (0, 1)])
+        assert g == new_graph(6, [(1, 2), (3, 4), (4, 5), (5, 0)])
+
 
 class TestEdgeListFormat:
     def test_parse_k2(self):
@@ -198,6 +209,17 @@ class TestEdgeListFormat:
     def test_comments_and_blanks(self):
         text = "c a comment\n\np edge 3 1\nc another\ne 1 3\n"
         assert parse_edge_list(text) == new_graph(3, [(0, 2)])
+
+    def test_whitespace_and_glued_comment(self):
+        # tabs, leading blanks, CRLF ends, and a comment with no blank after its c
+        text = "cfoo 1 2\r\n  p edge 3 2\r\n\te\t1\t2\r\n e 3  2 \r\n"
+        assert parse_edge_list(text) == new_graph(3, [(0, 1), (1, 2)])
+
+    def test_repeated_edge_lines_merge_but_count(self):
+        text = "p edge 3 3\ne 1 2\ne 1 2\ne 2 1\n"
+        assert parse_edge_list(text) == new_graph(3, [(0, 1)])
+        with pytest.raises(ParseError, match="line 3: header declares 1 edges, found 2"):
+            parse_edge_list("p edge 3 1\ne 1 2\ne 2 1\n")
 
     def test_edge_before_header(self):
         with pytest.raises(ParseError, match="line 1.*before header"):
@@ -225,6 +247,9 @@ class TestEdgeListFormat:
         [
             ("p edge 2 0\np edge 2 0\n", "line 2: duplicate header"),
             ("p edge 2 1\ne 1\n", "line 2: malformed edge line 'e 1'"),
+            ("p edge 2 1\ne 1 2 3\n", "line 2: malformed edge line 'e 1 2 3'"),
+            ("c x\ne 1\np edge 2 1\n", "line 2: edge before header"),
+            ("p edge 2 1\ne 1 2\np edge 2 1\n", "line 3: duplicate header"),
             ("p edge 2 1\ne 1 x\n", "line 2: malformed edge line 'e 1 x'"),
             ("p edge 2 1\ne 2 2\n", "line 2: loop edge in 'e 2 2'"),
             ("p edge 2 1\nx 1 2\n", "line 2: unrecognized line 'x 1 2'"),

@@ -222,6 +222,11 @@ class TestPredicates:
     def test_missing_edge_not_matching(self):
         assert not is_matching(c6(), [(0, 2)])
 
+    @pytest.mark.parametrize("edge", [(5, -1), (-1, 5), (0, 6), (6, 0)])
+    def test_out_of_range_end_not_matching(self, edge):
+        # (5, 0) is an edge of C6: a negative end must not index from the back
+        assert not is_matching(c6(), [edge])
+
     def test_factory_validates(self):
         with pytest.raises(ValueError):
             matching_from_edges(c6(), [(0, 1), (1, 2)])
