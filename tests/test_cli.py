@@ -308,6 +308,19 @@ class TestGadget:
         assert main(["gadget", "fig4", "--cnf", self.cnf_file(tmp_path), "--out", str(out)]) == 0
         assert kv(capsys.readouterr().out)["order"] == "18"
 
+    def test_fig3_with_too_many_edges_rejected_before_building(self, tmp_path, monkeypatch,
+                                                              capsys):
+        # x1 positive in 1001 clauses and negative in 1001: 6 * 2002 + 1001^2 edges
+        calls = []
+        monkeypatch.setattr(reductions, "new_graph", lambda *args: calls.append(args))
+        cnf = tmp_path / "crowded.cnf"
+        cnf.write_text("p cnf 3 2002\n" + "1 2 3 0\n-1 2 3 0\n" * 1001)
+        out = tmp_path / "g3.dimacs"
+        assert main(["gadget", "fig3", "--cnf", str(cnf), "--out", str(out)]) == 2
+        assert calls == [] and not out.exists()
+        assert f"gadget would have 1014013 edges, above {graph.MAX_EDGES}" in (
+            capsys.readouterr().err)
+
     def test_is_gadget(self, tmp_path, capsys):
         gpath = write_graph(tmp_path / "k2.dimacs", new_graph(2, [(0, 1)]))
         out = tmp_path / "is.dimacs"

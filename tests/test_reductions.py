@@ -11,6 +11,7 @@ from dissolab.exact import (
 from dissolab import reductions
 from dissolab.graph import MAX_EDGES, ParseError, new_graph, parse_edge_list
 from dissolab.reductions import (
+    CnfFormula,
     cnf_formula,
     gadget_diss_2alpha,
     gadget_diss_alpha,
@@ -45,6 +46,12 @@ def unsatisfiable_formula():
         for c in (True, False)
     ]
     return cnf_formula(3, clauses)
+
+
+def crowded_formula():
+    # 2002 clauses over three variables, x1 positive in half of them and
+    # negative in the other half: 1001^2 complementary edges
+    return cnf_formula(3, [[(0, i % 2 == 0), (1, True), (2, True)] for i in range(2002)])
 
 
 class TestCnfValidation:
@@ -212,6 +219,33 @@ class TestCnfGadgetSatisfiable:
         for f in (cnf_formula(MAX_TRUTH_TABLE_VARS, eight),
                   cnf_formula(MAX_TRUTH_TABLE_VARS, eight[1:])):
             assert builder(f).predicted["satisfiable"] == cnf_satisfiable(f.var_count, f.clauses)
+
+
+class TestCnfGadgetSize:
+    @pytest.mark.parametrize("builder,edges", [(gadget_diss_2alpha, 1014013),
+                                               (gadget_diss_alpha, 1026025)])
+    def test_too_many_edges_rejected_before_building(self, builder, edges, monkeypatch):
+        calls = []
+        monkeypatch.setattr(reductions, "new_graph", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=f"gadget would have {edges} edges, above {MAX_EDGES}"):
+            builder(crowded_formula())
+        assert calls == []
+
+    @pytest.mark.parametrize("builder", [gadget_diss_2alpha, gadget_diss_alpha])
+    def test_counted_size_is_the_built_size(self, builder, monkeypatch):
+        # a gadget of exactly MAX_EDGES edges is built and one edge more is
+        # refused; the last formula has complementary literals in one clause
+        inner = CnfFormula(2, (((0, True), (0, False), (1, True)),
+                               ((0, False), (1, False), (1, True))))
+        formulas = random_cnf_corpus(20, 5, 4, 7) + [
+            example_formula(), unsatisfiable_formula(),
+            cnf_formula(3, crowded_formula().clauses[:40]), inner]
+        for f, size in [(f, builder(f).graph.m) for f in formulas]:
+            monkeypatch.setattr(reductions, "MAX_EDGES", size)
+            assert builder(f).graph.m == size
+            monkeypatch.setattr(reductions, "MAX_EDGES", size - 1)
+            with pytest.raises(ValueError, match=f"gadget would have {size} edges"):
+                builder(f)
 
 
 class TestIndependentSetGadget:
