@@ -26,7 +26,9 @@ Gadget kinds (also the CLI tokens):
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .graph import (MAX_EDGES, MAX_VERTICES, Graph, ParseError, data_lines, last_line, new_graph,
@@ -150,6 +152,23 @@ def _complementary_edges(occurrences: list[tuple[int, Literal]], block: int) -> 
     ]
 
 
+def _check_size(f: CnfFormula, block_edges: int) -> None:
+    """Raise ValueError, before anything is built, when a gadget of
+    ``block_edges`` edges per clause block would exceed MAX_EDGES: the
+    complementary edges number the sum over variables of pos(x) * neg(x),
+    less the complementary pairs inside one clause."""
+    pos: Counter[int] = Counter()
+    neg: Counter[int] = Counter()
+    inside = 0
+    for clause in f.clauses:
+        for var, positive in clause:
+            (pos if positive else neg)[var] += 1
+        inside += sum(a == b and pa != pb for (a, pa), (b, pb) in combinations(clause, 2))
+    size = block_edges * len(f.clauses) + sum(pos[x] * neg[x] for x in pos) - inside
+    if size > MAX_EDGES:
+        raise ValueError(f"gadget would have {size} edges, above {MAX_EDGES}")
+
+
 def _satisfiable(f: CnfFormula) -> dict[str, bool]:
     """The ``satisfiable`` fact that the iff-satisfiable markers rest on, from
     the truth table; none over MAX_TRUTH_TABLE_VARS variables, where it grows too big."""
@@ -159,7 +178,9 @@ def _satisfiable(f: CnfFormula) -> dict[str, bool]:
 
 
 def gadget_diss_2alpha(f: CnfFormula) -> GadgetInstance:
-    """Clause-clique gadget: order 4m, alpha = m, diss = alpha + nu_s always."""
+    """Clause-clique gadget: order 4m, alpha = m, diss = alpha + nu_s always.
+    Raises ValueError, before building anything, on a gadget over MAX_EDGES."""
+    _check_size(f, 6)
     m = len(f.clauses)
     n = 4 * m
     edges: list[tuple[int, int]] = []
@@ -187,7 +208,9 @@ def gadget_diss_2alpha(f: CnfFormula) -> GadgetInstance:
 
 
 def gadget_diss_alpha(f: CnfFormula) -> GadgetInstance:
-    """Doubled-clause gadget: order 6m, diss = 2m; diss = alpha iff satisfiable."""
+    """Doubled-clause gadget: order 6m, diss = 2m; diss = alpha iff satisfiable.
+    Raises ValueError, before building anything, on a gadget over MAX_EDGES."""
+    _check_size(f, 12)
     m = len(f.clauses)
     n = 6 * m
     edges: list[tuple[int, int]] = []
