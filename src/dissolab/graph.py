@@ -8,7 +8,7 @@ are bit-identical across platforms and runs.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -101,17 +101,18 @@ class Graph:
         return 0 <= u < len(self.adjacency) and v in self.adjacency[u]
 
 
-def _from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """The graph on ``0..n-1`` with ``edges``, valid and each given once in one
-    orientation; only their ends get a list, isolated vertices share ``()``."""
-    nbrs: defaultdict[int, list[int]] = defaultdict(list)
-    for u, v in edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
+def _from_neighbours(n: int, nbrs: Mapping[int, list[int]]) -> Graph:
+    """The graph on ``0..n-1`` that joins each key of ``nbrs`` to the vertices
+    in its list, with every edge in both ends' lists and repeats allowed. Only
+    keys get a tuple; isolated vertices share ``()``."""
     adjacency: list[tuple[int, ...]] = [()] * n
     for v, ws in nbrs.items():
         ws.sort()
         adjacency[v] = tuple(ws)
+    if sum(map(len, map(set, nbrs.values()))) != sum(map(len, nbrs.values())):
+        # some edge was given twice: keep each neighbour once
+        for v, ws in nbrs.items():
+            adjacency[v] = tuple(dict.fromkeys(ws))
     return Graph(tuple(adjacency))
 
 
@@ -119,14 +120,15 @@ def new_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph, validating every edge; repeated or reversed edges merge."""
     if n < 0:
         raise ValueError("vertex count must be non-negative")
-    canon: set[tuple[int, int]] = set()
+    nbrs: defaultdict[int, list[int]] = defaultdict(list)
     for u, v in edges:
         if u == v:
             raise ValueError(f"loop edge ({u}, {v})")
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"endpoint out of range in edge ({u}, {v})")
-        canon.add((u, v) if u < v else (v, u))
-    return _from_edges(n, canon)
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return _from_neighbours(n, nbrs)
 
 
 def _normalize_cycle(cycle: list[int]) -> tuple[int, ...]:
@@ -146,21 +148,23 @@ def bipartition(g: Graph) -> tuple[int, ...]:
     :class:`NotBipartiteError` with an odd-cycle witness otherwise.
     Callers read the memoised ``Graph.side`` instead of calling this.
     """
+    adj = g.adjacency
     color = [-1] * g.n
     parent = [-1] * g.n
     for root in range(g.n):
         if color[root] != -1:
             continue
         color[root] = 0
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v in g.adjacency[u]:
-                if color[v] == -1:
-                    color[v] = 1 - color[u]
+        queue = [root]
+        for u in queue:  # the BFS queue: read in order while it grows
+            side = color[u]
+            for v in adj[u]:
+                c = color[v]
+                if c == -1:
+                    color[v] = 1 - side
                     parent[v] = u
                     queue.append(v)
-                elif color[v] == color[u]:
+                elif c == side:
                     # BFS depths of an edge's ends differ by at most one, and
                     # equal colours mean equal parity: u and v are equally deep
                     pu, pv = [u], [v]
@@ -173,19 +177,25 @@ def bipartition(g: Graph) -> tuple[int, ...]:
 
 
 def remove_edges(g: Graph, drop: Iterable[tuple[int, int]]) -> Graph:
-    """Return ``g`` minus the given edges; rejects non-edges. Only the
-    dropped edges' ends get new neighbour tuples; the rest are ``g``'s own."""
-    drop = list(drop)
-    missing = [_canonical_edge(u, v) for u, v in drop if not g.has_edge(u, v)]
+    """Return ``g`` minus the given edges; rejects non-edges, and drops an
+    edge given twice once. Only the dropped edges' ends get new neighbour
+    tuples; the rest are ``g``'s own."""
+    adj = g.adjacency
+    n = len(adj)
+    adjacency = list(adj)
+    missing: list[tuple[int, int]] = []
+    for u, v in drop:
+        nbrs = adjacency[u] if 0 <= u < n else ()
+        if v in nbrs:
+            i = nbrs.index(v)
+            adjacency[u] = nbrs[:i] + nbrs[i + 1:]
+            nbrs = adjacency[v]
+            i = nbrs.index(u)
+            adjacency[v] = nbrs[:i] + nbrs[i + 1:]
+        elif not (0 <= u < n and v in adj[u]):  # else dropped already
+            missing.append(_canonical_edge(u, v))
     if missing:
         raise ValueError(f"not an edge: {min(missing)}")
-    gone: defaultdict[int, list[int]] = defaultdict(list)
-    for u, v in drop:
-        gone[u].append(v)
-        gone[v].append(u)
-    adjacency = list(g.adjacency)
-    for u, ws in gone.items():
-        adjacency[u] = tuple([w for w in adjacency[u] if w not in ws])
     return Graph(tuple(adjacency))
 
 
@@ -220,41 +230,48 @@ def parse_edge_list(text: str) -> Graph:
 
     Grammar: comment lines start with ``c``; exactly one header
     ``p edge <n> <m>``; then ``m`` lines ``e <u> <v>`` with 1-based
-    endpoints. Blank lines are ignored.
+    endpoints. Blank lines are ignored; repeated or reversed edges merge.
     """
+    lines = text.splitlines()
+
+    def line(line_no: int) -> str:
+        return lines[line_no - 1].strip()
+
     n = -1
     declared_m = 0
-    edges: set[tuple[int, int]] = set()
-    e_lines = 0
-    for line_no, line, fields in data_lines(text):
-        if fields[0] == "p":
-            if n >= 0:
-                raise ParseError(line_no, "duplicate header")
-            n, declared_m = parse_header(line_no, line, "edge")
-            if n > MAX_VERTICES:
-                raise ParseError(line_no, f"header declares {n} vertices, above {MAX_VERTICES}")
-        elif fields[0] == "e":
+    nbrs: defaultdict[int, list[int]] = defaultdict(list)
+    for line_no, fields in enumerate(map(str.split, lines), start=1):
+        if not fields:
+            continue
+        tag = fields[0]
+        if tag == "e":
             if n < 0:
                 raise ParseError(line_no, "edge before header")
-            if len(fields) != 3:
-                raise ParseError(line_no, f"malformed edge line {line!r}")
             try:
-                u, v = int(fields[1]), int(fields[2])
+                _, a, b = fields
+                u, v = int(a) - 1, int(b) - 1
             except ValueError:
-                raise ParseError(line_no, f"malformed edge line {line!r}") from None
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ParseError(line_no, f"endpoint out of range in {line!r}")
+                raise ParseError(line_no, f"malformed edge line {line(line_no)!r}") from None
+            if not (0 <= u < n and 0 <= v < n):
+                raise ParseError(line_no, f"endpoint out of range in {line(line_no)!r}")
             if u == v:
-                raise ParseError(line_no, f"loop edge in {line!r}")
-            e_lines += 1
-            edges.add((u - 1, v - 1) if u < v else (v - 1, u - 1))
-        else:
-            raise ParseError(line_no, f"unrecognized line {line!r}")
+                raise ParseError(line_no, f"loop edge in {line(line_no)!r}")
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        elif tag == "p":
+            if n >= 0:
+                raise ParseError(line_no, "duplicate header")
+            n, declared_m = parse_header(line_no, line(line_no), "edge")
+            if n > MAX_VERTICES:
+                raise ParseError(line_no, f"header declares {n} vertices, above {MAX_VERTICES}")
+        elif tag[0] != "c":
+            raise ParseError(line_no, f"unrecognized line {line(line_no)!r}")
     if n < 0:
         raise ParseError(last_line(text), "missing header")
+    e_lines = sum(map(len, nbrs.values())) // 2
     if e_lines != declared_m:
         raise ParseError(last_line(text), f"header declares {declared_m} edges, found {e_lines}")
-    return _from_edges(n, edges)
+    return _from_neighbours(n, nbrs)
 
 
 def render_edge_list(g: Graph) -> str:

@@ -46,9 +46,11 @@ class Matching:
 
 def is_matching(g: Graph, edges: Iterable[tuple[int, int]]) -> bool:
     """True iff the edges exist in g and are pairwise vertex-disjoint."""
+    adj = g.adjacency
+    n = len(adj)
     seen: set[int] = set()
     for u, v in edges:
-        if not g.has_edge(u, v):
+        if not (0 <= u < n and v in adj[u]):
             return False
         if u in seen or v in seen:
             return False
@@ -70,7 +72,7 @@ def is_induced_matching(g: Graph, edges: Iterable[tuple[int, int]]) -> bool:
 
 def matching_from_edges(g: Graph, edges: Iterable[tuple[int, int]]) -> Matching:
     """Validate edges as a matching of g: ValueError if they are not one."""
-    m = Matching(frozenset(_canonical_edge(u, v) for u, v in edges))
+    m = Matching(frozenset([(u, v) if u < v else (v, u) for u, v in edges]))
     partner_map(g, m)
     return m
 
@@ -80,6 +82,8 @@ def parse_matching(text: str, g: Graph) -> Matching:
     comment lines start with ``c``. A line with an endpoint out of range, a
     non-edge or an already matched vertex is a ParseError; a repeated edge
     is not."""
+    adj = g.adjacency
+    n = len(adj)
     edges: set[tuple[int, int]] = set()
     matched: set[int] = set()
     for line_no, line, fields in data_lines(text):
@@ -89,9 +93,9 @@ def parse_matching(text: str, g: Graph) -> Matching:
             u, v = int(fields[1]) - 1, int(fields[2]) - 1
         except ValueError:
             raise ParseError(line_no, f"malformed matching line {line!r}") from None
-        if not (0 <= u < g.n and 0 <= v < g.n):
+        if not (0 <= u < n and 0 <= v < n):
             raise ParseError(line_no, f"endpoint out of range in {line!r}")
-        if not g.has_edge(u, v):
+        if v not in adj[u]:
             raise ParseError(line_no, f"not an edge of the graph in {line!r}")
         edge = _canonical_edge(u, v)
         if edge in edges:
@@ -107,9 +111,11 @@ def parse_matching(text: str, g: Graph) -> Matching:
 def partner_map(g: Graph, m: Matching) -> list[int]:
     """Each vertex's partner in m, -1 for a free vertex. Raises ValueError
     when m is not a matching of g."""
-    partner = [-1] * g.n
+    adj = g.adjacency
+    n = len(adj)
+    partner = [-1] * n
     for u, v in m.edges:
-        if not g.has_edge(u, v) or partner[u] != -1 or partner[v] != -1:
+        if not (0 <= u < n and v in adj[u]) or partner[u] != -1 or partner[v] != -1:
             raise ValueError("edge set is not a matching of the graph")
         partner[u], partner[v] = v, u
     return partner
@@ -216,10 +222,7 @@ def maximum_matching(g: Graph) -> Matching:
         for u in a_side:
             if partner[u] == -1:
                 dfs(u)
-    edges = frozenset(
-        _canonical_edge(u, partner[u]) for u in a_side if partner[u] != -1
-    )
-    return matching_from_edges(g, edges)
+    return matching_from_edges(g, ((u, partner[u]) for u in a_side if partner[u] != -1))
 
 
 def has_augmenting_path(g: Graph, m: Matching) -> bool:
