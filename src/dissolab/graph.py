@@ -192,7 +192,7 @@ def remove_edges(g: Graph, drop: Iterable[tuple[int, int]]) -> Graph:
             nbrs = adjacency[v]
             i = nbrs.index(u)
             adjacency[v] = nbrs[:i] + nbrs[i + 1:]
-        elif not (0 <= u < n and v in adj[u]):  # else dropped already
+        elif not (0 <= u < n and v in adj[u]):  # else given twice and dropped
             missing.append(_canonical_edge(u, v))
     if missing:
         raise ValueError(f"not an edge: {min(missing)}")
