@@ -15,6 +15,7 @@ from dissolab.matching import (
     matching_from_edges,
     maximum_independent_set_bipartite,
     maximum_matching,
+    parse_matching,
     partner_map,
 )
 
@@ -27,6 +28,12 @@ def c6():
 
 def k33():
     return new_graph(6, [(a, b) for a in range(3) for b in range(3, 6)])
+
+
+def c6_chord_matching():
+    # (0, 3) is an edge of C6 plus that chord, but not of C6
+    g = new_graph(6, c6().edge_list + ((0, 3),))
+    return matching_from_edges(g, [(0, 3)])
 
 
 class TestMaximumMatching:
@@ -168,6 +175,11 @@ class TestKoenigCover:
         with pytest.raises(ValueError, match="not a matching"):
             check(c6(), fake)
 
+    @pytest.mark.parametrize("check", [has_augmenting_path, koenig_cover])
+    def test_matching_of_another_graph_rejected(self, check):
+        with pytest.raises(ValueError, match="not a matching"):
+            check(c6(), c6_chord_matching())
+
     @given(bipartite_graphs(max_side=5))
     @settings(max_examples=100)
     def test_cover_properties(self, g):
@@ -235,6 +247,12 @@ class TestPredicates:
         # a negative end must not index the partner list from its end
         with pytest.raises(ValueError):
             partner_map(c6(), Matching(frozenset({(-1, 0)})))
+
+    def test_parse_matching_merges_repeated_lines(self):
+        g = c6()
+        repeated = parse_matching("m 1 2\nm 3 4\nc again\nm 2 1\nm 1 2\n", g)
+        assert repeated.edges == parse_matching("m 1 2\nm 3 4\n", g).edges
+        assert repeated.edges == frozenset({(0, 1), (2, 3)})
 
     @given(graphs(max_n=8), st.lists(st.integers(min_value=0, max_value=7), max_size=10))
     @settings(max_examples=300)

@@ -130,6 +130,16 @@ class TestDecompose:
         with pytest.raises(ValueError, match="not a matching"):
             decompose_alternating(g, m, fake)
 
+    @pytest.mark.parametrize("chord_first", [True, False])
+    def test_matching_of_another_graph_rejected(self, chord_first):
+        # (0, 3) is an edge of C6 plus that chord, but not of C6
+        g = c6()
+        chord = matching_from_edges(new_graph(6, g.edge_list + ((0, 3),)), [(0, 3)])
+        other = matching_from_edges(g, [(1, 2)])
+        pair = (chord, other) if chord_first else (other, chord)
+        with pytest.raises(ValueError, match="not a matching"):
+            decompose_alternating(g, *pair)
+
     def test_components_partition_vertices(self):
         g = new_graph(11, path_graph(6) + path_graph(5, 6))
         m = matching_from_edges(g, [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)])
@@ -422,6 +432,12 @@ class TestRecognizeExtremal:
         fake = Matching(frozenset({(0, 2)}))
         with pytest.raises(ValueError):
             recognize_extremal(g, fake)
+
+    def test_matching_of_another_graph_rejected(self):
+        g = c6()
+        chord = matching_from_edges(new_graph(6, g.edge_list + ((0, 3),)), [(0, 3)])
+        with pytest.raises(ValueError, match="not a matching"):
+            recognize_extremal(g, chord)
 
     def test_unit_clause_instance_extremal(self):
         edges = (
