@@ -242,7 +242,9 @@ _TARGETS = {
                       # padding keeps n >= 2, so every gadget for K has >= 2K + 2 vertices
                       lambda n, k: 2 * k + 2),
     "join-random": _Spec(("COUNT", "N"), lambda *args: join_input_corpus(*args),
-                         lambda g, cutoff: checks.check_join_gadget(g, cutoff=cutoff)),
+                         lambda g, cutoff: checks.check_join_gadget(g, cutoff=cutoff),
+                         # a source graph has n >= 3, so its join has >= 6 vertices
+                         lambda count, n: 6),
 }
 # task kind -> check: a spec's kind, or "file" for a file in a directory target
 _CHECKS = {kind: spec.check for kind, spec in _TARGETS.items()}

@@ -1,7 +1,8 @@
 """Maximum bipartite matching, König covers, and bipartite independent sets.
 
-One partner array (``partner_map``: each vertex's partner, -1 when free) and
-one alternating BFS (``_layers``) serve Hopcroft-Karp's phases, Berge's test
+A ``Matching`` is its partner array (each vertex's partner, -1 when free),
+filled by the builders here; its edge set is derived. One alternating BFS
+(``_layers``) over that array serves Hopcroft-Karp's phases, Berge's test
 ``has_augmenting_path`` and the König cover.
 
 The matching search starts from a greedy matching by the Karp-Sipser rule
@@ -19,15 +20,15 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, Optional, Sequence
 
-from .graph import Graph, ParseError, _canonical_edge, data_lines
+from .graph import Graph, ParseError
 
 __all__ = [
     "Matching",
     "matching_from_edges",
     "parse_matching",
-    "partner_map",
     "is_matching",
     "is_induced_matching",
     "maximum_matching",
@@ -39,42 +40,63 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Matching:
-    """Vertex-disjoint edge set, each edge with its smaller endpoint first."""
+    """Each vertex's partner, -1 when the vertex is free. Built only here, by
+    ``matching_from_edges``, ``parse_matching`` and ``maximum_matching``."""
 
-    edges: frozenset[tuple[int, int]]
+    partner: tuple[int, ...]
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """Each matched pair once, smaller end first."""
+        return frozenset([(u, v) for u, v in enumerate(self.partner) if u < v])
+
+
+def _partner(g: Graph, m: Matching) -> tuple[int, ...]:
+    """m's partner array; ValueError unless it has one entry per vertex of g
+    and pairs each matched vertex with a neighbour paired back to it."""
+    partner, adj = m.partner, g.adjacency
+    if len(partner) == len(adj):
+        for v, p in enumerate(partner):
+            if p != -1 and (p not in adj[v] or partner[p] != v):
+                break
+        else:
+            return partner
+    raise ValueError("edge set is not a matching of the graph")
+
+
+def _pairs(g: Graph, edges: Iterable[tuple[int, int]]) -> Optional[list[int]]:
+    """Each vertex's partner under the edges, -1 when free; None unless they
+    are pairwise vertex-disjoint edges of g."""
+    adj = g.adjacency
+    n = len(adj)
+    partner = [-1] * n
+    for u, v in edges:
+        if not (0 <= u < n and v in adj[u]) or partner[u] != -1 or partner[v] != -1:
+            return None
+        partner[u], partner[v] = v, u
+    return partner
 
 
 def is_matching(g: Graph, edges: Iterable[tuple[int, int]]) -> bool:
     """True iff the edges exist in g and are pairwise vertex-disjoint."""
-    adj = g.adjacency
-    n = len(adj)
-    seen: set[int] = set()
-    for u, v in edges:
-        if not (0 <= u < n and v in adj[u]):
-            return False
-        if u in seen or v in seen:
-            return False
-        seen.add(u)
-        seen.add(v)
-    return True
+    return _pairs(g, edges) is not None
 
 
 def is_induced_matching(g: Graph, edges: Iterable[tuple[int, int]]) -> bool:
     """True iff a matching and no host edge joins two distinct matched pairs:
     every matched neighbour of a matched vertex is its partner."""
-    es = list(edges)
-    if not is_matching(g, es):
-        return False
-    partner = partner_map(g, Matching(frozenset(es)))
-    adj = g.adjacency
-    return all(partner[w] in (-1, x) for e in es for x in e for w in adj[x])
+    partner, adj = _pairs(g, edges), g.adjacency
+    return partner is not None and all(
+        partner[w] in (-1, x) for x, p in enumerate(partner) if p != -1 for w in adj[x])
 
 
 def matching_from_edges(g: Graph, edges: Iterable[tuple[int, int]]) -> Matching:
-    """Validate edges as a matching of g: ValueError if they are not one."""
-    m = Matching(frozenset([(u, v) if u < v else (v, u) for u, v in edges]))
-    partner_map(g, m)
-    return m
+    """Validate edges as a matching of g, an edge given twice once:
+    ValueError if they are not one."""
+    partner = _pairs(g, {(u, v) if u < v else (v, u) for u, v in edges})
+    if partner is None:
+        raise ValueError("edge set is not a matching of the graph")
+    return Matching(tuple(partner))
 
 
 def parse_matching(text: str, g: Graph) -> Matching:
@@ -84,41 +106,32 @@ def parse_matching(text: str, g: Graph) -> Matching:
     is not."""
     adj = g.adjacency
     n = len(adj)
-    edges: set[tuple[int, int]] = set()
-    matched: set[int] = set()
-    for line_no, line, fields in data_lines(text):
-        if len(fields) != 3 or fields[0] != "m":
-            raise ParseError(line_no, f"malformed matching line {line!r}")
-        try:
-            u, v = int(fields[1]) - 1, int(fields[2]) - 1
-        except ValueError:
-            raise ParseError(line_no, f"malformed matching line {line!r}") from None
-        if not (0 <= u < n and 0 <= v < n):
-            raise ParseError(line_no, f"endpoint out of range in {line!r}")
-        if v not in adj[u]:
-            raise ParseError(line_no, f"not an edge of the graph in {line!r}")
-        edge = _canonical_edge(u, v)
-        if edge in edges:
-            continue
-        for w in edge:
-            if w in matched:
-                raise ParseError(line_no, f"vertex {w + 1} already matched in {line!r}")
-        edges.add(edge)
-        matched.update(edge)
-    return Matching(frozenset(edges))
-
-
-def partner_map(g: Graph, m: Matching) -> list[int]:
-    """Each vertex's partner in m, -1 for a free vertex. Raises ValueError
-    when m is not a matching of g."""
-    adj = g.adjacency
-    n = len(adj)
     partner = [-1] * n
-    for u, v in m.edges:
-        if not (0 <= u < n and v in adj[u]) or partner[u] != -1 or partner[v] != -1:
-            raise ValueError("edge set is not a matching of the graph")
-        partner[u], partner[v] = v, u
-    return partner
+    lines = text.splitlines()
+
+    def line(line_no: int) -> str:
+        return lines[line_no - 1].strip()
+
+    for line_no, fields in enumerate(map(str.split, lines), start=1):
+        if not fields or fields[0][0] == "c":
+            continue
+        try:
+            tag, a, b = fields
+            u, v = int(a) - 1, int(b) - 1
+        except ValueError:
+            tag = ""
+        if tag != "m":
+            raise ParseError(line_no, f"malformed matching line {line(line_no)!r}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ParseError(line_no, f"endpoint out of range in {line(line_no)!r}")
+        if v not in adj[u]:
+            raise ParseError(line_no, f"not an edge of the graph in {line(line_no)!r}")
+        if partner[u] != v:
+            if partner[u] != -1 or partner[v] != -1:
+                w = min(w for w in (u, v) if partner[w] != -1)
+                raise ParseError(line_no, f"vertex {w + 1} already matched in {line(line_no)!r}")
+            partner[u], partner[v] = v, u
+    return Matching(tuple(partner))
 
 
 def _karp_sipser(adj: tuple[tuple[int, ...], ...], partner: list[int]) -> None:
@@ -154,7 +167,7 @@ def _karp_sipser(adj: tuple[tuple[int, ...], ...], partner: list[int]) -> None:
 
 
 def _layers(
-    adj: tuple[tuple[int, ...], ...], a_side: list[int], partner: list[int], dist: list[int]
+    adj: tuple[tuple[int, ...], ...], a_side: list[int], partner: Sequence[int], dist: list[int]
 ) -> bool:
     """Alternating BFS from the free side-A vertices; True iff it reaches a
     free side-B vertex (an augmenting path exists). ``dist[u]`` becomes side-A
@@ -222,7 +235,7 @@ def maximum_matching(g: Graph) -> Matching:
         for u in a_side:
             if partner[u] == -1:
                 dfs(u)
-    return matching_from_edges(g, ((u, partner[u]) for u in a_side if partner[u] != -1))
+    return Matching(tuple(partner))
 
 
 def has_augmenting_path(g: Graph, m: Matching) -> bool:
@@ -230,7 +243,7 @@ def has_augmenting_path(g: Graph, m: Matching) -> bool:
     NotBipartiteError for non-bipartite g, then ValueError when m is not a
     matching of g."""
     a_side = [v for v, s in enumerate(g.side) if s == 0]
-    return _layers(g.adjacency, a_side, partner_map(g, m), [0] * (g.n + 1))
+    return _layers(g.adjacency, a_side, _partner(g, m), [0] * (g.n + 1))
 
 
 def koenig_cover(g: Graph, m: Matching) -> frozenset[int]:
@@ -239,7 +252,8 @@ def koenig_cover(g: Graph, m: Matching) -> frozenset[int]:
     a_side = [v for v, s in enumerate(g.side) if s == 0]
     adj = g.adjacency
     dist = [0] * (g.n + 1)
-    if _layers(adj, a_side, partner_map(g, m), dist):
+    partner = _partner(g, m)
+    if _layers(adj, a_side, partner, dist):
         raise ValueError("matching admits an augmenting path; not maximum")
     cover: set[int] = set()
     for u in a_side:
@@ -247,10 +261,9 @@ def koenig_cover(g: Graph, m: Matching) -> frozenset[int]:
             cover.add(u)
         else:
             cover.update(adj[u])
-    if len(cover) != len(m.edges):
-        raise RuntimeError(
-            f"König cover has {len(cover)} vertices for {len(m.edges)} matching edges"
-        )
+    size = (g.n - partner.count(-1)) // 2
+    if len(cover) != size:
+        raise RuntimeError(f"König cover has {len(cover)} vertices for {size} matching edges")
     return frozenset(cover)
 
 

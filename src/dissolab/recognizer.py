@@ -23,12 +23,7 @@ from enum import Enum
 from typing import Mapping, Optional, Union
 
 from .graph import Graph, remove_edges
-from .matching import (
-    Matching,
-    has_augmenting_path,
-    maximum_matching,
-    partner_map,
-)
+from .matching import Matching, _partner, has_augmenting_path, maximum_matching
 from .exact import is_dissociation_set
 from .twosat import Literal, TwoSatFormula, solve_2sat
 
@@ -121,11 +116,11 @@ def decompose_alternating(
     lowest side-A vertex with the M edge first; paths start at an M-covered
     endpoint when one exists, else at the lower endpoint.
     """
-    if m.edges & m2.edges:
+    if any(p == q != -1 for p, q in zip(m.partner, m2.partner)):
         raise ValueError("matchings overlap; they must be edge-disjoint")
     n = g.n
-    pm = partner_map(g, m)
-    pm2 = partner_map(g, m2)
+    pm = _partner(g, m)
+    pm2 = _partner(g, m2)
     visited = [False] * n
     paths: list[tuple[int, ...]] = []
     cycles: list[tuple[int, ...]] = []

@@ -26,7 +26,7 @@ Gadget kinds (also the CLI tokens):
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
@@ -141,32 +141,23 @@ def _literal_tag(lit: Literal) -> str:
     return f"{'' if positive else '~'}x{var + 1}"
 
 
-def _complementary_edges(occurrences: list[tuple[int, Literal]], block: int) -> list[tuple[int, int]]:
-    """Edges between complementary literal occurrences in different clause
-    blocks of ``block`` consecutive vertices."""
-    return [
-        (u, v)
-        for idx, (u, (var_u, pol_u)) in enumerate(occurrences)
-        for v, (var_v, pol_v) in occurrences[idx + 1:]
-        if var_u == var_v and pol_u != pol_v and u // block != v // block
-    ]
-
-
-def _check_size(f: CnfFormula, block_edges: int) -> None:
-    """Raise ValueError, before anything is built, when a gadget of
-    ``block_edges`` edges per clause block would exceed MAX_EDGES: the
-    complementary edges number the sum over variables of pos(x) * neg(x),
-    less the complementary pairs inside one clause."""
-    pos: Counter[int] = Counter()
-    neg: Counter[int] = Counter()
+def _complementary_edges(f: CnfFormula, block: int, block_edges: int) -> list[tuple[int, int]]:
+    """Edges between complementary literal occurrences in different clauses,
+    the literal at position p of clause i being vertex ``block * i + p``.
+    Raises ValueError, before building any, when with ``block_edges`` edges
+    per clause the gadget would exceed MAX_EDGES: each variable x gives
+    pos(x) * neg(x) pairs, less the complementary pairs inside one clause."""
+    signs: defaultdict[int, tuple[list[int], list[int]]] = defaultdict(lambda: ([], []))
     inside = 0
-    for clause in f.clauses:
-        for var, positive in clause:
-            (pos if positive else neg)[var] += 1
+    for i, clause in enumerate(f.clauses):
+        for p, (var, positive) in enumerate(clause):
+            signs[var][positive].append(block * i + p)
         inside += sum(a == b and pa != pb for (a, pa), (b, pb) in combinations(clause, 2))
-    size = block_edges * len(f.clauses) + sum(pos[x] * neg[x] for x in pos) - inside
+    size = block_edges * len(f.clauses) - inside
+    size += sum(len(neg) * len(pos) for neg, pos in signs.values())
     if size > MAX_EDGES:
         raise ValueError(f"gadget would have {size} edges, above {MAX_EDGES}")
+    return [(u, v) for neg, pos in signs.values() for u in neg for v in pos if u // block != v // block]
 
 
 def _satisfiable(f: CnfFormula) -> dict[str, bool]:
@@ -180,22 +171,18 @@ def _satisfiable(f: CnfFormula) -> dict[str, bool]:
 def gadget_diss_2alpha(f: CnfFormula) -> GadgetInstance:
     """Clause-clique gadget: order 4m, alpha = m, diss = alpha + nu_s always.
     Raises ValueError, before building anything, on a gadget over MAX_EDGES."""
-    _check_size(f, 6)
+    edges = _complementary_edges(f, 3, 6)
     m = len(f.clauses)
     n = 4 * m
-    edges: list[tuple[int, int]] = []
     roles: dict[int, str] = {}
-    occurrences: list[tuple[int, Literal]] = []
     for i, clause in enumerate(f.clauses):
         members = [3 * i, 3 * i + 1, 3 * i + 2, 3 * m + i]
         for p, lit in enumerate(clause):
             roles[3 * i + p] = f"lit:{i}:{p}:{_literal_tag(lit)}"
-            occurrences.append((3 * i + p, lit))
         roles[3 * m + i] = f"hub:{i}"
         for a in range(4):
             for c in range(a + 1, 4):
                 edges.append((members[a], members[c]))
-    edges += _complementary_edges(occurrences, 3)
     predicted = {
         "order": n,
         "alpha": m,
@@ -210,24 +197,20 @@ def gadget_diss_2alpha(f: CnfFormula) -> GadgetInstance:
 def gadget_diss_alpha(f: CnfFormula) -> GadgetInstance:
     """Doubled-clause gadget: order 6m, diss = 2m; diss = alpha iff satisfiable.
     Raises ValueError, before building anything, on a gadget over MAX_EDGES."""
-    _check_size(f, 12)
+    edges = _complementary_edges(f, 6, 12)
     m = len(f.clauses)
     n = 6 * m
-    edges: list[tuple[int, int]] = []
     roles: dict[int, str] = {}
-    occurrences: list[tuple[int, Literal]] = []
     for i, clause in enumerate(f.clauses):
         block = list(range(6 * i, 6 * i + 6))
         for p, lit in enumerate(clause):
             roles[block[p]] = f"lit:{i}:{p}:{_literal_tag(lit)}"
             roles[block[p + 3]] = f"twin:{i}:{p}:{_literal_tag(lit)}"
-            occurrences.append((block[p], lit))
         # clique on the six, minus the three literal/twin pairs
         for a in range(6):
             for c in range(a + 1, 6):
                 if c != a + 3:
                     edges.append((block[a], block[c]))
-    edges += _complementary_edges(occurrences, 6)
     predicted = {
         "order": n,
         "diss": 2 * m,

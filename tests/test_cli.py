@@ -661,6 +661,14 @@ class TestCheck:
         assert calls == []
         assert f"instance has {order} vertices, cutoff is 40" in capsys.readouterr().err
 
+    def test_over_cutoff_join_random_exits_before_generating(self, monkeypatch, capsys):
+        # every source graph has at least 3 vertices, so its join at least 6
+        calls = []
+        monkeypatch.setattr(cli, "join_input_corpus", lambda *args: calls.append(args))
+        assert main(["check", "join-random:2:5", "--cutoff", "5"]) == 3
+        assert calls == []
+        assert "instance has 6 vertices, cutoff is 5" in capsys.readouterr().err
+
     @pytest.mark.parametrize("kind", ["chain-random", "recognizer-random", "approx-random"])
     def test_random_spec_least_order_is_reached(self, kind):
         # the bound is the largest order, so no spec under the cutoff exits 3

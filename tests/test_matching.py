@@ -16,7 +16,6 @@ from dissolab.matching import (
     maximum_independent_set_bipartite,
     maximum_matching,
     parse_matching,
-    partner_map,
 )
 
 from strategies import bipartite_graphs, graphs, planted_pair
@@ -32,8 +31,7 @@ def k33():
 
 def c6_chord_matching():
     # (0, 3) is an edge of C6 plus that chord, but not of C6
-    g = new_graph(6, c6().edge_list + ((0, 3),))
-    return matching_from_edges(g, [(0, 3)])
+    return matching_from_edges(new_graph(6, c6().edge_list + ((0, 3),)), [(0, 3)])
 
 
 class TestMaximumMatching:
@@ -169,7 +167,7 @@ class TestKoenigCover:
     @pytest.mark.parametrize("check", [has_augmenting_path, koenig_cover])
     def test_error_order(self, check):
         # a non-bipartite graph is reported before a bad matching
-        fake = Matching(frozenset({(0, 2), (1, 2)}))
+        fake = Matching((2, 2, 0, -1, -1, -1))  # 0 and 1 both matched to 2
         with pytest.raises(NotBipartiteError):
             check(new_graph(3, [(0, 1), (1, 2), (0, 2)]), fake)
         with pytest.raises(ValueError, match="not a matching"):
@@ -179,6 +177,14 @@ class TestKoenigCover:
     def test_matching_of_another_graph_rejected(self, check):
         with pytest.raises(ValueError, match="not a matching"):
             check(c6(), c6_chord_matching())
+
+    @pytest.mark.parametrize("check", [has_augmenting_path, koenig_cover])
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_matching_of_another_order_rejected(self, check, n):
+        # (0, 1) is an edge of both graphs, which differ in their order
+        other = new_graph(n, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        with pytest.raises(ValueError, match="not a matching"):
+            check(c6(), matching_from_edges(other, [(0, 1), (2, 3)]))
 
     @given(bipartite_graphs(max_side=5))
     @settings(max_examples=100)
@@ -244,9 +250,11 @@ class TestPredicates:
             matching_from_edges(c6(), [(0, 1), (1, 2)])
 
     def test_out_of_range_edge_not_matching(self):
-        # a negative end must not index the partner list from its end
-        with pytest.raises(ValueError):
-            partner_map(c6(), Matching(frozenset({(-1, 0)})))
+        # (0, 5) is an edge of C6: partner -6 must not index the partner
+        # array from its end, nor partner 6 raise IndexError
+        for partner in [(5, -1, -1, -1, -1, -6), (6, -1, -1, -1, -1, -1)]:
+            with pytest.raises(ValueError, match="not a matching"):
+                has_augmenting_path(c6(), Matching(partner))
 
     def test_parse_matching_merges_repeated_lines(self):
         g = c6()

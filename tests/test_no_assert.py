@@ -1,5 +1,6 @@
-"""Correctness checks in the library must survive ``python -O``, and each
-kind of failure has one exception type."""
+"""Correctness checks in the library must survive ``python -O``, each kind
+of failure has one exception type, and only ``matching.py`` builds a
+``Matching``."""
 
 import ast
 import builtins
@@ -58,6 +59,14 @@ def test_one_failure_type_per_idea():
               for module, tree in trees.items() for node in ast.walk(tree)
               if isinstance(node, ast.Raise) and node.exc is not None]
     assert [r for r in raised if r[2] not in RAISED] == []
+
+
+def test_only_matching_module_builds_matchings():
+    # a Matching's storage is decided in one module: elsewhere it is read
+    builders = sorted(p.name for p in (SRC / "dissolab").glob("*.py")
+                      if any(isinstance(node, ast.Call) and _name(node) == "Matching"
+                             for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))))
+    assert builders == ["matching.py"]
 
 
 def test_chain_violation_reported_under_optimize():

@@ -2,7 +2,6 @@ import hashlib
 
 import pytest
 
-import dissolab.recognizer as recognizer
 from dissolab.exact import (
     dissociation_number_exact,
     independence_number_exact,
@@ -77,6 +76,11 @@ def _structured_instance(seed):
     return new_graph(n, sorted(present))
 
 
+def c6_chord_matching():
+    # (0, 3) is an edge of C6 plus that chord, but not of C6
+    return matching_from_edges(new_graph(6, c6().edge_list + ((0, 3),)), [(0, 3)])
+
+
 def c6_matchings(g):
     m = matching_from_edges(g, [(0, 1), (2, 3), (4, 5)])
     m2 = matching_from_edges(g, [(1, 2), (3, 4), (0, 5)])
@@ -124,7 +128,7 @@ class TestDecompose:
         with pytest.raises(ValueError, match="overlap"):
             decompose_alternating(g, m, m)
         # overlap is reported before the edge set is checked against g
-        fake = Matching(frozenset({(0, 2)}))
+        fake = Matching((2, -1, 0, -1, -1, -1))  # (0, 2) is no edge of C6
         with pytest.raises(ValueError, match="overlap"):
             decompose_alternating(g, fake, fake)
         with pytest.raises(ValueError, match="not a matching"):
@@ -132,13 +136,19 @@ class TestDecompose:
 
     @pytest.mark.parametrize("chord_first", [True, False])
     def test_matching_of_another_graph_rejected(self, chord_first):
-        # (0, 3) is an edge of C6 plus that chord, but not of C6
         g = c6()
-        chord = matching_from_edges(new_graph(6, g.edge_list + ((0, 3),)), [(0, 3)])
-        other = matching_from_edges(g, [(1, 2)])
+        chord, other = c6_chord_matching(), matching_from_edges(g, [(1, 2)])
         pair = (chord, other) if chord_first else (other, chord)
         with pytest.raises(ValueError, match="not a matching"):
             decompose_alternating(g, *pair)
+
+    def test_matching_of_another_order_rejected(self):
+        g = c6()
+        m = matching_from_edges(g, [(0, 1)])
+        m7 = matching_from_edges(new_graph(7, g.edge_list), [(2, 3)])
+        for pair in [(m, m7), (m7, m)]:
+            with pytest.raises(ValueError, match="not a matching"):
+                decompose_alternating(g, *pair)
 
     def test_components_partition_vertices(self):
         g = new_graph(11, path_graph(6) + path_graph(5, 6))
@@ -350,32 +360,6 @@ class TestBuildTwoSat:
 
 
 class TestRecognizeExtremal:
-    def test_partner_arrays_built_once(self, monkeypatch):
-        # the decomposition carries what later stages need of M and M', so
-        # only decompose_alternating turns them into partner arrays
-        built, second = [], []
-        real_partner_map, real_match = recognizer.partner_map, recognizer.maximum_matching
-
-        def partner_map(g, m):
-            built.append(m)
-            return real_partner_map(g, m)
-
-        def maximum_matching_spy(g):
-            second.append(real_match(g))
-            return second[-1]
-
-        monkeypatch.setattr(recognizer, "partner_map", partner_map)
-        monkeypatch.setattr(recognizer, "maximum_matching", maximum_matching_spy)
-        g, m = rotated_instance()  # one path, one cycle, stray edges
-        m2 = real_match(remove_edges(g, m.edges))
-        d = decompose_alternating(g, m, m2)
-        assert d.paths and d.cycles and g.m > len(m.edges) + len(m2.edges)
-        built.clear()
-        assert isinstance(recognize_extremal(g, m), Extremal)
-        assert len(second) == 1
-        assert sum(x is second[0] for x in built) == 1
-        assert sum(x is m for x in built) == 1
-
     def test_c6_fixture(self):
         g = c6()
         m = matching_from_edges(g, [(0, 1), (2, 3), (4, 5)])
@@ -429,15 +413,13 @@ class TestRecognizeExtremal:
 
     def test_invalid_matching_rejected(self):
         g = c6()
-        fake = Matching(frozenset({(0, 2)}))
+        fake = Matching((2, -1, 0, -1, -1, -1))  # (0, 2) is no edge of C6
         with pytest.raises(ValueError):
             recognize_extremal(g, fake)
 
     def test_matching_of_another_graph_rejected(self):
-        g = c6()
-        chord = matching_from_edges(new_graph(6, g.edge_list + ((0, 3),)), [(0, 3)])
         with pytest.raises(ValueError, match="not a matching"):
-            recognize_extremal(g, chord)
+            recognize_extremal(c6(), c6_chord_matching())
 
     def test_unit_clause_instance_extremal(self):
         edges = (

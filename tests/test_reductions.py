@@ -205,13 +205,12 @@ class TestCnfGadgetBiconditionals:
 
 class TestCnfGadgetSatisfiable:
     @pytest.mark.parametrize("builder", [gadget_diss_2alpha, gadget_diss_alpha])
-    def test_carried_up_to_20_variables(self, builder):
+    def test_carried_under_the_limit_and_dropped_over_it(self, builder):
         eight = unsatisfiable_formula().clauses
         for f in random_cnf_corpus(10, 5, 4, 1) + [cnf_formula(20, eight),
                                                     cnf_formula(20, eight[1:])]:
             assert builder(f).predicted["satisfiable"] == cnf_satisfiable(f.var_count, f.clauses)
         assert "satisfiable" not in builder(cnf_formula(MAX_TRUTH_TABLE_VARS + 1, eight)).predicted
-
 
     @pytest.mark.parametrize("builder", [gadget_diss_2alpha, gadget_diss_alpha])
     def test_carried_up_to_the_truth_table_limit(self, builder):
