@@ -205,7 +205,7 @@ class TestCnfGadgetBiconditionals:
 
 class TestCnfGadgetSatisfiable:
     @pytest.mark.parametrize("builder", [gadget_diss_2alpha, gadget_diss_alpha])
-    def test_carried_under_the_limit_and_dropped_over_it(self, builder):
+    def test_carried_up_to_20_variables(self, builder):
         eight = unsatisfiable_formula().clauses
         for f in random_cnf_corpus(10, 5, 4, 1) + [cnf_formula(20, eight),
                                                     cnf_formula(20, eight[1:])]:
