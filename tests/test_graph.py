@@ -221,6 +221,25 @@ class TestEdgeListFormat:
         with pytest.raises(ParseError, match="line 3: header declares 1 edges, found 2"):
             parse_edge_list("p edge 3 1\ne 1 2\ne 2 1\n")
 
+    def test_repeated_canonical_line_merges_but_counts(self):
+        assert parse_edge_list("p edge 3 3\ne 1 2\ne 1 2\ne 2 3\n") == new_graph(3, [(0, 1), (1, 2)])
+        with pytest.raises(ParseError, match="^line 4: header declares 2 edges, found 3$"):
+            parse_edge_list("p edge 3 2\ne 1 2\ne 1 2\ne 2 3\n")
+
+    @pytest.mark.parametrize("header", ["p edge -1 0", "p edge 2 -1"])
+    def test_negative_count_in_header(self, header):
+        with pytest.raises(ParseError, match="^line 1: negative count in header$"):
+            parse_edge_list(header + "\n")
+
+    def test_crlf_canonical_file(self):
+        text = render_edge_list(c6())
+        assert parse_edge_list(text.replace("\n", "\r\n")) == parse_edge_list(text) == c6()
+
+    @pytest.mark.parametrize("line", ["e +1 2", "e 01 2", "e 1 +2"])
+    def test_signed_and_zero_padded_endpoints(self, line):
+        # int() reads both forms as 1 and 2
+        assert parse_edge_list(f"p edge 2 1\n{line}\n") == new_graph(2, [(0, 1)])
+
     def test_edge_before_header(self):
         with pytest.raises(ParseError, match="line 1.*before header"):
             parse_edge_list("e 1 2\n")
