@@ -27,7 +27,7 @@ from .corpus import (
 )
 from .exact import EXACT_CUTOFF, SOLVERS, InstanceTooLarge, chain_equalities
 from .graph import Graph, parse_edge_list, to_dot
-from .matching import maximum_matching, parse_matching
+from .matching import Matching, maximum_matching, parse_matching
 from .recognizer import Extremal, SixClass, recognize_extremal
 from .reductions import (
     gadget_diss_2alpha,
@@ -69,8 +69,9 @@ def _vertices(vs) -> str:
     return " ".join(str(v + 1) for v in sorted(vs))
 
 
-def _edge_pairs(edges) -> str:
-    return " ".join(f"{u + 1}-{v + 1}" for u, v in sorted(edges))
+def _edge_pairs(m: Matching) -> str:
+    # ascending pairs, read off the partner array without sorting its edges
+    return " ".join([f"{u + 1}-{v + 1}" for u, v in enumerate(m.partner) if u < v])
 
 
 # --invariants token -> (output key, witness formatter); the key names the
@@ -78,7 +79,7 @@ def _edge_pairs(edges) -> str:
 _INVARIANTS = {
     "diss": ("diss", _vertices),
     "alpha": ("alpha", _vertices),
-    "nus": ("nu_s", lambda m: _edge_pairs(m.edges)),
+    "nus": ("nu_s", _edge_pairs),
 }
 
 
@@ -112,7 +113,7 @@ def cmd_approx(args: argparse.Namespace) -> int:
     print(f"set_size={len(chosen)}")
     print(f"set={_vertices(chosen)}")
     print(f"matching_size={len(matching.edges)}")
-    print(f"matching={_edge_pairs(matching.edges)}")
+    print(f"matching={_edge_pairs(matching)}")
     # the set is a maximum independent set of g - M
     print(f"alpha_g_minus_m={len(chosen)}")
     return EXIT_OK
@@ -134,7 +135,7 @@ def cmd_recognize(args: argparse.Namespace) -> int:
     print(f"m={g.m}")
     print(f"matching_source={args.matching}")
     print(f"matching_size={len(m.edges)}")
-    print(f"matching={_edge_pairs(m.edges)}")
+    print(f"matching={_edge_pairs(m)}")
     if extremal:
         print("outcome=extremal")
         print(f"ell={outcome.ell}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from operator import lt
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 __all__ = [
@@ -231,7 +232,53 @@ def parse_edge_list(text: str) -> Graph:
     Grammar: comment lines start with ``c``; exactly one header
     ``p edge <n> <m>``; then ``m`` lines ``e <u> <v>`` with 1-based
     endpoints. Blank lines are ignored; repeated or reversed edges merge.
+    Text in the canonical form of :func:`render_edge_list` is read in bulk;
+    all other text, and every error, goes through the line reader.
     """
+    g = _parse_canonical(text)
+    return _parse_lines(text) if g is None else g
+
+
+def _parse_canonical(text: str) -> Optional[Graph]:
+    """The graph of text in render_edge_list's form, else None; never raises.
+
+    The form: ``p edge n m`` first, then exactly m lines ``e u v``, each at
+    the start of its line, u < v, in strictly ascending (u, v) order; and
+    n <= 2m, so the text pays for every vertex list. Whole-text counts check
+    that each line holds the next tokens of that form: m + 1 lines, m of them
+    starting ``e ``, whose ``e`` can only be token 4 + 3k once the tokens
+    between are read as ints."""
+    if not text.startswith("p edge "):
+        return None
+    tokens = text.split()
+    try:
+        n, m = int(tokens[2]), int(tokens[3])
+    except (IndexError, ValueError):
+        return None
+    if (not 0 <= n <= min(2 * m, MAX_VERTICES) or len(tokens) != 4 + 3 * m
+            or text.count("\ne ") != m or len(text.splitlines()) != m + 1):
+        return None
+    try:
+        us, vs = list(map(int, tokens[5::3])), list(map(int, tokens[6::3]))
+    except ValueError:
+        return None
+    if m:
+        # u < v <= n, ascending keys from us[0] >= 1: every end is in 1..n,
+        # so the keys order the edges as (u, v) pairs and repeat none
+        keys = [u * (n + 1) + v for u, v in zip(us, vs)]
+        if not (us[0] >= 1 and max(vs) <= n and all(map(lt, us, vs))
+                and all(map(lt, keys, keys[1:]))):
+            return None
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for u, v in zip(us, vs):  # in file order each list comes out ascending
+        nbrs[u - 1].append(v - 1)
+        nbrs[v - 1].append(u - 1)
+    return Graph(tuple(map(tuple, nbrs)))
+
+
+def _parse_lines(text: str) -> Graph:
+    """parse_edge_list's line reader: any text of the grammar, or ParseError
+    naming the first bad line."""
     lines = text.splitlines()
 
     def line(line_no: int) -> str:

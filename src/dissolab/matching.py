@@ -3,7 +3,8 @@
 A ``Matching`` is its partner array (each vertex's partner, -1 when free),
 filled by the builders here; its edge set is derived. One alternating BFS
 (``_layers``) over that array serves Hopcroft-Karp's phases, Berge's test
-``has_augmenting_path`` and the König cover.
+``has_augmenting_path`` and the König cover; the layers of Hopcroft-Karp's
+last phase give ``maximum_independent_set_bipartite`` its cover.
 
 The matching search starts from a greedy matching by the Karp-Sipser rule
 (Karp & Sipser, 1981): while some free vertex has exactly one free neighbour,
@@ -138,7 +139,7 @@ def _karp_sipser(adj: tuple[tuple[int, ...], ...], partner: list[int]) -> None:
     """Fill the all-free ``partner`` with the greedy Karp-Sipser matching of
     the module docstring. Its degree-1 step never loses a maximum matching,
     so on forests and cycles the result is already maximum."""
-    free_degree = [len(nbrs) for nbrs in adj]
+    free_degree = list(map(len, adj))
     # heap of vertices that had one free neighbour; stale entries are skipped
     ones = [v for v, d in enumerate(free_degree) if d == 1]
     push, pop = heapq.heappush, heapq.heappop
@@ -158,12 +159,16 @@ def _karp_sipser(adj: tuple[tuple[int, ...], ...], partner: list[int]) -> None:
             if partner[v] == -1:
                 break
         partner[u], partner[v] = v, u
-        for x in (u, v):
-            for w in adj[x]:
-                if partner[w] == -1:
-                    free_degree[w] -= 1
-                    if free_degree[w] == 1:
-                        push(ones, w)
+        for w in adj[u]:
+            if partner[w] == -1:
+                free_degree[w] -= 1
+                if free_degree[w] == 1:
+                    push(ones, w)
+        for w in adj[v]:
+            if partner[w] == -1:
+                free_degree[w] -= 1
+                if free_degree[w] == 1:
+                    push(ones, w)
 
 
 def _layers(
@@ -195,9 +200,10 @@ def _layers(
     return dist[nil] != inf
 
 
-def maximum_matching(g: Graph) -> Matching:
-    """Hopcroft-Karp maximum matching from a Karp-Sipser start, pinned by
-    ascending-index tie-breaks."""
+def _hopcroft_karp(g: Graph) -> tuple[list[int], list[int], list[int]]:
+    """Hopcroft-Karp from a Karp-Sipser start, pinned by ascending-index
+    tie-breaks: side A, the partner array, and the layers of the last
+    ``_layers`` call, the one that found no augmenting path."""
     n = g.n
     a_side = [v for v, s in enumerate(g.side) if s == 0]
     adj = g.adjacency
@@ -235,7 +241,13 @@ def maximum_matching(g: Graph) -> Matching:
         for u in a_side:
             if partner[u] == -1:
                 dfs(u)
-    return Matching(tuple(partner))
+    return a_side, partner, dist
+
+
+def maximum_matching(g: Graph) -> Matching:
+    """Hopcroft-Karp maximum matching from a Karp-Sipser start, pinned by
+    ascending-index tie-breaks."""
+    return Matching(tuple(_hopcroft_karp(g)[1]))
 
 
 def has_augmenting_path(g: Graph, m: Matching) -> bool:
@@ -250,11 +262,17 @@ def koenig_cover(g: Graph, m: Matching) -> frozenset[int]:
     """Vertex cover of size |m| from a maximum matching (König construction):
     the unreached side-A vertices and the neighbours of the reached ones."""
     a_side = [v for v, s in enumerate(g.side) if s == 0]
-    adj = g.adjacency
     dist = [0] * (g.n + 1)
     partner = _partner(g, m)
-    if _layers(adj, a_side, partner, dist):
+    if _layers(g.adjacency, a_side, partner, dist):
         raise ValueError("matching admits an augmenting path; not maximum")
+    return _cover(g, a_side, partner, dist)
+
+
+def _cover(g: Graph, a_side: list[int], partner: Sequence[int], dist: list[int]) -> frozenset[int]:
+    """The König cover read from the layers of an alternating BFS that found
+    no augmenting path; RuntimeError unless it has one vertex per matched pair."""
+    adj = g.adjacency
     cover: set[int] = set()
     for u in a_side:
         if dist[u] == g.n + 1:
@@ -268,5 +286,6 @@ def koenig_cover(g: Graph, m: Matching) -> frozenset[int]:
 
 
 def maximum_independent_set_bipartite(g: Graph) -> frozenset[int]:
-    """Maximum independent set of a bipartite graph via the König complement."""
-    return frozenset(range(g.n)) - koenig_cover(g, maximum_matching(g))
+    """Maximum independent set of a bipartite graph via the König complement,
+    its cover read from the layers of Hopcroft-Karp's last BFS."""
+    return frozenset(range(g.n)) - _cover(g, *_hopcroft_karp(g))

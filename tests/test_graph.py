@@ -2,12 +2,14 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dissolab.graph import (
     NotBipartiteError,
     ParseError,
     SplitMix64,
+    _parse_canonical,
+    _parse_lines,
     bipartition,
     new_graph,
     parse_edge_list,
@@ -202,6 +204,41 @@ class TestRemoveEdges:
         assert g == new_graph(6, [(1, 2), (3, 4), (4, 5), (5, 0)])
 
 
+TEXT_VARIANTS = ("canonical", "shuffled", "reversed", "repeated", "comment", "blank",
+                 "crlf", "n_up", "n_down", "loop")
+
+
+def edge_list_variant(g, variant, rng):
+    """render_edge_list(g) with one change of the named kind."""
+    header, *edges = render_edge_list(g).splitlines()
+    n, m = g.n, g.m
+    i = rng.randrange(len(edges) + 1)
+    if variant == "shuffled":
+        rng.shuffle(edges)
+    elif variant == "reversed" and edges:
+        _, u, v = edges[i % len(edges)].split()
+        edges[i % len(edges)] = f"e {v} {u}"
+    elif variant == "repeated" and edges:
+        edges.insert(i, edges[i % len(edges)])
+        m += rng.randrange(2)  # the line counts, or the header is one short
+    elif variant in ("comment", "blank"):
+        edges.insert(i, "c note" if variant == "comment" else "")
+    elif variant in ("n_up", "n_down"):
+        n += rng.randrange(1, 4) * (1 if variant == "n_up" else -1)
+    elif variant == "loop" and n:
+        edges.insert(i, f"e {i % n + 1} {i % n + 1}")
+        m += 1
+    end = "\r\n" if variant == "crlf" else "\n"
+    return end.join([f"p edge {n} {m}"] + edges) + end
+
+
+def read_or_error(reader, text):
+    try:
+        return reader(text)
+    except ParseError as exc:
+        return str(exc)
+
+
 class TestEdgeListFormat:
     def test_parse_k2(self):
         assert parse_edge_list("p edge 2 1\ne 1 2\n") == new_graph(2, [(0, 1)])
@@ -266,12 +303,17 @@ class TestEdgeListFormat:
         [
             ("p edge 2 0\np edge 2 0\n", "line 2: duplicate header"),
             ("p edge 2 1\ne 1\n", "line 2: malformed edge line 'e 1'"),
+            ("p edge 2 1\ne 1\n2\n", "line 2: malformed edge line 'e 1'"),
+            ("p edge 2 1 e 1 2\n\n", "line 1: malformed header 'p edge 2 1 e 1 2'"),
+            ("p edge 2 1\ne 0 2\n", "line 2: endpoint out of range in 'e 0 2'"),
             ("p edge 2 1\ne 1 2 3\n", "line 2: malformed edge line 'e 1 2 3'"),
             ("c x\ne 1\np edge 2 1\n", "line 2: edge before header"),
             ("p edge 2 1\ne 1 2\np edge 2 1\n", "line 3: duplicate header"),
             ("p edge 2 1\ne 1 x\n", "line 2: malformed edge line 'e 1 x'"),
             ("p edge 2 1\ne 2 2\n", "line 2: loop edge in 'e 2 2'"),
             ("p edge 2 1\nx 1 2\n", "line 2: unrecognized line 'x 1 2'"),
+            ("x edge 2 1\ne 1 2\n", "line 1: unrecognized line 'x edge 2 1'"),
+            ("p cnf 2 1\ne 1 2\n", "line 1: malformed header 'p cnf 2 1'"),
             # end-of-input errors name the last line
             ("c only a comment\n\n", "line 2: missing header"),
             ("", "line 1: missing header"),
@@ -280,6 +322,18 @@ class TestEdgeListFormat:
     def test_parse_errors_name_their_line(self, text, message):
         with pytest.raises(ParseError, match=message):
             parse_edge_list(text)
+        assert _parse_canonical(text) is None
+
+    @given(graphs(max_n=12), st.sampled_from(TEXT_VARIANTS), st.randoms(use_true_random=False))
+    @settings(max_examples=400)
+    def test_bulk_reader_agrees_with_line_reader(self, g, variant, rng):
+        text = edge_list_variant(g, variant, rng)
+        expected = read_or_error(_parse_lines, text)
+        assert read_or_error(parse_edge_list, text) == expected
+        bulk = _parse_canonical(text)  # never raises
+        assert bulk is None or bulk == expected
+        if variant == "canonical":  # a sparse header is left to the line reader
+            assert bulk == (g if g.n <= 2 * g.m else None)
 
     def test_render_empty(self):
         assert render_edge_list(new_graph(0, [])) == "p edge 0 0\n"

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dissolab.catalog import connected_bipartite_graphs
 from dissolab.exact import is_dissociation_set, is_independent_set, matching_number_bruteforce
 from dissolab.graph import NotBipartiteError, new_graph, random_bipartite
 from dissolab.matching import (
@@ -209,6 +210,22 @@ class TestIndependentSet:
     def test_not_bipartite(self):
         with pytest.raises(NotBipartiteError):
             maximum_independent_set_bipartite(new_graph(3, [(0, 1), (1, 2), (0, 2)]))
+
+    @staticmethod
+    def koenig_complement(g):
+        # the reference: the cover built from a separate alternating BFS
+        return frozenset(range(g.n)) - koenig_cover(g, maximum_matching(g))
+
+    def test_complement_of_koenig_cover_on_catalog(self):
+        catalog = [g for n in range(1, 9) for g in connected_bipartite_graphs(n)]
+        assert len(catalog) == 254
+        for g in catalog:
+            assert maximum_independent_set_bipartite(g) == self.koenig_complement(g)
+
+    @given(bipartite_graphs(max_side=6))
+    @settings(max_examples=200)
+    def test_complement_of_koenig_cover(self, g):
+        assert maximum_independent_set_bipartite(g) == self.koenig_complement(g)
 
     @given(bipartite_graphs(max_side=5))
     @settings(max_examples=100)
