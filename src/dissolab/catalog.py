@@ -5,6 +5,10 @@ P on n-1 vertices gets a new vertex n-1 joined to a subset S of its vertices.
 S is nonempty for connected graphs, nonempty and inside one side of P's
 bipartition for connected bipartite graphs, and any subset for all graphs.
 
+Only the first subset of each orbit of P's automorphism group is tried, as
+one orbit gives isomorphic children. The group is the one P's canonical
+search met (below), kept with each level until the next level is built.
+
 Canonical deletion (McKay, "Isomorph-free exhaustive generation", J.
 Algorithms 1998) prunes the children before they are canonized. A vertex is
 deletable when removing it leaves a graph of the same kind: a non-cut vertex
@@ -13,7 +17,9 @@ no deletable vertex outranks the new one by the isomorphism invariant
 (degree, then sorted neighbour degrees). No class is lost: in any graph G of
 the kind, take a deletable vertex w of largest rank. G - w is isomorphic to
 some parent P, so G arises as P + S with the new vertex in w's place, and
-that child passes. Ties and automorphic subsets still give isomorphic
+that child passes, or one in its orbit does: the test ranks vertices by an
+invariant with the new vertex fixed, so all subsets of an orbit get one
+verdict. Ties and the orbits the search misses still give isomorphic
 children, so the survivors are deduplicated by canonical form, and each level
 is sorted by that form: its content and order do not depend on how the
 children were generated.
@@ -29,6 +35,10 @@ signatures: each cell splits into the non-neighbours and the neighbours of v.
 Full refinement goes on from that round only when it splits more than v off
 its cell. Every node sees the colour ranks that refining from scratch gives,
 so the forms, and the catalogs sorted by them, do not depend on the shortcut.
+The search keeps the automorphisms it meets: a leaf whose rows equal the
+best rows maps the best order onto its own, and a collapsed twin pair (u, v)
+is the transposition (u v). They generate a subgroup of the automorphism
+group, often all of it; any subgroup keeps the catalogs whole.
 """
 
 from __future__ import annotations
@@ -114,23 +124,32 @@ def _row_bits(adj_v: int, order: list[int]) -> int:
     return row
 
 
+class _Form(tuple):
+    """``(n, rows)``, compared, hashed and sorted as that tuple, with the
+    ``automorphisms`` the search met: permutations of the canonical labels,
+    ``perm[i]`` the image of i."""
+
+    automorphisms: tuple[tuple[int, ...], ...] = ()
+
+
 def canonical_form(g: Graph) -> tuple:
-    """Hashable isomorphism invariant: (n, canonical adjacency rows)."""
-    return (g.n, _canonical_rows(g))
-
-
-def _canonical_rows(g: Graph) -> tuple[int, ...]:
+    """Hashable isomorphism invariant: (n, canonical adjacency rows), with
+    the automorphisms its search met (see ``_Form``)."""
     n = g.n
     if n == 0:
-        return ()
+        return _Form((0, ()))
     adj = g.adjacency_masks
     best: list[int] | None = None
+    best_order: tuple[int, ...] = ()
+    # automorphisms in g's labels as pairs (a, b): a[i] maps to b[i], and
+    # every vertex not in a is fixed
+    found: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
 
     def complete_discrete(order: list[int], rows: list[int], better: bool,
                           colors: list[int]) -> None:
         # all cells are singletons: one forced extension, the vertices not
         # yet ordered (the lowest colours) in colour order
-        nonlocal best
+        nonlocal best, best_order
         ext = sorted(range(n), key=colors.__getitem__)[:n - len(order)]
         added = 0
         pruned = False
@@ -146,8 +165,13 @@ def _canonical_rows(g: Graph) -> tuple[int, ...]:
             order.append(v)
             rows.append(row)
             added += 1
-        if not pruned and (better or best is None):
-            best = list(rows)
+        if not pruned:
+            if better or best is None:
+                best = list(rows)
+                best_order = tuple(order)
+            else:
+                # equal rows: best_order[i] -> order[i] preserves adjacency
+                found.add((best_order, tuple(order)))
         if added:
             del order[-added:]
             del rows[-added:]
@@ -170,6 +194,7 @@ def _canonical_rows(g: Graph) -> tuple[int, ...]:
                 strip = ~((1 << u) | (1 << v))
                 if adj[u] & strip == adj[v] & strip:
                     dup = True
+                    found.add(((u, v), (v, u)))
                     break
             if not dup:
                 kept.append(v)
@@ -193,7 +218,17 @@ def _canonical_rows(g: Graph) -> tuple[int, ...]:
     search([], [], False, colors)
     if best is None:
         raise RuntimeError("canonical search finished without a labeling")
-    return tuple(best)
+    form = _Form((n, tuple(best)))
+    # relabel canonically: canonical vertex i is best_order[i]
+    pos = {v: i for i, v in enumerate(best_order)}
+    perms = set()
+    for a, b in found:
+        perm = list(range(n))
+        for u, v in zip(a, b):
+            perm[pos[u]] = pos[v]
+        perms.add(tuple(perm))
+    form.automorphisms = tuple(perms)
+    return form
 
 
 def canonical_graph(g: Graph) -> Graph:
@@ -222,20 +257,34 @@ _LIMITS = {"connected": 8, "bipartite": 10, "all": 6}
 _cache: dict[tuple[str, int], list[Graph]] = {
     ("connected", 1): [new_graph(1, [])], ("bipartite", 1): [new_graph(1, [])],
     ("all", 0): [new_graph(0, [])]}
+# (kind, n) -> (that catalog, each member's automorphisms from its search);
+# only the top level built of each kind keeps them
+_groups: dict[tuple[str, int], tuple[list[Graph], list[tuple]]] = {}
 
 
-def _classes(kind: str, n: int, children: Callable[[], Iterable[Graph]]) -> list[Graph]:
-    """One canonical representative per isomorphism class among ``children()``,
+def _classes(kind: str, n: int, parents: Callable[[int], list[Graph]],
+             candidates: Callable[[Graph], Iterable[int]]) -> list[Graph]:
+    """One canonical representative per isomorphism class among the children
+    of ``parents(n - 1)``, each joined to the ``candidates`` of its parent;
     sorted by canonical form and built once per (kind, n)."""
     if n > _LIMITS[kind]:
         raise InstanceTooLarge(n, _LIMITS[kind])
     if (kind, n) not in _cache:
+        level = parents(n - 1)
+        # each level is extended once, so its groups go now; without them
+        # (a level given from outside) every subset is tried
+        below, groups = _groups.pop((kind, n - 1), (None, None))
+        if below is not level:
+            groups = [()] * len(level)
         forms: dict[tuple, Graph] = {}
-        for child in children():
-            form = canonical_form(child)
-            if form not in forms:
-                forms[form] = _form_graph(form)
-        _cache[kind, n] = [forms[form] for form in sorted(forms)]
+        for parent, group in zip(level, groups):
+            for child in _attach(parent, group, candidates(parent), kind != "all"):
+                form = canonical_form(child)
+                if form not in forms:
+                    forms[form] = _form_graph(form)
+        ordered = sorted(forms)
+        _cache[kind, n] = [forms[form] for form in ordered]
+        _groups[kind, n] = (_cache[kind, n], [form.automorphisms for form in ordered])
     return _cache[kind, n]
 
 
@@ -253,7 +302,13 @@ def _is_cut_vertex(adj: Sequence[int], u: int) -> bool:
 
 
 def _neighbour_degrees(adj_v: int, deg: list[int]) -> list[int]:
-    return sorted(d for w, d in enumerate(deg) if (adj_v >> w) & 1)
+    out = []
+    while adj_v:
+        b = adj_v & -adj_v
+        out.append(deg[b.bit_length() - 1])
+        adj_v ^= b
+    out.sort()
+    return out
 
 
 def _last_is_deletion_candidate(adj: Sequence[int], connected: bool) -> bool:
@@ -279,32 +334,73 @@ def _last_is_deletion_candidate(adj: Sequence[int], connected: bool) -> bool:
     return True
 
 
-def _attach(parent: Graph, vertices: list[int], connected: bool = True) -> Iterator[Graph]:
-    """parent plus a new vertex joined to each subset of ``vertices`` (nonempty
-    when ``connected``) that passes the canonical-deletion test."""
+def _orbit_representatives(masks: Iterable[int], group: Sequence[Sequence[int]],
+                            n: int) -> list[int]:
+    """The first of ``masks`` (subsets of n vertices, closed under ``group``)
+    in each orbit of the group that the permutations of ``group`` generate."""
+    if not group:
+        return list(masks)
+    tables = []
+    for perm in group:
+        # table[x] is the image of x, filled for x < 2^(v+1) at step v
+        table = [0]
+        for v in range(n):
+            bit = 1 << perm[v]
+            table += [y | bit for y in table]
+        tables.append(table)
+    seen = bytearray(1 << n)
+    kept = []
+    for x in masks:
+        if not seen[x]:
+            kept.append(x)
+            seen[x] = 1
+            stack = [x]
+            while stack:
+                y = stack.pop()
+                for table in tables:
+                    if not seen[z := table[y]]:
+                        seen[z] = 1
+                        stack.append(z)
+    return kept
+
+
+def _attach(parent: Graph, group: Sequence[Sequence[int]], masks: Iterable[int],
+            connected: bool = True) -> Iterator[Graph]:
+    """parent plus a new vertex joined to the first of ``masks`` in each orbit
+    of ``group`` (automorphisms of parent), where it passes the
+    canonical-deletion test."""
     new = parent.n
-    masks = list(parent.adjacency_masks) + [0]
-    for attach in range(1 if connected else 0, 1 << len(vertices)):
-        nbrs = [v for i, v in enumerate(vertices) if (attach >> i) & 1]
-        adj = list(masks)
-        for v in nbrs:
-            adj[v] |= 1 << new
-            adj[new] |= 1 << v
+    bit = 1 << new
+    base = parent.adjacency_masks
+    for attach in _orbit_representatives(masks, group, new):
+        adj = [a | bit if attach >> v & 1 else a for v, a in enumerate(base)]
+        adj.append(attach)
         if _last_is_deletion_candidate(adj, connected):
-            # vertices ascend and the new vertex is the largest: tuples stay sorted
+            nbrs = tuple(v for v in range(new) if attach >> v & 1)
+            # nbrs ascend and the new vertex is the largest: tuples stay sorted
             adjacency = list(parent.adjacency)
             for v in nbrs:
                 adjacency[v] += (new,)
-            yield Graph((*adjacency, tuple(nbrs)))
+            yield Graph((*adjacency, nbrs))
+
+
+def _side_subsets(g: Graph) -> list[int]:
+    """The nonempty subsets of each side of g's bipartition, both sides in
+    one list, since an automorphism may swap them."""
+    masks = []
+    for color in (0, 1):
+        side = sum(1 << v for v, s in enumerate(g.side) if s == color)
+        sub = 0
+        while sub := (sub - side) & side:  # the next subset in ascending order
+            masks.append(sub)
+    return masks
 
 
 def connected_graphs(n: int) -> list[Graph]:
     """All connected graphs on exactly n vertices, one per isomorphism class."""
     if n < 1:
         return []
-    return _classes("connected", n, lambda: (
-        child for parent in connected_graphs(n - 1)
-        for child in _attach(parent, list(range(n - 1)))))
+    return _classes("connected", n, connected_graphs, lambda p: range(1, 1 << p.n))
 
 
 def connected_bipartite_graphs(n: int) -> list[Graph]:
@@ -315,9 +411,7 @@ def connected_bipartite_graphs(n: int) -> list[Graph]:
     """
     if n < 1:
         return []
-    return _classes("bipartite", n, lambda: (
-        child for parent in connected_bipartite_graphs(n - 1) for color in (0, 1)
-        for child in _attach(parent, [v for v, s in enumerate(parent.side) if s == color])))
+    return _classes("bipartite", n, connected_bipartite_graphs, _side_subsets)
 
 
 def all_graphs(n: int) -> list[Graph]:
@@ -328,6 +422,4 @@ def all_graphs(n: int) -> list[Graph]:
     """
     if n < 0:
         return []
-    return _classes("all", n, lambda: (
-        child for parent in all_graphs(n - 1)
-        for child in _attach(parent, list(range(n - 1)), connected=False)))
+    return _classes("all", n, all_graphs, lambda p: range(1 << p.n))

@@ -45,7 +45,9 @@ vertex visits.
 
 ``diss_via_induced_matchings`` enumerates maximal induced matchings, as
 independent sets of the edge-conflict graph (Cameron, 1989), and runs the
-kernel on each ``G - M``; it stays as the reference for ``diss``.
+kernel on each ``G - M`` that ``alpha(G) + |M|`` does not rule out, with the
+best value so far as the kernel's floor; it stays as the reference for
+``diss``.
 """
 
 from __future__ import annotations
@@ -345,12 +347,14 @@ def dissociation_number_exact(
     return best_size, witness
 
 
-def _max_independent_set(adj: tuple[int, ...], avail0: int) -> tuple[int, int]:
+def _max_independent_set(adj: tuple[int, ...], avail0: int, floor: int = -1) -> tuple[int, int]:
     """Maximum independent set among the vertices of ``avail0``: (size, mask).
 
-    ``adj[v]`` is the neighbour mask of v, which never holds v itself.
+    ``adj[v]`` is the neighbour mask of v, which never holds v itself. Only
+    sets larger than ``floor`` are recorded: when none is, the result is
+    ``(floor, 0)``.
     """
-    best_size = -1
+    best_size = floor
     best_mask = 0
 
     def rec(avail: int, chosen: int, dirty: int) -> None:
@@ -648,7 +652,10 @@ def diss_via_induced_matchings(
 
     alpha(g - M) is monotone in M (removing more edges never shrinks it),
     so only maximal induced matchings need evaluating; the empty matching
-    is the maximal one exactly when g has no edges.
+    is the maximal one exactly when g has no edges. Removing an edge raises
+    alpha by at most 1, so alpha(g - M) <= alpha(g) + |M|: a matching whose
+    bound cannot beat the best so far is skipped, and the kernel runs on the
+    others with that best as its floor.
     """
     if g.n > cutoff:
         raise InstanceTooLarge(g.n, cutoff)
@@ -659,10 +666,13 @@ def diss_via_induced_matchings(
     if k == 0:
         return g.n
     full_edges = (1 << k) - 1
-    best = -1
+    alpha, _ = _max_independent_set(base_adj, full_vertices)
+    best = alpha
 
     def evaluate(chosen: int) -> None:
         nonlocal best
+        if alpha + chosen.bit_count() <= best:
+            return
         masks = list(base_adj)
         w = chosen
         while w:
@@ -671,9 +681,7 @@ def diss_via_induced_matchings(
             u, v = edges[bit.bit_length() - 1]
             masks[u] &= ~(1 << v)
             masks[v] &= ~(1 << u)
-        size, _ = _max_independent_set(tuple(masks), full_vertices)
-        if size > best:
-            best = size
+        best, _ = _max_independent_set(tuple(masks), full_vertices, best)
 
     def rec(avail: int, chosen: int, blocked: int) -> None:
         # take each available edge in turn, else leave it out; a loop, not

@@ -12,7 +12,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from operator import lt
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 __all__ = [
     "Graph",
@@ -22,7 +22,6 @@ __all__ = [
     "new_graph",
     "bipartition",
     "remove_edges",
-    "data_lines",
     "last_line",
     "parse_header",
     "parse_edge_list",
@@ -198,13 +197,6 @@ def remove_edges(g: Graph, drop: Iterable[tuple[int, int]]) -> Graph:
     if missing:
         raise ValueError(f"not an edge: {min(missing)}")
     return Graph(tuple(adjacency))
-
-
-def data_lines(text: str) -> Iterator[tuple[int, str, list[str]]]:
-    """``(line_no, line, fields)`` of each stripped line neither blank nor a ``c`` comment."""
-    for line_no, line in enumerate(map(str.strip, text.splitlines()), start=1):
-        if line and line[0] != "c":
-            yield line_no, line, line.split()
 
 
 def last_line(text: str) -> int:

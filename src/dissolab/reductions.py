@@ -29,9 +29,9 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .graph import (MAX_EDGES, MAX_VERTICES, Graph, ParseError, data_lines, last_line, new_graph,
+from .graph import (MAX_EDGES, MAX_VERTICES, Graph, ParseError, last_line, new_graph,
                     parse_header, render_edge_list)
 from .matching import Matching, matching_from_edges
 from .exact import (
@@ -86,13 +86,20 @@ def cnf_formula(
     return CnfFormula(var_count, tuple(checked))
 
 
+def _data_lines(text: str) -> Iterator[tuple[int, str, list[str]]]:
+    """``(line_no, line, fields)`` of each stripped line neither blank nor a ``c`` comment."""
+    for line_no, line in enumerate(map(str.strip, text.splitlines()), start=1):
+        if line and line[0] != "c":
+            yield line_no, line, line.split()
+
+
 def parse_cnf(text: str) -> CnfFormula:
     """DIMACS CNF: ``p cnf <vars> <clauses>`` then 0-terminated clauses."""
     var_count = -1
     declared = 0
     clauses: list[tuple[Literal, ...]] = []
     current: list[Literal] = []
-    for line_no, line, fields in data_lines(text):
+    for line_no, line, fields in _data_lines(text):
         if fields[0] == "p":
             if var_count >= 0:
                 raise ParseError(line_no, "duplicate header")

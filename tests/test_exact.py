@@ -280,6 +280,48 @@ class TestChainReport:
                     or r.equalities["diss_eq_alpha"])
 
 
+def unpruned_detour(g):
+    """max of alpha(g - M) over every maximal induced matching M, each
+    evaluated in full: the detour's enumeration without its prune."""
+    edges, conflict = _edge_conflicts(g)
+    full = (1 << len(edges)) - 1
+    if not edges:
+        return g.n
+    values = []
+
+    def rec(avail, chosen, blocked):
+        while avail:
+            bit = avail & -avail
+            e = bit.bit_length() - 1
+            rec(avail & ~bit & ~conflict[e], chosen | bit, blocked | conflict[e])
+            avail ^= bit
+        if not full & ~chosen & ~blocked:
+            masks = list(g.adjacency_masks)
+            for e in range(len(edges)):
+                if chosen >> e & 1:
+                    u, v = edges[e]
+                    masks[u] &= ~(1 << v)
+                    masks[v] &= ~(1 << u)
+            values.append(_max_independent_set(tuple(masks), (1 << g.n) - 1)[0])
+
+    rec(full, 0, 0)
+    return max(values)
+
+
+@given(graphs(max_n=9))
+@settings(max_examples=200, deadline=None)
+def test_kernel_floor_is_returned_unless_beaten(g):
+    full = (1 << g.n) - 1
+    alpha, witness = _max_independent_set(g.adjacency_masks, full)
+    for floor in range(-1, alpha + 2):
+        size, mask = _max_independent_set(g.adjacency_masks, full, floor)
+        if floor >= alpha:
+            assert (size, mask) == (floor, 0)
+        else:
+            assert size == alpha == mask.bit_count()
+            assert is_independent_set(g, {v for v in range(g.n) if mask >> v & 1})
+
+
 class TestInducedMatchingDetour:
     @pytest.mark.parametrize(
         "graph,expected",
@@ -293,6 +335,31 @@ class TestInducedMatchingDetour:
         for n in range(0, 6):
             for g in all_graphs(n):
                 assert diss_via_induced_matchings(g) == dissociation_number_exact(g)[0]
+
+    @pytest.mark.parametrize(
+        "corpus",
+        [lambda: [g for n in range(1, 8) for g in connected_graphs(n)],
+         lambda: [random_graph(n, p, seed) for n in (8, 12, 16, 20, 22)
+                  for p in (0.1, 0.2, 0.3, 0.5) for seed in (1, 2)]],
+        ids=["connected-n7", "random-n22"],
+    )
+    def test_matches_unpruned_enumeration(self, corpus):
+        for g in corpus():
+            assert diss_via_induced_matchings(g) == unpruned_detour(g)
+
+    def test_kernel_calls_capped(self, monkeypatch):
+        # counts calls, not time: 3035 when every maximal induced matching
+        # runs the kernel, 1210 with the alpha(g) + |M| prune and the floor
+        calls = []
+        kernel = exact._max_independent_set
+
+        def counting(*args):
+            calls.append(1)
+            return kernel(*args)
+
+        monkeypatch.setattr(exact, "_max_independent_set", counting)
+        assert diss_via_induced_matchings(random_graph(30, 0.2, 1)) == 15
+        assert len(calls) <= 1500
 
     def test_depth_is_not_the_edge_count(self):
         # K_50 has 1225 edges; with one recursive call per excluded edge
